@@ -4,7 +4,9 @@ flat path->array mapping baseline.
 Each record reports mean/stddev of per-iteration wall time (monotonic
 clock) after 5 warm-up iterations. Cheap operations are timed over an
 auto-calibrated inner loop and normalized back to per-call nanoseconds.
-The `set` benchmark measures the persistent (copy-on-path) set.
+The `set` benchmark measures the persistent (copy-on-path) set; `cset`
+measures the same set on a tree carrying a root constraint (inherited
+dtype f64 plus the leaf count), against a dict copy plus a dtype check.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import constraints as _c
 from . import tree as _t
+from .errors import ConstraintViolation
 from .leaf import TensorLeaf, from_array
 from .lift import lifted_cat, lifted_split, lifted_stack
 
-BENCH_OPS = ("get", "set", "init", "deepcopy", "stack", "cat", "split")
+BENCH_OPS = ("get", "set", "cset", "init", "deepcopy", "stack", "cat", "split")
 BATCH = 8  # trees per stack/cat batch
 WARMUP = 5
 CSV_HEADER = "op,n_leaves,leaf_elems,impl,mean_ns,stddev_ns,reps"
@@ -118,7 +122,7 @@ def _op_closures(op: str, n_leaves: int, elems: int):
         path = _first_leaf_path(tree)
         key = "/".join(path)
         return (lambda: _t.get(tree, path)), (lambda: flat[key])
-    if op == "set":
+    if op in ("set", "cset"):
         path = _first_leaf_path(tree)
         key = "/".join(path)
         leaf = from_array(np.zeros(elems))
@@ -129,7 +133,19 @@ def _op_closures(op: str, n_leaves: int, elems: int):
             d[key] = arr
             return d
 
-        return (lambda: _t.set(tree, path, leaf)), naive_set
+        if op == "set":
+            return (lambda: _t.set(tree, path, leaf)), naive_set
+        f64 = _c.inherit_atom(_c.DtypeIs("f64"))
+        ctree = tree.with_constraints(
+            {(): _c.c_sum([f64, _c.noninherit_atom(_c.LeafCountIs(n_leaves))])}
+        )
+
+        def naive_cset():
+            if arr.dtype != np.float64:
+                raise ConstraintViolation(path, f64)
+            return naive_set()
+
+        return (lambda: _t.set(ctree, path, leaf)), naive_cset
     if op == "init":
         nested = _balanced_nested(n_leaves, elems)
         items = list(flat.items())

@@ -24,9 +24,19 @@ class DtypeIs:
     dtype: str
 
 
+def _reject_negative(atom, *fields):
+    for name in fields:
+        value = getattr(atom, name)
+        if value < 0:
+            raise ValueError(f"{type(atom).__name__}.{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class NdimIs:
     n: int
+
+    def __post_init__(self):
+        _reject_negative(self, "n")
 
 
 @dataclass(frozen=True)
@@ -34,11 +44,17 @@ class DimEquals:
     axis: int
     size: int
 
+    def __post_init__(self):
+        _reject_negative(self, "axis", "size")
+
 
 @dataclass(frozen=True)
 class DimAtLeast:
     axis: int
     size: int
+
+    def __post_init__(self):
+        _reject_negative(self, "axis", "size")
 
 
 @dataclass(frozen=True)
@@ -51,6 +67,9 @@ class LeafCountIs:
     """Subtree leaf count; non-inheriting only."""
 
     n: int
+
+    def __post_init__(self):
+        _reject_negative(self, "n")
 
 
 @dataclass(frozen=True)
@@ -66,6 +85,9 @@ class SharedPrefix:
 
     paths: tuple[Path, ...]
     k: int
+
+    def __post_init__(self):
+        _reject_negative(self, "k")
 
 
 _LEAF_ATOMS = (DtypeIs, NdimIs, DimEquals, DimAtLeast, DeviceIs)
@@ -223,11 +245,11 @@ def _inherit_holds(atom, n: Node) -> bool:
 
 
 def _local_ok(c: Constraint, n: Node) -> bool:
-    """Non-recursive check used for validation over a distributed tree.
+    """Non-recursive check of a node against its effective constraint.
 
-    Inheriting atoms are checked only at value nodes: after distribution
-    every descendant carries them, so the local check is complete and each
-    failure is reported once, at the most specific path.
+    Inheriting atoms are checked only at value nodes: every descendant's
+    effective constraint carries them, so the local check is complete and
+    each failure is reported once, at the most specific path.
     """
     for inh, atom in c.entries:
         if inh:
@@ -253,7 +275,17 @@ def _local_ok(c: Constraint, n: Node) -> bool:
 
 
 class ConstraintTree:
-    """Tree of constraints mirroring a node tree position-for-position."""
+    """Trie of constraint placements over a node tree.
+
+    A node's effective constraint is its own entries plus what its parent
+    passes down, ``inherit(effective(parent))``. The tries the library
+    builds are sparse: they hold only the positions on paths to placements,
+    each position stores only the entries its parent does not already pass
+    down, and empty positions are pruned, so two trees with the same
+    effective constraints have equal tries. The dense form built by the
+    reference helpers `mirror`/`place`/`distribute` is accepted wherever a
+    trie is, because deriving an effective constraint again is idempotent.
+    """
 
     __slots__ = ("constraint", "children", "_trivial")
 
@@ -269,14 +301,14 @@ class ConstraintTree:
         return self._trivial
 
     def child(self, key: str) -> "ConstraintTree":
-        return self.children.get(key, ConstraintTree())
+        return self.children.get(key, TRIVIAL)
 
     def __eq__(self, other):
         if not isinstance(other, ConstraintTree):
             return NotImplemented
         if self._trivial or other._trivial:
             # an all-empty tree is equal to any all-empty tree regardless of
-            # how much of the mirror shape it materializes
+            # how many empty positions it materializes
             return self._trivial and other._trivial
         return self.constraint == other.constraint and self.children == other.children
 
@@ -289,7 +321,7 @@ TRIVIAL = ConstraintTree()
 
 
 def mirror(node: Node, constraint: Constraint = EMPTY) -> ConstraintTree:
-    """All-`constraint` tree with the same shape as `node`."""
+    """Reference oracle: all-`constraint` tree with the same shape as `node`."""
     if isinstance(node, ValueNode):
         return ConstraintTree(constraint)
     return ConstraintTree(
@@ -298,7 +330,7 @@ def mirror(node: Node, constraint: Constraint = EMPTY) -> ConstraintTree:
 
 
 def distribute(ct: ConstraintTree) -> ConstraintTree:
-    """One top-down pass: child <- child + inherit(parent).
+    """Reference oracle: one top-down pass, child <- child + inherit(parent).
 
     A single pass reaches the fixpoint because the inherit map is idempotent.
     """
@@ -311,6 +343,7 @@ def distribute(ct: ConstraintTree) -> ConstraintTree:
 
 
 def place(ct: ConstraintTree, path: Path, constraint: Constraint) -> ConstraintTree:
+    """Reference oracle: add `constraint` at an existing position of a mirror."""
     if not path:
         return ConstraintTree(c_sum([ct.constraint, constraint]), ct.children)
     head, rest = path[0], path[1:]
@@ -321,32 +354,166 @@ def place(ct: ConstraintTree, path: Path, constraint: Constraint) -> ConstraintT
     return ConstraintTree(ct.constraint, children)
 
 
-def violations(node: Node, ct: ConstraintTree, prefix: Path = ()) -> list[tuple[Path, Constraint]]:
-    """All (path, constraint) pairs failing the local check."""
-    if ct.is_trivial:
-        return []
-    out = []
-    if not _local_ok(ct.constraint, node):
-        out.append((prefix, ct.constraint))
-    if isinstance(node, TreeNode):
+def effective(node: Node, ct: ConstraintTree, prefix: Path = (), inherited: Constraint = EMPTY):
+    """Pre-order (path, node, effective constraint) of every node under
+    `node` whose effective constraint is not empty.
+
+    `inherited` is what the parent passes down. Below the last trie
+    position it is already closed under `inherit` and passes on unchanged.
+    """
+    own = ct.constraint
+    eff = c_sum([own, inherited]) if own else inherited
+    if eff:
+        yield prefix, node, eff
+    if not isinstance(node, TreeNode):
+        return
+    down = inherit(eff) if own else inherited
+    if ct.children:
         for k, child in node.children.items():
-            out.extend(violations(child, ct.child(k), prefix + (k,)))
-    return out
+            yield from effective(child, ct.child(k), prefix + (k,), down)
+    elif down:
+        yield from _passed_down(node, prefix, down)
+
+
+def _passed_down(node: TreeNode, prefix: Path, inherited: Constraint):
+    # `effective` below the last trie position, where every node's effective
+    # constraint is `inherited`; unlike `effective` it makes no generator per
+    # value node, which most nodes are
+    for k, child in node.children.items():
+        path = prefix + (k,)
+        yield path, child, inherited
+        if isinstance(child, TreeNode):
+            yield from _passed_down(child, path, inherited)
+
+
+def _violating(node: Node, ct: ConstraintTree, prefix: Path = (), inherited: Constraint = EMPTY):
+    for path, n, eff in effective(node, ct, prefix, inherited):
+        if not _local_ok(eff, n):
+            yield path, eff
+
+
+def violations(node: Node, ct: ConstraintTree, prefix: Path = ()) -> list[tuple[Path, Constraint]]:
+    """All (path, effective constraint) pairs failing the local check, in
+    pre-order."""
+    return list(_violating(node, ct, prefix))
+
+
+def first_violation(node: Node, ct: ConstraintTree) -> tuple[Path, Constraint] | None:
+    """The first entry of `violations(node, ct)`, or None; stops there."""
+    return next(_violating(node, ct), None)
+
+
+def sparse(ct: ConstraintTree, node: Node, inherited: Constraint = EMPTY) -> ConstraintTree:
+    """The sparse trie with the same effective constraints as `ct` on `node`.
+
+    Each position keeps its entries minus what its parent passes down;
+    positions that are empty, or absent from `node`, are dropped.
+    """
+    own = ct.constraint
+    kept = [e for e in own.entries if e not in inherited.entries]
+    children = {}
+    if ct.children and isinstance(node, TreeNode):
+        down = inherit(c_sum([own, inherited])) if own else inherited
+        for k, child in ct.children.items():
+            sub = node.get(k)
+            if sub is not None:
+                child = sparse(child, sub, down)
+                if not child.is_trivial:
+                    children[k] = child
+    if not kept and not children:
+        return TRIVIAL
+    return ConstraintTree(Constraint(kept), children)
+
+
+def _trie(placements: dict[Path, Constraint]) -> ConstraintTree:
+    heads: dict[str, dict] = {}
+    for path, c in placements.items():
+        if path:
+            heads.setdefault(path[0], {})[path[1:]] = c
+    return ConstraintTree(
+        placements.get((), EMPTY), {k: _trie(sub) for k, sub in heads.items()}
+    )
 
 
 def build_constraint_tree(node: Node, placements: dict[Path, Constraint]) -> ConstraintTree:
-    """Place constraints, distribute inherited parts down, then validate.
+    """Sparse trie of the placements over `node`, validated in one pass.
 
-    Raises ConstraintViolation on the first violating position.
+    Raises PathNotFound for a placement outside `node`, then
+    ConstraintViolation on the first violating position.
     """
-    ct = mirror(node)
-    for path, constraint in placements.items():
-        if get_node(node, tuple(path)) is None and tuple(path) != ():
+    placements = {tuple(p): c for p, c in placements.items()}
+    for path in placements:
+        if path and get_node(node, path) is None:
             raise PathNotFound(path)
-        ct = place(ct, tuple(path), constraint)
-    ct = distribute(ct)
-    bad = violations(node, ct)
+    ct = sparse(_trie(placements), node)
+    bad = first_violation(node, ct)
     if bad:
-        path, constraint = bad[0]
-        raise ConstraintViolation(path, constraint)
+        raise ConstraintViolation(*bad)
     return ct
+
+
+def edit(ct: ConstraintTree, path: Path, replaced: bool) -> ConstraintTree:
+    """The trie after the node at `path` is replaced or removed.
+
+    A replaced position keeps its own entries and loses the placements
+    below it; a removed one loses both. Emptied positions are pruned.
+    """
+    if not path:
+        return ConstraintTree(ct.constraint) if replaced and ct.constraint else TRIVIAL
+    child = ct.children.get(path[0])
+    if child is None:
+        return ct
+    children = dict(ct.children)
+    child = edit(child, path[1:], replaced)
+    if child.is_trivial:
+        del children[path[0]]
+    else:
+        children[path[0]] = child
+    if not ct.constraint and not children:
+        return TRIVIAL
+    return ConstraintTree(ct.constraint, children)
+
+
+def write_violation(
+    new_root: TreeNode, ct: ConstraintTree, path: Path, old: Node | None, new: Node | None
+) -> tuple[Path, Constraint] | None:
+    """First violation that an edit at `path` causes in a valid tree, or None.
+
+    `ct` is the trie before the edit, `new_root` the root after it, `old`
+    and `new` the node at `path` before and after (None when absent or
+    removed). Only what the edit can break is checked, in pre-order: the
+    ancestors' node atoms, then the written subtree against what its parent
+    passes down plus the written position's own entries.
+    """
+    inherited = EMPTY
+    delta = None
+    for i, key in enumerate(path):
+        own = ct.constraint
+        eff = c_sum([own, inherited]) if own else inherited
+        for inh, atom in own.entries:
+            if inh or not isinstance(atom, _NODE_ATOMS):
+                continue  # leaf atoms of a tree node cannot change here
+            if isinstance(atom, LeafCountIs):
+                if delta is None:
+                    delta = (count_leaves(new) if new is not None else 0) - (
+                        count_leaves(old) if old is not None else 0
+                    )
+                ok = delta == 0  # the count held before the edit
+            else:
+                # only targets at or below the written position can change: a
+                # target above it is a tree node, which no valid atom names
+                rel = path[i:]
+                ok = not any(p[: len(rel)] == rel for p in atom.paths) or (
+                    _node_atom_holds(atom, get_node(new_root, path[:i]))
+                )
+            if not ok:
+                return path[:i], eff
+        if own:
+            inherited = inherit(eff)
+        ct = ct.children.get(key)
+        if ct is None:
+            break  # no placement below: what is inherited passes on unchanged
+    if new is None:
+        return None
+    own = ct.constraint if ct is not None else EMPTY
+    return next(_violating(new, ConstraintTree(own), path, inherited), None)

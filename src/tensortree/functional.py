@@ -261,14 +261,19 @@ def rise(tree: TreeTensor):
     spec = skels[0]
     if spec == "leaf":
         return tree
+    return _rise_build(tree.root, spec, ())
 
-    def build(s, sigma):
-        if s == "leaf":
-            root = _map_leaves(tree.root, lambda p, l: _component(l, sigma))
-            return TreeTensor(root)
-        kind, parts = s
-        if kind == "seq":
-            return [build(sub, sigma + (i,)) for i, sub in enumerate(parts)]
-        return {k: build(sub, sigma + (k,)) for k, sub in parts.items()}
 
-    return build(spec, ())
+def _rise_build(root: Node, s, sigma):
+    """The outer structure of skeleton `s` below position `sigma`.
+
+    A module-level function rather than a recursive closure: a closure that
+    calls itself is a reference cycle, which would keep `root` and its
+    leaves alive until the next full garbage collection.
+    """
+    if s == "leaf":
+        return TreeTensor(_map_leaves(root, lambda p, l: _component(l, sigma)))
+    kind, parts = s
+    if kind == "seq":
+        return [_rise_build(root, sub, sigma + (i,)) for i, sub in enumerate(parts)]
+    return {k: _rise_build(root, sub, sigma + (k,)) for k, sub in parts.items()}

@@ -83,29 +83,29 @@ _ATOM_TO_OBJ = {
 }
 
 
-def _constraint_entries(ct: _c.ConstraintTree, prefix: Path = ()) -> list:
+def _constraint_entries(tree: TreeTensor) -> list:
+    """The effective constraint of every node, in pre-order, derived by
+    walking the data tree (so equal trees give equal entries)."""
     entries = []
-    if ct.constraint.entries:
+    for path, _, c in _c.effective(tree.root, tree.constraints):
         by_flag: dict[bool, list] = {}
-        for inh, atom in ct.constraint.entries:
+        for inh, atom in c.entries:
             by_flag.setdefault(inh, []).append(atom)
         for inh in sorted(by_flag):
             entries.append(
                 {
-                    "path": path_to_string(prefix),
+                    "path": path_to_string(path),
                     "inherit": inh,
                     "atoms": [_ATOM_TO_OBJ[type(a)](a) for a in by_flag[inh]],
                 }
             )
-    for k in ct.children:
-        entries.extend(_constraint_entries(ct.children[k], prefix + (k,)))
     return entries
 
 
 def serialize_tree(tree: TreeTensor) -> str:
     """Canonical document for a tree, constraints included."""
     doc = _node_obj(tree.root)
-    placements = _constraint_entries(tree.constraints)
+    placements = _constraint_entries(tree)
     if placements:
         doc["__constraints__"] = placements
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

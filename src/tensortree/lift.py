@@ -14,8 +14,10 @@ import numpy as np
 from typing import Callable, Sequence
 
 from . import leaf as _lf
+from .constraints import first_violation
 from .errors import (
     ArityMismatch,
+    ConstraintViolation,
     EmptyInput,
     InvalidChunk,
     LeafOpError,
@@ -137,11 +139,18 @@ def lift_unary(fn_id: str) -> Callable[[TreeTensor], TreeTensor]:
     _lf.fn_arity(fn_id)  # fail fast on unknown ids
 
     def lifted(tree: TreeTensor, *, carry_constraints: bool = False) -> TreeTensor:
+        """With carry_constraints, the result keeps the input's constraints
+        and is validated in full; a violation raises ConstraintViolation."""
         root = _apply_nodes(
             [_as_node(tree)], STRICT, lambda ls: _lf.ew_unary(fn_id, ls[0])
         )
-        ct = tree.constraints if carry_constraints and isinstance(tree, TreeTensor) else None
-        return TreeTensor(root, ct)
+        if not (carry_constraints and isinstance(tree, TreeTensor)):
+            return TreeTensor(root)
+        bad = first_violation(root, tree.constraints)
+        if bad:
+            raise ConstraintViolation(*bad)
+        # strict lifting keeps the structure, so the trie still fits the root
+        return TreeTensor._make(root, tree.constraints)
 
     return lifted
 
@@ -238,6 +247,8 @@ def lifted_cat(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
     if not trees:
         raise EmptyInput("cat of zero trees")
     nodes = [_as_node(t) for t in trees]
+    if not 0 <= axis:
+        raise ShapeMismatchLeaf(f"negative cat axis {axis}")
     root = _join_nodes(nodes, np.concatenate, axis)
     return TreeTensor(root)
 

@@ -89,21 +89,23 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
             )
         if any(n < 0 for n in l.data):
             raise CorruptLengths(f"negative length at {'/'.join(path)}")
+    return [TreeTensor(_take(g.stacked.root, stacked, lengths, i, ())) for i in range(k)]
 
-    def tree_i(i):
-        def take(node, path=()):
-            if isinstance(node, ValueNode):
-                leaf = stacked[path]
-                n = int(lengths[path].array[i])
-                if n > leaf.shape[1]:
-                    raise CorruptLengths(
-                        f"length {n} exceeds padded size {leaf.shape[1]} at {'/'.join(path)}"
-                    )
-                return ValueNode(
-                    TensorLeaf(np.ascontiguousarray(leaf.array[i, :n]), device=leaf.device)
-                )
-            return TreeNode({key: take(c, path + (key,)) for key, c in node.children.items()})
 
-        return TreeTensor(take(g.stacked.root))
-
-    return [tree_i(i) for i in range(k)]
+def _take(node, stacked: dict, lengths: dict, i: int, path: Path):
+    """Tree i of the batch (a module-level function rather than a recursive
+    closure, whose reference cycle would keep the padded leaves alive until
+    the next full garbage collection)."""
+    if isinstance(node, ValueNode):
+        leaf = stacked[path]
+        n = int(lengths[path].array[i])
+        if n > leaf.shape[1]:
+            raise CorruptLengths(
+                f"length {n} exceeds padded size {leaf.shape[1]} at {'/'.join(path)}"
+            )
+        return ValueNode(
+            TensorLeaf(np.ascontiguousarray(leaf.array[i, :n]), device=leaf.device)
+        )
+    return TreeNode(
+        {key: _take(c, stacked, lengths, i, path + (key,)) for key, c in node.children.items()}
+    )

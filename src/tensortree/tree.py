@@ -1,7 +1,10 @@
-"""TreeTensor: a tree-node root paired with a mirroring constraint tree.
+"""TreeTensor: a tree-node root paired with a sparse trie of constraint
+placements.
 
 Values are persistent: every mutator returns a new TreeTensor that shares
-all untouched subtrees with the original.
+all untouched subtrees with the original. A constrained `set`/`remove`
+checks only what the edit can break: the ancestors' node atoms and the
+written subtree.
 """
 
 from __future__ import annotations
@@ -18,19 +21,38 @@ from .node import (
     Path,
     TreeNode,
     ValueNode,
+    get_node,
     iter_leaves,
     structure_equal as _structure_equal,
 )
 
 
 class TreeTensor:
-    __slots__ = ("root", "constraints")
+    """A tree-node root and the constraints it carries.
+
+    A constrained tree built here with a constraint tree is normalized to
+    the sparse trie, but its validity is not checked: its first constrained
+    write checks the whole tree. Trees the library builds itself are known
+    to be valid and check only what each edit can break.
+    """
+
+    __slots__ = ("root", "constraints", "_checked")
 
     def __init__(self, root: TreeNode, constraints: _c.ConstraintTree | None = None):
         if not isinstance(root, TreeNode):
             raise TypeError("TreeTensor root must be a tree node")
         self.root = root
-        self.constraints = constraints if constraints is not None else _c.TRIVIAL
+        if constraints is None or constraints.is_trivial:
+            self.constraints, self._checked = _c.TRIVIAL, True
+        else:
+            self.constraints, self._checked = _c.sparse(constraints, root), False
+
+    @classmethod
+    def _make(cls, root: TreeNode, constraints: _c.ConstraintTree, checked: bool = True):
+        """Internal: `constraints` is already a sparse trie over `root`."""
+        tree = cls.__new__(cls)
+        tree.root, tree.constraints, tree._checked = root, constraints, checked
+        return tree
 
     def __eq__(self, other):
         if not isinstance(other, TreeTensor):
@@ -43,8 +65,7 @@ class TreeTensor:
 
     def with_constraints(self, placements: Mapping[Path, _c.Constraint]) -> "TreeTensor":
         """Attach constraints built from placements; validates in full."""
-        ct = _c.build_constraint_tree(self.root, dict(placements))
-        return TreeTensor(self.root, ct)
+        return TreeTensor._make(self.root, _c.build_constraint_tree(self.root, dict(placements)))
 
 
 def _coerce(value) -> Node:
@@ -116,28 +137,25 @@ def _remove_node(node: TreeNode, path: Path) -> TreeNode:
     return TreeNode(children)
 
 
-def _extend_constraints(ct: _c.ConstraintTree, path: Path, node: Node) -> _c.ConstraintTree:
-    """Constraint tree for a root where `node` was inserted at `path`.
-
-    The inserted position keeps its existing constraint when it existed,
-    otherwise it receives the inherited part of its parent's constraint;
-    either way the constraint is distributed over the new subtree's shape.
-    """
-    if not path:
-        sub = _c.mirror(node, _c.EMPTY)
-        sub = _c.ConstraintTree(ct.constraint, sub.children)
-        return _c.distribute(sub)
-    key, rest = path[0], path[1:]
-    children = dict(ct.children)
-    child = children.get(key)
-    if child is None:
-        child = _c.ConstraintTree(_c.inherit(ct.constraint))
-    children[key] = _extend_constraints(child, rest, node)
-    return _c.ConstraintTree(ct.constraint, children)
+def _edited(tree: TreeTensor, new_root: TreeNode, path: Path, new: Node | None) -> TreeTensor:
+    """The tree after the edit at path (new is None for a removal); raises
+    ConstraintViolation, leaving `tree` untouched, if the edit breaks one."""
+    ct = tree.constraints
+    if ct.is_trivial:
+        return TreeTensor(new_root)
+    edited = _c.edit(ct, path, new is not None)
+    if tree._checked:
+        old = get_node(tree.root, path)
+        bad = _c.write_violation(new_root, ct, path, old, new)
+    else:
+        bad = _c.first_violation(new_root, edited)
+    if bad:
+        raise ConstraintViolation(*bad)
+    return TreeTensor._make(new_root, edited)
 
 
 def set(tree: TreeTensor, path: Iterable[str], value) -> TreeTensor:
-    """Persistent set; validates the result and fails atomically."""
+    """Persistent set; validates what the write can break and fails atomically."""
     path = tuple(path)
     node = _coerce(value)
     if not path:
@@ -148,23 +166,7 @@ def set(tree: TreeTensor, path: Iterable[str], value) -> TreeTensor:
         # parent must exist
         get(tree, path[:-1])
         new_root = _set_node(tree.root, path, node)
-    ct = _extend_constraints(tree.constraints, path, node)
-    if not ct.is_trivial:
-        bad = _c.violations(new_root, ct)
-        if bad:
-            raise ConstraintViolation(bad[0][0], bad[0][1])
-    return TreeTensor(new_root, ct)
-
-
-def _drop_constraint(ct: _c.ConstraintTree, path: Path) -> _c.ConstraintTree:
-    key, rest = path[0], path[1:]
-    children = dict(ct.children)
-    if key in children:
-        if rest:
-            children[key] = _drop_constraint(children[key], rest)
-        else:
-            del children[key]
-    return _c.ConstraintTree(ct.constraint, children)
+    return _edited(tree, new_root, path, node)
 
 
 def remove(tree: TreeTensor, path: Iterable[str]) -> TreeTensor:
@@ -173,13 +175,7 @@ def remove(tree: TreeTensor, path: Iterable[str]) -> TreeTensor:
     if not path:
         raise PathNotFound(path, "cannot remove the root")
     get(tree, path)
-    new_root = _remove_node(tree.root, path)
-    ct = _drop_constraint(tree.constraints, path)
-    if not ct.is_trivial:
-        bad = _c.violations(new_root, ct)
-        if bad:
-            raise ConstraintViolation(bad[0][0], bad[0][1])
-    return TreeTensor(new_root, ct)
+    return _edited(tree, _remove_node(tree.root, path), path, None)
 
 
 def structure_equal(a, b) -> bool:
@@ -203,7 +199,7 @@ def _copy_node(node: Node) -> Node:
 
 def deep_copy(tree: TreeTensor) -> TreeTensor:
     """A tree sharing no leaf storage with the original."""
-    return TreeTensor(_copy_node(tree.root), tree.constraints)
+    return TreeTensor._make(_copy_node(tree.root), tree.constraints, tree._checked)
 
 
 def validate_full(tree: TreeTensor) -> list[tuple[Path, _c.Constraint]]:

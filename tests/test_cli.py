@@ -174,3 +174,20 @@ def test_usage_errors_exit_2():
     assert r.returncode == 2
     r = run("nosuchcmd")
     assert r.returncode == 2
+
+
+def test_validate_negative_axis_spec_exits_2(tmp_path, paper_file):
+    spec = tmp_path / "c.ttc"
+    spec.write_text(json.dumps(
+        [{"path": "", "inherit": True, "atoms": [{"kind": "dim_equals", "axis": -1, "value": 1}]}]
+    ))
+    r = run("validate", "--constraints", str(spec), str(paper_file))
+    assert r.returncode == 2
+    assert "must be >= 0" in r.stderr
+
+
+def test_bench_cset_op():
+    r = run("bench", "--op", "cset", "--leaves", "4", "--elems", "8", "--reps", "3")
+    assert r.returncode == 0
+    rows = [l.split(",") for l in r.stdout.strip().splitlines()[1:]]
+    assert [(row[0], row[3]) for row in rows] == [("cset", "tree"), ("cset", "naive")]

@@ -290,3 +290,16 @@ def test_metric_scenario_single_violation(path, bad):
     v = tt.validate_full(broken)
     assert len(v) == 1
     assert v[0][0] == path
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tt.DimEquals(-1, 3),
+    lambda: tt.DimEquals(0, -3),
+    lambda: tt.DimAtLeast(-1, 2),
+    lambda: tt.NdimIs(-2),
+    lambda: tt.LeafCountIs(-1),
+    lambda: tt.SharedPrefix((("a",), ("b",)), -1),
+])
+def test_negative_axes_sizes_and_counts_are_rejected(make):
+    with pytest.raises(ValueError):
+        make()

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -190,3 +192,21 @@ def test_subside_rise_roundtrip_from_tree_side():
         outer = rand_outer(rng)
         y = tt.subside(outer)
         assert tt.subside(tt.rise(y)) == y
+
+
+def test_rise_frees_the_input_leaves_without_a_collection():
+    class Stacked(tt.StackedLeaf):
+        __slots__ = ("__weakref__",)
+
+    leaf = Stacked(np.arange(6.0).reshape(3, 2))
+    ref = weakref.ref(leaf)
+    t = tt.TreeTensor(tt.TreeNode({"p": tt.ValueNode(leaf)}))
+    del leaf
+    gc.disable()
+    try:
+        out = tt.rise(t)
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert [tt.get(x, ["p"]).leaf.data for x in out] == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]

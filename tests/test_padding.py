@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -91,3 +93,24 @@ def test_unpad_rejects_corrupt_lengths():
     short = tt.TreeTensor(tt.set(g.lengths, ["s"], np.array([2])).root)
     with pytest.raises(CorruptLengths):
         tt.unpad(tt.PaddedGroup(g.stacked, short, g.fill))
+
+
+def test_unpad_frees_the_padded_leaves_without_a_collection():
+    class Leaf(tt.TensorLeaf):
+        __slots__ = ("__weakref__",)
+
+    g = tt.group_pad(
+        [tt.build_tree({"s": np.arange(2.0)}), tt.build_tree({"s": np.arange(5.0)})], 0.0
+    )
+    leaf = Leaf(tt.get(g.stacked, ["s"]).leaf.array.copy())
+    ref = weakref.ref(leaf)
+    g = tt.PaddedGroup(tt.TreeTensor(tt.TreeNode({"s": tt.ValueNode(leaf)})), g.lengths, 0.0)
+    del leaf
+    gc.disable()
+    try:
+        out = tt.unpad(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert [tt.get(x, ["s"]).leaf.shape for x in out] == [(2,), (5,)]

@@ -287,3 +287,9 @@ def test_lifted_surface_covers_registry():
         assert fn_id in surface
     for op in ("stack", "cat", "split", "shape"):
         assert op in surface
+
+
+def test_lifted_cat_rejects_negative_axis():
+    t = tt.build_tree({"a": np.arange(3.0)})
+    with pytest.raises(tt.errors.ShapeMismatchLeaf):
+        tt.lifted_cat([t, t], axis=-1)
