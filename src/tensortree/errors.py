@@ -37,10 +37,6 @@ class InvalidChunk(TensorTreeError):
 
 # ---- tree level -----------------------------------------------------------
 
-class DuplicateKey(TensorTreeError):
-    pass
-
-
 class EmptyKey(TensorTreeError):
     pass
 

@@ -10,11 +10,10 @@ consume.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
-from . import leaf as _lf
 from .errors import (
     InconsistentInnerStructure,
     LeafOpError,
@@ -24,7 +23,7 @@ from .errors import (
     TensorTreeError,
 )
 from .leaf import TensorLeaf
-from .node import Node, Path, TreeNode, ValueNode, iter_leaves
+from .node import Node, Path, TreeNode, ValueNode, flatten, iter_leaves, unflatten
 from .tree import TreeTensor, structure_equal
 
 
@@ -87,37 +86,6 @@ def _payload_map(payload, f):
 # mask / filter / reduce
 
 
-def _mask_node(node: Node, sel: Node, path: Path) -> Node | None:
-    if isinstance(node, ValueNode):
-        if not isinstance(sel, ValueNode):
-            raise StructureMismatch(f"mask shape differs at {'/'.join(path)}")
-        flag = sel.leaf
-        if not isinstance(flag, TensorLeaf) or flag.dtype != "bool" or flag.shape != ():
-            raise NonBooleanMask(
-                f"mask leaf at {'/'.join(path) or '<root>'} must be a scalar bool"
-            )
-        return node if flag.item() else None
-    if not isinstance(sel, TreeNode) or node.keys() != sel.keys():
-        raise StructureMismatch(f"mask structure differs at {'/'.join(path) or '<root>'}")
-    had_children = len(node) > 0
-    kept = {}
-    for k, child in node.children.items():
-        out = _mask_node(child, sel.get(k), path + (k,))
-        if out is not None:
-            kept[k] = out
-    if had_children and not kept:
-        return None  # emptied by removal: prune
-    return TreeNode(kept)
-
-
-def mask(tree: TreeTensor, sel: TreeTensor) -> TreeTensor:
-    """Keep leaves whose scalar-bool selector is true; prune emptied nodes."""
-    if not structure_equal(tree, sel):
-        raise StructureMismatch("mask selector structure differs from tree")
-    out = _mask_node(tree.root, sel.root, ())
-    return TreeTensor(out if out is not None else TreeNode({}))
-
-
 def _filter_node(node: Node, pred, path: Path) -> Node | None:
     if isinstance(node, ValueNode):
         return node if pred(path, node.leaf) else None
@@ -133,9 +101,23 @@ def _filter_node(node: Node, pred, path: Path) -> Node | None:
 
 
 def filter(tree: TreeTensor, predicate: Callable[[Path, TensorLeaf], bool]) -> TreeTensor:
-    """Keep leaves where predicate(path, leaf) holds; same pruning as mask."""
+    """Keep leaves where predicate(path, leaf) holds; prune the subtrees
+    that removal empties (a subtree empty to begin with stays)."""
     out = _filter_node(tree.root, predicate, ())
     return TreeTensor(out if out is not None else TreeNode({}))
+
+
+def mask(tree: TreeTensor, sel: TreeTensor) -> TreeTensor:
+    """Keep leaves whose scalar-bool selector is true; pruning as in filter."""
+    if not structure_equal(tree, sel):
+        raise StructureMismatch("mask selector structure differs from tree")
+    flags = dict(iter_leaves(sel.root))
+    for path, flag in flags.items():
+        if not isinstance(flag, TensorLeaf) or flag.dtype != "bool" or flag.shape != ():
+            raise NonBooleanMask(
+                f"mask leaf at {'/'.join(path) or '<root>'} must be a scalar bool"
+            )
+    return filter(tree, lambda path, _leaf: flags[path].item())
 
 
 def reduce(tree: TreeTensor, binop: Callable, init):
@@ -178,12 +160,6 @@ def _outer_map(outer, f):
     return {k: _outer_map(v, f) for k, v in outer.items()}
 
 
-def _map_leaves(node: Node, f, path: Path = ()) -> Node:
-    if isinstance(node, ValueNode):
-        return ValueNode(f(path, node.leaf))
-    return TreeNode({k: _map_leaves(c, f, path + (k,)) for k, c in node.children.items()})
-
-
 def subside(outer) -> TreeTensor:
     """Sink an outer container of structurally equal trees into the leaves."""
     trees = _collect_trees(outer, [])
@@ -191,33 +167,26 @@ def subside(outer) -> TreeTensor:
         raise NoEmbeddedTree("no tree inside the outer structure")
     if isinstance(outer, TreeTensor):
         return outer
-    first = trees[0]
-    for t in trees[1:]:
-        if not structure_equal(first, t):
-            raise StructureMismatch("embedded trees differ in structure")
-    leaf_maps = [dict(iter_leaves(t.root)) for t in trees]
+    flat = [flatten(t.root) for t in trees]
+    structure = flat[0][0]
+    if any(s != structure for s, _ in flat[1:]):
+        raise StructureMismatch("embedded trees differ in structure")
     is_flat_seq = isinstance(outer, (list, tuple)) and all(
         isinstance(x, TreeTensor) for x in outer
     )
-
-    def sink(path, _leaf):
-        idx = iter(range(len(trees)))
-        payload = _outer_map(outer, lambda _t: leaf_maps[next(idx)][path])
-        if is_flat_seq:
-            parts = payload
-            f0 = parts[0]
-            if all(
-                isinstance(p, TensorLeaf)
-                and p.shape == f0.shape
-                and p.dtype == f0.dtype
-                for p in parts
-            ):
-                return StackedLeaf(
-                    np.stack([p.array for p in parts], axis=0), device=f0.device
-                )
-        return StructuredLeaf(payload)
-
-    return TreeTensor(_map_leaves(first.root, sink))
+    sunk = []
+    for parts in zip(*(leaves for _, leaves in flat)):
+        f0 = parts[0]
+        if is_flat_seq and all(
+            isinstance(p, TensorLeaf) and p.shape == f0.shape and p.dtype == f0.dtype
+            for p in parts
+        ):
+            sunk.append(StackedLeaf(np.stack([p.array for p in parts], axis=0), device=f0.device))
+        else:
+            # _outer_map visits the trees in _collect_trees order
+            column = iter(parts)
+            sunk.append(StructuredLeaf(_outer_map(outer, lambda _t: next(column))))
+    return TreeTensor(unflatten(structure, sunk))
 
 
 def _skeleton(leaf):
@@ -252,28 +221,28 @@ def _component(leaf, sigma):
 
 def rise(tree: TreeTensor):
     """Lift the common per-leaf inner structure back above the tree."""
-    pairs = list(iter_leaves(tree.root))
-    if not pairs:
+    structure, leaves = flatten(tree.root)
+    if not leaves:
         return tree
-    skels = [_skeleton(l) for _, l in pairs]
+    skels = [_skeleton(l) for l in leaves]
     if any(s != skels[0] for s in skels[1:]):
         raise InconsistentInnerStructure("leaf inner structures disagree")
     spec = skels[0]
     if spec == "leaf":
         return tree
-    return _rise_build(tree.root, spec, ())
+    return _rise_build(structure, leaves, spec, ())
 
 
-def _rise_build(root: Node, s, sigma):
+def _rise_build(structure, leaves: list, s, sigma):
     """The outer structure of skeleton `s` below position `sigma`.
 
     A module-level function rather than a recursive closure: a closure that
-    calls itself is a reference cycle, which would keep `root` and its
-    leaves alive until the next full garbage collection.
+    calls itself is a reference cycle, which would keep the leaves alive
+    until the next full garbage collection.
     """
     if s == "leaf":
-        return TreeTensor(_map_leaves(root, lambda p, l: _component(l, sigma)))
+        return TreeTensor(unflatten(structure, [_component(l, sigma) for l in leaves]))
     kind, parts = s
     if kind == "seq":
-        return [_rise_build(root, sub, sigma + (i,)) for i, sub in enumerate(parts)]
-    return {k: _rise_build(root, sub, sigma + (k,)) for k, sub in parts.items()}
+        return [_rise_build(structure, leaves, sub, sigma + (i,)) for i, sub in enumerate(parts)]
+    return {k: _rise_build(structure, leaves, sub, sigma + (k,)) for k, sub in parts.items()}

@@ -181,8 +181,7 @@ def ew_unary(fn_id: str, t: TensorLeaf) -> TensorLeaf:
     return TensorLeaf(np.asarray(out), device=t.device)
 
 
-def _promote(a: TensorLeaf, b: TensorLeaf) -> str:
-    da, db = a.dtype, b.dtype
+def _promote(da: str, db: str) -> str:
     if "bool" in (da, db):
         raise DtypeUnsupported("arithmetic on bool leaves is unsupported")
     if da == db:
@@ -199,7 +198,7 @@ def ew_binary(fn_id: str, a: TensorLeaf, b: TensorLeaf) -> TensorLeaf:
         raise UnknownFunction(f"unknown binary function {fn_id!r}")
     if a.shape != b.shape and a.shape != () and b.shape != ():
         raise ShapeMismatchLeaf(f"shapes {a.shape} and {b.shape} are incompatible")
-    out_dtype = _promote(a, b)
+    out_dtype = _promote(a.dtype, b.dtype)
     np_dt = _NP_DTYPE[out_dtype]
     x = a.array.astype(np_dt, copy=False)
     y = b.array.astype(np_dt, copy=False)
@@ -236,67 +235,42 @@ def ew_nary(fn_id: str, leaves: Sequence[TensorLeaf]) -> TensorLeaf:
         raise ShapeMismatchLeaf(f"shapes {sorted(shapes)} are incompatible")
     dtype = leaves[0].dtype
     for l in leaves[1:]:
-        dtype = _promote_pair(dtype, l.dtype)
+        dtype = _promote(dtype, l.dtype)
     np_dt = _NP_DTYPE[dtype]
     arrs = [l.array.astype(np_dt, copy=False) for l in leaves]
     out = _NARY[fn_id][1](*arrs)
     return TensorLeaf(np.asarray(out, dtype=np_dt), device=leaves[0].device)
 
 
-def _promote_pair(da: str, db: str) -> str:
-    if "bool" in (da, db):
-        raise DtypeUnsupported("arithmetic on bool leaves is unsupported")
-    if da == db:
-        return da
-    floats = [d for d in (da, db) if d in ("f32", "f64")]
-    if not floats:
-        raise DtypeUnsupported(f"cannot mix dtypes {da} and {db}")
-    return "f64" if "f64" in floats else "f32"
-
-
 # ---------------------------------------------------------------------------
 # structural leaf ops
 
+def _join(arrays_join, leaves: Sequence[TensorLeaf], axis: int, what: str) -> TensorLeaf:
+    """numpy checks shapes and axis range; dtypes must match exactly."""
+    if not leaves:
+        raise EmptyInput(f"{what} of zero leaves")
+    first = leaves[0]
+    dtype = first._array.dtype
+    if axis < 0:
+        raise ShapeMismatchLeaf(f"negative {what} axis {axis}")
+    for l in leaves:
+        if l._array.dtype != dtype:
+            raise ShapeMismatchLeaf(f"{what} needs one dtype; got {first.dtype} and {l.dtype}")
+    try:
+        out = arrays_join([l._array for l in leaves], axis=axis)
+    except ValueError as exc:  # numpy's AxisError is a ValueError too
+        raise ShapeMismatchLeaf(f"{what}: {exc}") from exc
+    return TensorLeaf(out, device=first._device)
+
+
 def stack(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
     """Stack same-shape leaves along a new axis."""
-    if not leaves:
-        raise EmptyInput("stack of zero leaves")
-    first = leaves[0]
-    arr0 = first._array
-    for l in leaves[1:]:
-        a = l._array
-        if a.shape != arr0.shape or a.dtype != arr0.dtype:
-            raise ShapeMismatchLeaf(
-                f"stack needs uniform leaves; got {first.shape}/{first.dtype} "
-                f"vs {l.shape}/{l.dtype}"
-            )
-    if not 0 <= axis <= arr0.ndim:
-        raise ShapeMismatchLeaf(f"axis {axis} out of range for ndim {arr0.ndim}")
-    return TensorLeaf(np.stack([l._array for l in leaves], axis=axis), device=first.device)
+    return _join(np.stack, leaves, axis, "stack")
 
 
 def cat(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
-    """Concatenate leaves along an existing axis."""
-    if not leaves:
-        raise EmptyInput("cat of zero leaves")
-    first = leaves[0]
-    arr0 = first._array
-    if arr0.ndim == 0:
-        raise ShapeMismatchLeaf("cannot cat zero-dim leaves")
-    if not 0 <= axis < arr0.ndim:
-        raise ShapeMismatchLeaf(f"axis {axis} out of range for ndim {arr0.ndim}")
-    off_axis = arr0.shape[:axis] + arr0.shape[axis + 1:]
-    for l in leaves[1:]:
-        a = l._array
-        if a.ndim != arr0.ndim or a.dtype != arr0.dtype:
-            raise ShapeMismatchLeaf("cat needs uniform rank and dtype")
-        if a.shape[:axis] + a.shape[axis + 1:] != off_axis:
-            raise ShapeMismatchLeaf(
-                f"cat shapes {first.shape} and {l.shape} differ off-axis"
-            )
-    return TensorLeaf(
-        np.concatenate([l._array for l in leaves], axis=axis), device=first.device
-    )
+    """Concatenate leaves along an existing axis (not zero-dim leaves)."""
+    return _join(np.concatenate, leaves, axis, "cat")
 
 
 def split(t: TensorLeaf, chunk: int, axis: int = 0) -> list[TensorLeaf]:
@@ -305,12 +279,12 @@ def split(t: TensorLeaf, chunk: int, axis: int = 0) -> list[TensorLeaf]:
         raise InvalidChunk(f"chunk must be >= 1, got {chunk}")
     if t.ndim == 0 or not 0 <= axis < t.ndim:
         raise ShapeMismatchLeaf(f"axis {axis} out of range for ndim {t.ndim}")
-    size = t.shape[axis]
-    if size == 0:
-        return []
-    cuts = list(range(chunk, size, chunk))
+    prefix = (slice(None),) * axis
     # pieces are read-only views; immutability makes sharing safe
-    return [TensorLeaf(p, device=t.device) for p in np.split(t._array, cuts, axis=axis)]
+    return [
+        TensorLeaf(t._array[prefix + (slice(i, i + chunk),)], device=t._device)
+        for i in range(0, t.shape[axis], chunk)
+    ]
 
 
 def zeros_like(t: TensorLeaf) -> TensorLeaf:

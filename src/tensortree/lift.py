@@ -1,16 +1,15 @@
 """Function lifting: turn leaf-level operations into tree-level ones.
 
-A lifted function recurses over tree nodes, preserving structure, and
-applies the underlying leaf function once all arguments at a position are
-leaves. Key-set disagreements between tree arguments are resolved by a
-mismatch policy (strict / inner / outer / left).
+A lifted function preserves structure and applies the underlying leaf
+function at each leaf position. Strict arguments with the same structure
+key (`node.flatten`) take one fast path: a pass over their leaf lists.
+Key-set disagreements between tree arguments are resolved node by node by
+a mismatch policy (strict / inner / outer / left).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 from typing import Callable, Sequence
 
 from . import leaf as _lf
@@ -27,7 +26,7 @@ from .errors import (
     TensorTreeError,
 )
 from .leaf import TensorLeaf
-from .node import Node, Path, TreeNode, ValueNode
+from .node import Node, Path, TreeNode, ValueNode, flatten, iter_leaves, unflatten
 from .tree import TreeTensor
 
 POLICIES = ("strict", "inner", "outer", "left")
@@ -79,16 +78,14 @@ def merge_keys(children_maps: Sequence, policy: MismatchPolicy) -> list[str]:
     return sorted(keys)
 
 
-def _wrap_leaf_error(path: Path, exc: TensorTreeError) -> LeafOpError:
-    return LeafOpError(path, exc)
-
-
 def _apply_nodes(
     nodes: Sequence[Node],
     policy: MismatchPolicy,
     fn: Callable[[Sequence[TensorLeaf]], TensorLeaf],
     path: Path = (),
 ) -> Node:
+    """The policy machinery: merges key sets node by node and broadcasts a
+    value node into every branch of a subtree it faces."""
     tree_nodes = [n for n in nodes if isinstance(n, TreeNode)]
     if not tree_nodes:
         payloads = [n.leaf for n in nodes]
@@ -97,7 +94,7 @@ def _apply_nodes(
         except LeafOpError:
             raise
         except TensorTreeError as exc:
-            raise _wrap_leaf_error(path, exc) from exc
+            raise LeafOpError(path, exc) from exc
     try:
         keys = merge_keys([t._children for t in tree_nodes], policy)
     except StrictKeyMismatch as exc:
@@ -124,6 +121,32 @@ def _apply_nodes(
     return TreeNode._from_validated(children)
 
 
+def _leafwise(fn, columns: Sequence[list], root: Node) -> list:
+    """fn over each column of aligned leaf lists, in flatten order. A
+    TensorTreeError becomes a LeafOpError at the failing leaf's path in
+    `root`, which is looked up only then."""
+    out = []
+    try:
+        for column in zip(*columns):
+            out.append(fn(column))
+    except TensorTreeError as exc:
+        raise LeafOpError(list(iter_leaves(root))[len(out)][0], exc) from exc
+    return out
+
+
+def _lift(nodes: Sequence[Node], policy: MismatchPolicy, fn) -> Node:
+    """The strict fast path when every argument has the same structure key:
+    fn runs over the leaf columns and the result takes that structure. Other
+    policies, and strict arguments whose structures differ (a missing key,
+    or a value node facing a subtree), go through _apply_nodes."""
+    if policy.kind == "strict":
+        flat = [flatten(n) for n in nodes]
+        structure = flat[0][0]
+        if all(s == structure for s, _ in flat[1:]):
+            return unflatten(structure, _leafwise(fn, [ls for _, ls in flat], nodes[0]))
+    return _apply_nodes(nodes, policy, fn)
+
+
 def _as_node(arg) -> Node:
     if isinstance(arg, TreeTensor):
         return arg.root
@@ -141,9 +164,7 @@ def lift_unary(fn_id: str) -> Callable[[TreeTensor], TreeTensor]:
     def lifted(tree: TreeTensor, *, carry_constraints: bool = False) -> TreeTensor:
         """With carry_constraints, the result keeps the input's constraints
         and is validated in full; a violation raises ConstraintViolation."""
-        root = _apply_nodes(
-            [_as_node(tree)], STRICT, lambda ls: _lf.ew_unary(fn_id, ls[0])
-        )
+        root = _lift([_as_node(tree)], STRICT, lambda ls: _lf.ew_unary(fn_id, ls[0]))
         if not (carry_constraints and isinstance(tree, TreeTensor)):
             return TreeTensor(root)
         bad = first_violation(root, tree.constraints)
@@ -167,9 +188,9 @@ def lift_multi(fn_id: str, policy: MismatchPolicy = STRICT) -> Callable[..., Tre
             raise ArityMismatch("at least one argument must be a tree")
         nodes = [_as_node(a) for a in args]
         if arity == 1:
-            root = _apply_nodes(nodes, policy, lambda ls: _lf.ew_unary(fn_id, ls[0]))
+            root = _lift(nodes, policy, lambda ls: _lf.ew_unary(fn_id, ls[0]))
         else:
-            root = _apply_nodes(nodes, policy, lambda ls: _lf.ew_nary(fn_id, ls))
+            root = _lift(nodes, policy, lambda ls: _lf.ew_nary(fn_id, ls))
         if not isinstance(root, TreeNode):
             raise ArityMismatch("at least one tree-rooted argument is required")
         return TreeTensor(root)
@@ -181,130 +202,54 @@ def lift_multi(fn_id: str, policy: MismatchPolicy = STRICT) -> Callable[..., Tre
 # structural lifted ops
 
 
-def _join_fallback(nodes, arrays_join, axis, path):
-    """Generic policy machinery handles the asymmetric / error cases."""
-
-    def fn(leaves):
-        d0 = leaves[0]._array.dtype
-        for l in leaves[1:]:
-            if l._array.dtype is not d0:
-                raise ShapeMismatchLeaf("leaves differ in dtype")
-        try:
-            out = arrays_join([l._array for l in leaves], axis)
-        except ValueError as exc:
-            raise ShapeMismatchLeaf(str(exc)) from exc
-        return TensorLeaf(out, device=leaves[0].device)
-
-    return _apply_nodes(nodes, STRICT, fn, path)
-
-
-def _join_nodes(nodes: Sequence[Node], arrays_join, axis, path: Path = ()) -> Node:
-    """Strict recursion fused with the leaf join (hot path); falls back to
-    the generic policy machinery on any asymmetry."""
-    first = nodes[0]
-    if type(first) is ValueNode:
-        l0 = first.leaf
-        d0 = l0._array.dtype
-        arrays = [l0._array]
-        for n in nodes[1:]:
-            if type(n) is not ValueNode:
-                return _join_fallback(nodes, arrays_join, axis, path)
-            a = n.leaf._array
-            if a.dtype is not d0:
-                raise _wrap_leaf_error(path, ShapeMismatchLeaf("leaves differ in dtype"))
-            arrays.append(a)
-        try:
-            out = arrays_join(arrays, axis)
-        except ValueError as exc:
-            raise _wrap_leaf_error(path, ShapeMismatchLeaf(str(exc))) from exc
-        return ValueNode(TensorLeaf(out, device=l0._device))
-    if type(first) is TreeNode:
-        keys = first._children.keys()
-        for n in nodes[1:]:
-            if type(n) is not TreeNode or n._children.keys() != keys:
-                return _join_fallback(nodes, arrays_join, axis, path)
-        return TreeNode._from_validated(
-            {
-                k: _join_nodes([n._children[k] for n in nodes], arrays_join, axis, path + (k,))
-                for k in keys
-            }
-        )
-    return _join_fallback(nodes, arrays_join, axis, path)
-
-
 def lifted_stack(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
-    """Per-position leaf stack of structurally equal trees."""
+    """Per-position leaf stack of structurally equal trees. As in strict
+    lift_multi, a value node facing a subtree broadcasts into each of its
+    leaves."""
     if not trees:
         raise EmptyInput("stack of zero trees")
-    nodes = [_as_node(t) for t in trees]
     if not 0 <= axis:
         raise ShapeMismatchLeaf(f"negative stack axis {axis}")
-    root = _join_nodes(nodes, np.stack, axis)
-    return TreeTensor(root)
+    nodes = [_as_node(t) for t in trees]
+    return TreeTensor(_lift(nodes, STRICT, lambda ls: _lf.stack(ls, axis)))
 
 
 def lifted_cat(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
+    """Per-position leaf concatenation of structurally equal trees. As in
+    strict lift_multi, a value node facing a subtree broadcasts into each of
+    its leaves."""
     if not trees:
         raise EmptyInput("cat of zero trees")
-    nodes = [_as_node(t) for t in trees]
     if not 0 <= axis:
         raise ShapeMismatchLeaf(f"negative cat axis {axis}")
-    root = _join_nodes(nodes, np.concatenate, axis)
-    return TreeTensor(root)
-
-
-def _split_node(node: Node, chunk: int, axis: int, path: Path = ()):
-    """Returns (piece_count, node builder list)."""
-    if isinstance(node, ValueNode):
-        leaf = node.leaf
-        arr = leaf.array
-        if arr.ndim == 0 or not 0 <= axis < arr.ndim:
-            raise _wrap_leaf_error(
-                path, ShapeMismatchLeaf(f"axis {axis} out of range for ndim {arr.ndim}")
-            )
-        size = arr.shape[axis]
-        if size == 0:
-            return []
-        dev = leaf.device
-        prefix = (slice(None),) * axis
-        # pieces are read-only views; immutability makes sharing safe
-        return [
-            ValueNode(TensorLeaf(arr[prefix + (slice(i, i + chunk),)], device=dev))
-            for i in range(0, size, chunk)
-        ]
-    per_key = {k: _split_node(c, chunk, axis, path + (k,)) for k, c in node._children.items()}
-    counts = {len(v) for v in per_key.values()}
-    if len(counts) > 1:
-        raise LeafOpError(path, TensorTreeError(
-            f"split piece counts disagree across children: {sorted(counts)}"
-        ))
-    n = counts.pop() if counts else 0
-    return [
-        TreeNode._from_validated({k: per_key[k][i] for k in per_key})
-        for i in range(n)
-    ]
+    nodes = [_as_node(t) for t in trees]
+    return TreeTensor(_lift(nodes, STRICT, lambda ls: _lf.cat(ls, axis)))
 
 
 def lifted_split(tree: TreeTensor, chunk: int, axis: int = 0) -> list[TreeTensor]:
-    """Split every leaf; regroup piece i of each leaf into tree i."""
+    """Split every leaf; regroup piece i of each leaf into tree i. Every
+    leaf must give the same number of pieces; subtrees without leaves are
+    carried into every piece."""
     if chunk < 1:
         raise InvalidChunk(f"chunk must be >= 1, got {chunk}")
     node = _as_node(tree)
-    if not any(True for _ in node.children):
-        return []
-    pieces = _split_node(node, chunk, axis)
-    return [TreeTensor(p) for p in pieces]
+    structure, leaves = flatten(node)
+    pieces = _leafwise(lambda ls: _lf.split(ls[0], chunk, axis), [leaves], node)
+    counts = [len(p) for p in pieces]
+    for i, n in enumerate(counts):
+        if n != counts[0]:
+            raise LeafOpError(list(iter_leaves(node))[i][0], TensorTreeError(
+                f"split gives {n} pieces here but {counts[0]} at the first leaf"
+            ))
+    return [TreeTensor(unflatten(structure, column)) for column in zip(*pieces)]
 
 
 def lifted_shape(tree: TreeTensor):
     """Tree of shape descriptors as a nested plain dict."""
-
-    def walk(node: Node):
-        if isinstance(node, ValueNode):
-            return list(node.leaf.shape)
-        return {k: walk(c) for k, c in node.children.items()}
-
-    return walk(_as_node(tree))
+    node = _as_node(tree)
+    if isinstance(node, ValueNode):
+        return list(node.leaf.shape)
+    return {k: lifted_shape(c) for k, c in node.children.items()}
 
 
 def lifted_surface() -> dict:

@@ -4,6 +4,15 @@ to children.
 Nodes never reference their parents, so a node may be shared by any number
 of trees; all mutation elsewhere in the package is copy-on-path. Children
 iterate in ascending lexicographic key order.
+
+`flatten` splits a node into a structure key and its leaf payloads, and
+`unflatten` inverts it. The key is a hashable nested tuple, so two nodes
+have the same structure exactly when their keys compare equal; every
+same-structure zip, map or unzip in the package is flatten, one `==`, a
+pass over the leaf lists, and unflatten. Nodes are immutable, so a tree
+node keeps what its first flatten found, and unflatten hands the node it
+builds the structure and leaves it was built from: a tree is walked once
+however many such operations take it.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import BadKey, DuplicateKey, EmptyKey
+from .errors import BadKey, EmptyKey
 
 PATH_SEP = "/"
 _RESERVED_PREFIX = "__"
@@ -68,23 +77,22 @@ class ValueNode(Node):
 class TreeNode(Node):
     """An ordered mapping from keys to child nodes."""
 
-    __slots__ = ("_children",)
+    # _flat: None, or this node's (structure, leaves), kept by flatten
+    __slots__ = ("_children", "_flat")
 
     def __init__(self, children: Mapping[str, Node] | None = None):
         items = sorted((children or {}).items())
-        seen = set()
         for k, _ in items:
             check_key(k)
-            if k in seen:
-                raise DuplicateKey(f"duplicate key {k!r}")
-            seen.add(k)
         self._children = dict(items)
+        self._flat = None
 
     @classmethod
     def _from_validated(cls, children: dict) -> "TreeNode":
         """Internal: children dict already key-checked and in sorted order."""
         node = cls.__new__(cls)
         node._children = children
+        node._flat = None
         return node
 
     @property
@@ -115,15 +123,47 @@ class TreeNode(Node):
         return f"TreeNode({self._children!r})"
 
 
-def structure_equal(a: Node, b: Node) -> bool:
-    """True iff the key sets match recursively; leaf contents are ignored."""
-    if isinstance(a, ValueNode) and isinstance(b, ValueNode):
-        return True
-    if isinstance(a, TreeNode) and isinstance(b, TreeNode):
-        if a.keys() != b.keys():
-            return False
-        return all(structure_equal(a.get(k), b.get(k)) for k in a)
-    return False
+def flatten(node: Node) -> tuple[tuple | None, list]:
+    """(structure, leaves): the payloads in depth-first, key-ascending order
+    (the order of `iter_leaves`) and a structure key that is None for a
+    value node and a tuple of (key, child structure) pairs for a tree node."""
+    if type(node) is not TreeNode:
+        return None, [node.leaf]
+    if node._flat is None:
+        leaves: list = []
+        node._flat = _flatten_into(node, leaves), leaves
+    structure, leaves = node._flat
+    return structure, list(leaves)
+
+
+def _flatten_into(node: TreeNode, leaves: list) -> tuple:
+    # value children are handled in the loop: a call per tree node only
+    structure = []
+    for k, child in node._children.items():
+        if type(child) is TreeNode:
+            structure.append((k, _flatten_into(child, leaves)))
+        else:
+            leaves.append(child.leaf)
+            structure.append((k, None))
+    return tuple(structure)
+
+
+def unflatten(structure, leaves) -> Node:
+    """The node with this structure key holding `leaves` in flatten order."""
+    if structure is None:
+        (leaf,) = leaves
+        return ValueNode(leaf)
+    leaves = list(leaves)
+    node = _unflatten(structure, iter(leaves))
+    node._flat = structure, leaves
+    return node
+
+
+def _unflatten(structure: tuple, leaves: Iterator) -> TreeNode:
+    return TreeNode._from_validated({
+        k: ValueNode(next(leaves)) if s is None else _unflatten(s, leaves)
+        for k, s in structure
+    })
 
 
 def iter_leaves(node: Node, prefix: Path = ()) -> Iterator[tuple[Path, object]]:

@@ -10,10 +10,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CorruptLengths, EmptyInput, StructureMismatch, TailShapeMismatch
+from .errors import (
+    CorruptLengths,
+    DtypeUnsupported,
+    EmptyInput,
+    LeafOpError,
+    StructureMismatch,
+    TailShapeMismatch,
+)
 from .leaf import TensorLeaf
-from .node import Path, TreeNode, ValueNode, iter_leaves
-from .tree import TreeTensor, structure_equal
+from .node import Path, flatten, iter_leaves, unflatten
+from .tree import TreeTensor
 
 
 @dataclass(frozen=True)
@@ -23,89 +30,77 @@ class PaddedGroup:
     fill: float | int
 
 
-def _map_pair(node, f, path: Path = ()):
-    if isinstance(node, ValueNode):
-        stacked, length = f(path)
-        return ValueNode(stacked), ValueNode(length)
-    left, right = {}, {}
-    for k, c in node.children.items():
-        left[k], right[k] = _map_pair(c, f, path + (k,))
-    return TreeNode(left), TreeNode(right)
-
-
 def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
-    """Pad dim 0 of every leaf to the per-path maximum and stack the batch."""
+    """Pad dim 0 of every leaf to the per-path maximum and stack the batch.
+
+    `fill` is cast to each leaf's dtype as numpy casts it (fractions
+    truncate toward zero in i64 leaves; any nonzero fill is True in bool
+    leaves). An i64 leaf that needs padding rejects a fill it cannot hold
+    (NaN, an infinity, or a value outside the i64 range).
+    """
     if not trees:
         raise EmptyInput("group_pad of zero trees")
-    first = trees[0]
-    for t in trees[1:]:
-        if not structure_equal(first, t):
-            raise StructureMismatch("group_pad needs structurally equal trees")
-    leaf_maps = [dict(iter_leaves(t.root)) for t in trees]
-
-    def pad_at(path):
-        parts = [m[path] for m in leaf_maps]
+    flat = [flatten(t.root) for t in trees]
+    structure = flat[0][0]
+    if any(s != structure for s, _ in flat[1:]):
+        raise StructureMismatch("group_pad needs structurally equal trees")
+    stacked, lengths = [], []
+    for i, parts in enumerate(zip(*(leaves for _, leaves in flat))):
         f0 = parts[0]
         if f0.ndim == 0:
-            raise TailShapeMismatch(path, "leaves must have a length dimension")
-        for p in parts:
-            if (
-                p.ndim != f0.ndim
-                or p.shape[1:] != f0.shape[1:]
-                or p.dtype != f0.dtype
-            ):
-                raise TailShapeMismatch(path)
-        lengths = [p.shape[0] for p in parts]
-        l_max = max(lengths)
-        padded = []
-        for p in parts:
-            arr = p.array
-            if p.shape[0] < l_max:
-                widths = [(0, l_max - p.shape[0])] + [(0, 0)] * (p.ndim - 1)
-                arr = np.pad(arr, widths, constant_values=fill)
-            padded.append(arr)
-        stacked = TensorLeaf(np.stack(padded, axis=0), device=f0.device)
-        lens = TensorLeaf(np.asarray(lengths, dtype=np.int64))
-        return stacked, lens
+            raise TailShapeMismatch(_path(trees[0], i), "leaves must have a length dimension")
+        tail, dtype = f0.shape[1:], f0.array.dtype
+        if any(p.ndim != f0.ndim or p.shape[1:] != tail or p.array.dtype != dtype for p in parts):
+            raise TailShapeMismatch(_path(trees[0], i))
+        sizes = [p.shape[0] for p in parts]
+        shape = (len(parts), max(sizes)) + tail
+        if min(sizes) == shape[1]:
+            out = np.empty(shape, dtype)  # nothing to pad: every cell is copied below
+        elif dtype.kind == "i" and not -(2**63) <= fill < 2**63:
+            # numpy would write INT64_MIN (NaN, infinities) or raise a bare error
+            raise LeafOpError(_path(trees[0], i), DtypeUnsupported(
+                f"fill {fill!r} does not fit an i64 leaf"
+            ))
+        else:
+            out = np.full(shape, fill, dtype)
+        for j, p in enumerate(parts):
+            out[j, : sizes[j]] = p.array
+        stacked.append(TensorLeaf(out, device=f0.device))
+        lengths.append(TensorLeaf(np.asarray(sizes, dtype=np.int64)))
+    return PaddedGroup(
+        TreeTensor(unflatten(structure, stacked)), TreeTensor(unflatten(structure, lengths)), fill
+    )
 
-    left, right = _map_pair(first.root, pad_at)
-    return PaddedGroup(TreeTensor(left), TreeTensor(right), fill)
+
+def _path(tree: TreeTensor, i: int) -> Path:
+    """The path of leaf i, looked up only to report an error there."""
+    return list(iter_leaves(tree.root))[i][0]
 
 
 def unpad(g: PaddedGroup) -> list[TreeTensor]:
     """Recover the original trees exactly."""
-    if not structure_equal(g.stacked, g.lengths):
+    structure, stacked = flatten(g.stacked.root)
+    lengths_structure, lengths = flatten(g.lengths.root)
+    if lengths_structure != structure:
         raise StructureMismatch("stacked and lengths trees differ in structure")
-    stacked = dict(iter_leaves(g.stacked.root))
-    lengths = dict(iter_leaves(g.lengths.root))
-    ks = {l.shape[0] for l in stacked.values()}
+    ks = {l.shape[0] for l in stacked}
     if len(ks) > 1:
         raise CorruptLengths(f"inconsistent batch sizes {sorted(ks)}")
     k = ks.pop() if ks else 0
-    for path, l in lengths.items():
+    for i, (leaf, l) in enumerate(zip(stacked, lengths)):
         if l.dtype != "i64" or l.shape != (k,):
             raise CorruptLengths(
-                f"lengths at {'/'.join(path)} must be an i64 vector of {k} entries"
+                f"lengths at {'/'.join(_path(g.lengths, i))} must be an i64 vector of {k} entries"
             )
-        if any(n < 0 for n in l.data):
-            raise CorruptLengths(f"negative length at {'/'.join(path)}")
-    return [TreeTensor(_take(g.stacked.root, stacked, lengths, i, ())) for i in range(k)]
-
-
-def _take(node, stacked: dict, lengths: dict, i: int, path: Path):
-    """Tree i of the batch (a module-level function rather than a recursive
-    closure, whose reference cycle would keep the padded leaves alive until
-    the next full garbage collection)."""
-    if isinstance(node, ValueNode):
-        leaf = stacked[path]
-        n = int(lengths[path].array[i])
-        if n > leaf.shape[1]:
+        if k and (l.array.min() < 0 or l.array.max() > leaf.shape[1]):
             raise CorruptLengths(
-                f"length {n} exceeds padded size {leaf.shape[1]} at {'/'.join(path)}"
+                f"lengths at {'/'.join(_path(g.lengths, i))} must lie in "
+                f"[0, {leaf.shape[1]}], got {l.data}"
             )
-        return ValueNode(
-            TensorLeaf(np.ascontiguousarray(leaf.array[i, :n]), device=leaf.device)
-        )
-    return TreeNode(
-        {key: _take(c, stacked, lengths, i, path + (key,)) for key, c in node.children.items()}
-    )
+    return [
+        TreeTensor(unflatten(structure, [
+            TensorLeaf(np.ascontiguousarray(leaf.array[j, : l.array[j]]), device=leaf.device)
+            for leaf, l in zip(stacked, lengths)
+        ]))
+        for j in range(k)
+    ]

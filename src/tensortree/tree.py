@@ -16,15 +16,7 @@ import numpy as np
 from . import constraints as _c
 from .errors import ConstraintViolation, PathNotFound
 from .leaf import TensorLeaf, from_array, make_leaf
-from .node import (
-    Node,
-    Path,
-    TreeNode,
-    ValueNode,
-    get_node,
-    iter_leaves,
-    structure_equal as _structure_equal,
-)
+from .node import Node, Path, TreeNode, ValueNode, flatten, get_node, iter_leaves, unflatten
 
 
 class TreeTensor:
@@ -98,8 +90,23 @@ def build_tree(pairs: Mapping) -> TreeTensor:
     return TreeTensor(root)
 
 
+def _as_path(path: Iterable[str]) -> Path:
+    if isinstance(path, str):
+        raise _str_path(path)
+    return tuple(path)
+
+
+def _str_path(path: str) -> TypeError:
+    return TypeError(
+        f"path {path!r} is a str, not a sequence of keys; "
+        "split an 'a/b' string with path_from_string"
+    )
+
+
 def get(tree: TreeTensor, path: Iterable[str]) -> Node:
     """Return the node at path (shared with the tree, not copied)."""
+    if isinstance(path, str):  # checked here, not in _as_path: get is the hot path
+        raise _str_path(path)
     cur: Node = tree.root
     try:
         for key in path:
@@ -156,7 +163,7 @@ def _edited(tree: TreeTensor, new_root: TreeNode, path: Path, new: Node | None) 
 
 def set(tree: TreeTensor, path: Iterable[str], value) -> TreeTensor:
     """Persistent set; validates what the write can break and fails atomically."""
-    path = tuple(path)
+    path = _as_path(path)
     node = _coerce(value)
     if not path:
         if not isinstance(node, TreeNode):
@@ -171,7 +178,7 @@ def set(tree: TreeTensor, path: Iterable[str], value) -> TreeTensor:
 
 def remove(tree: TreeTensor, path: Iterable[str]) -> TreeTensor:
     """Persistent removal of the node at path."""
-    path = tuple(path)
+    path = _as_path(path)
     if not path:
         raise PathNotFound(path, "cannot remove the root")
     get(tree, path)
@@ -179,10 +186,11 @@ def remove(tree: TreeTensor, path: Iterable[str]) -> TreeTensor:
 
 
 def structure_equal(a, b) -> bool:
-    """Recursive key-set equality; accepts trees or bare nodes."""
+    """Recursive key-set equality (equal structure keys); accepts trees or
+    bare nodes."""
     na = a.root if isinstance(a, TreeTensor) else a
     nb = b.root if isinstance(b, TreeTensor) else b
-    return _structure_equal(na, nb)
+    return flatten(na)[0] == flatten(nb)[0]
 
 
 def leaves(tree) -> list[tuple[Path, object]]:
@@ -191,15 +199,11 @@ def leaves(tree) -> list[tuple[Path, object]]:
     return list(iter_leaves(node))
 
 
-def _copy_node(node: Node) -> Node:
-    if isinstance(node, ValueNode):
-        return ValueNode(node.leaf.copy())
-    return TreeNode({k: _copy_node(c) for k, c in node.children.items()})
-
-
 def deep_copy(tree: TreeTensor) -> TreeTensor:
     """A tree sharing no leaf storage with the original."""
-    return TreeTensor._make(_copy_node(tree.root), tree.constraints, tree._checked)
+    structure, leaves = flatten(tree.root)
+    root = unflatten(structure, [leaf.copy() for leaf in leaves])
+    return TreeTensor._make(root, tree.constraints, tree._checked)
 
 
 def validate_full(tree: TreeTensor) -> list[tuple[Path, _c.Constraint]]:

@@ -158,6 +158,19 @@ def test_pad_roundtrip(tmp_path):
     assert tt.unpad(g) == [a, b]
 
 
+def test_pad_fill_an_i64_leaf_cannot_hold_exits_1(tmp_path):
+    import numpy as np
+    files = []
+    for n in (2, 5):
+        f = tmp_path / f"{n}.ttj"
+        f.write_text(tt.serialize_tree(tt.build_tree({"s": np.arange(n, dtype=np.int64)})))
+        files.append(str(f))
+    r = run("pad", "--fill", "nan", *files)
+    assert r.returncode == 1
+    assert r.stderr.strip().count("\n") == 0 and "Traceback" not in r.stderr
+    assert "fill" in r.stderr
+
+
 def test_bench_csv_header():
     r = run("bench", "--op", "get", "--leaves", "4", "--elems", "8",
             "--reps", "3")

@@ -8,7 +8,9 @@ import pytest
 import tensortree as tt
 from tensortree.errors import (
     CorruptLengths,
+    DtypeUnsupported,
     EmptyInput,
+    LeafOpError,
     StructureMismatch,
     TailShapeMismatch,
 )
@@ -114,3 +116,22 @@ def test_unpad_frees_the_padded_leaves_without_a_collection():
     finally:
         gc.enable()
     assert [tt.get(x, ["s"]).leaf.shape for x in out] == [(2,), (5,)]
+
+
+def test_pad_fill_an_i64_leaf_cannot_hold_is_rejected():
+    a = tt.build_tree({"f": np.arange(1.0), "x": {"i": np.arange(1, dtype=np.int64)}})
+    b = tt.build_tree({"f": np.arange(3.0), "x": {"i": np.arange(3, dtype=np.int64)}})
+    for fill in (float("nan"), float("inf"), -float("inf"), 2.0**63, -(2**63) - 1, 10**30):
+        with pytest.raises(LeafOpError) as e:
+            tt.group_pad([a, b], fill)
+        assert e.value.path == ("x", "i")
+        assert isinstance(e.value.cause, DtypeUnsupported)
+    # the extremes of the range, fractions and bools keep numpy's casting
+    for fill, want in ((-(2**63), -(2**63)), (2**63 - 1, 2**63 - 1), (2.7, 2), (-1.5, -1), (True, 1)):
+        g = tt.group_pad([a, b], fill)
+        assert tt.get(g.stacked, ["x", "i"]).leaf.data == [0, want, want, 0, 1, 2]
+    flags = [tt.build_tree({"m": np.ones(n, dtype=bool)}) for n in (1, 2)]
+    assert tt.get(tt.group_pad(flags, -0.5).stacked, ["m"]).leaf.data == [True, True, True, True]
+    # a fill that is never written is not checked
+    g = tt.group_pad([b, b], float("nan"))
+    assert tt.unpad(g) == [b, b]

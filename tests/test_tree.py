@@ -152,3 +152,16 @@ def test_empty_tree():
     t = tt.build_tree({})
     assert tt.leaves(t) == []
     assert len(t.root) == 0
+
+
+def test_str_paths_are_rejected():
+    t = tt.build_tree({"a": {"b": 1.0}, "ab": 2.0})
+    for call in (
+        lambda: tt.get(t, "ab"),
+        lambda: tt.set(t, "", tt.build_tree({"z": 1.0})),
+        lambda: tt.set(t, "ab", 3.0),
+        lambda: tt.remove(t, "ab"),
+    ):
+        with pytest.raises(TypeError, match="path_from_string"):
+            call()
+    assert tt.get(t, tt.path_from_string("a/b")).leaf.item() == 1.0

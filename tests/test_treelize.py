@@ -293,3 +293,17 @@ def test_lifted_cat_rejects_negative_axis():
     t = tt.build_tree({"a": np.arange(3.0)})
     with pytest.raises(tt.errors.ShapeMismatchLeaf):
         tt.lifted_cat([t, t], axis=-1)
+
+
+def test_lifted_split_carries_empty_subtrees():
+    t = tt.build_tree({"a": np.arange(4.0), "b": {}})
+    pieces = tt.lifted_split(t, 2)
+    assert [tt.lifted_shape(p) for p in pieces] == [{"a": [2], "b": {}}] * 2
+    assert tt.lifted_cat(pieces) == t
+
+
+def test_lifted_split_count_error_names_the_first_differing_leaf():
+    t = tt.build_tree({"a": np.arange(4.0), "x": {"b": np.arange(4.0), "c": np.arange(9.0)}})
+    with pytest.raises(LeafOpError) as e:
+        tt.lifted_split(t, 2)
+    assert e.value.path == ("x", "c")
