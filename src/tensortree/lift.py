@@ -26,7 +26,7 @@ from .errors import (
     TensorTreeError,
 )
 from .leaf import TensorLeaf
-from .node import Node, Path, TreeNode, ValueNode, flatten, iter_leaves, unflatten
+from .node import Node, Path, TreeNode, ValueNode, flatten, leaf_path, unflatten
 from .tree import TreeTensor
 
 POLICIES = ("strict", "inner", "outer", "left")
@@ -130,7 +130,7 @@ def _leafwise(fn, columns: Sequence[list], root: Node) -> list:
         for column in zip(*columns):
             out.append(fn(column))
     except TensorTreeError as exc:
-        raise LeafOpError(list(iter_leaves(root))[len(out)][0], exc) from exc
+        raise LeafOpError(leaf_path(root, len(out)), exc) from exc
     return out
 
 
@@ -238,7 +238,7 @@ def lifted_split(tree: TreeTensor, chunk: int, axis: int = 0) -> list[TreeTensor
     counts = [len(p) for p in pieces]
     for i, n in enumerate(counts):
         if n != counts[0]:
-            raise LeafOpError(list(iter_leaves(node))[i][0], TensorTreeError(
+            raise LeafOpError(leaf_path(node, i), TensorTreeError(
                 f"split gives {n} pieces here but {counts[0]} at the first leaf"
             ))
     return [TreeTensor(unflatten(structure, column)) for column in zip(*pieces)]

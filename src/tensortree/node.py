@@ -9,10 +9,8 @@ iterate in ascending lexicographic key order.
 `unflatten` inverts it. The key is a hashable nested tuple, so two nodes
 have the same structure exactly when their keys compare equal; every
 same-structure zip, map or unzip in the package is flatten, one `==`, a
-pass over the leaf lists, and unflatten. Nodes are immutable, so a tree
-node keeps what its first flatten found, and unflatten hands the node it
-builds the structure and leaves it was built from: a tree is walked once
-however many such operations take it.
+pass over the leaf lists, and unflatten. `leaf_path` maps a position in
+the leaf list back to its path, for error messages.
 """
 
 from __future__ import annotations
@@ -77,22 +75,19 @@ class ValueNode(Node):
 class TreeNode(Node):
     """An ordered mapping from keys to child nodes."""
 
-    # _flat: None, or this node's (structure, leaves), kept by flatten
-    __slots__ = ("_children", "_flat")
+    __slots__ = ("_children",)
 
     def __init__(self, children: Mapping[str, Node] | None = None):
         items = sorted((children or {}).items())
         for k, _ in items:
             check_key(k)
         self._children = dict(items)
-        self._flat = None
 
     @classmethod
     def _from_validated(cls, children: dict) -> "TreeNode":
         """Internal: children dict already key-checked and in sorted order."""
         node = cls.__new__(cls)
         node._children = children
-        node._flat = None
         return node
 
     @property
@@ -129,11 +124,8 @@ def flatten(node: Node) -> tuple[tuple | None, list]:
     value node and a tuple of (key, child structure) pairs for a tree node."""
     if type(node) is not TreeNode:
         return None, [node.leaf]
-    if node._flat is None:
-        leaves: list = []
-        node._flat = _flatten_into(node, leaves), leaves
-    structure, leaves = node._flat
-    return structure, list(leaves)
+    leaves: list = []
+    return _flatten_into(node, leaves), leaves
 
 
 def _flatten_into(node: TreeNode, leaves: list) -> tuple:
@@ -153,10 +145,7 @@ def unflatten(structure, leaves) -> Node:
     if structure is None:
         (leaf,) = leaves
         return ValueNode(leaf)
-    leaves = list(leaves)
-    node = _unflatten(structure, iter(leaves))
-    node._flat = structure, leaves
-    return node
+    return _unflatten(structure, iter(leaves))
 
 
 def _unflatten(structure: tuple, leaves: Iterator) -> TreeNode:
@@ -164,6 +153,12 @@ def _unflatten(structure: tuple, leaves: Iterator) -> TreeNode:
         k: ValueNode(next(leaves)) if s is None else _unflatten(s, leaves)
         for k, s in structure
     })
+
+
+def leaf_path(node: Node, i: int) -> Path:
+    """The path of the i-th leaf in flatten order; a walk, so callers look
+    it up only to report an error there."""
+    return list(iter_leaves(node))[i][0]
 
 
 def iter_leaves(node: Node, prefix: Path = ()) -> Iterator[tuple[Path, object]]:

@@ -19,7 +19,7 @@ from .errors import (
     TailShapeMismatch,
 )
 from .leaf import TensorLeaf
-from .node import Path, flatten, iter_leaves, unflatten
+from .node import flatten, leaf_path, unflatten
 from .tree import TreeTensor
 
 
@@ -48,17 +48,19 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     for i, parts in enumerate(zip(*(leaves for _, leaves in flat))):
         f0 = parts[0]
         if f0.ndim == 0:
-            raise TailShapeMismatch(_path(trees[0], i), "leaves must have a length dimension")
+            raise TailShapeMismatch(
+                leaf_path(trees[0].root, i), "leaves must have a length dimension"
+            )
         tail, dtype = f0.shape[1:], f0.array.dtype
         if any(p.ndim != f0.ndim or p.shape[1:] != tail or p.array.dtype != dtype for p in parts):
-            raise TailShapeMismatch(_path(trees[0], i))
+            raise TailShapeMismatch(leaf_path(trees[0].root, i))
         sizes = [p.shape[0] for p in parts]
         shape = (len(parts), max(sizes)) + tail
         if min(sizes) == shape[1]:
             out = np.empty(shape, dtype)  # nothing to pad: every cell is copied below
         elif dtype.kind == "i" and not -(2**63) <= fill < 2**63:
             # numpy would write INT64_MIN (NaN, infinities) or raise a bare error
-            raise LeafOpError(_path(trees[0], i), DtypeUnsupported(
+            raise LeafOpError(leaf_path(trees[0].root, i), DtypeUnsupported(
                 f"fill {fill!r} does not fit an i64 leaf"
             ))
         else:
@@ -70,11 +72,6 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     return PaddedGroup(
         TreeTensor(unflatten(structure, stacked)), TreeTensor(unflatten(structure, lengths)), fill
     )
-
-
-def _path(tree: TreeTensor, i: int) -> Path:
-    """The path of leaf i, looked up only to report an error there."""
-    return list(iter_leaves(tree.root))[i][0]
 
 
 def unpad(g: PaddedGroup) -> list[TreeTensor]:
@@ -90,11 +87,12 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
     for i, (leaf, l) in enumerate(zip(stacked, lengths)):
         if l.dtype != "i64" or l.shape != (k,):
             raise CorruptLengths(
-                f"lengths at {'/'.join(_path(g.lengths, i))} must be an i64 vector of {k} entries"
+                f"lengths at {'/'.join(leaf_path(g.lengths.root, i))} must be an i64 vector "
+                f"of {k} entries"
             )
         if k and (l.array.min() < 0 or l.array.max() > leaf.shape[1]):
             raise CorruptLengths(
-                f"lengths at {'/'.join(_path(g.lengths, i))} must lie in "
+                f"lengths at {'/'.join(leaf_path(g.lengths.root, i))} must lie in "
                 f"[0, {leaf.shape[1]}], got {l.data}"
             )
     return [

@@ -90,12 +90,6 @@ def build_tree(pairs: Mapping) -> TreeTensor:
     return TreeTensor(root)
 
 
-def _as_path(path: Iterable[str]) -> Path:
-    if isinstance(path, str):
-        raise _str_path(path)
-    return tuple(path)
-
-
 def _str_path(path: str) -> TypeError:
     return TypeError(
         f"path {path!r} is a str, not a sequence of keys; "
@@ -105,7 +99,7 @@ def _str_path(path: str) -> TypeError:
 
 def get(tree: TreeTensor, path: Iterable[str]) -> Node:
     """Return the node at path (shared with the tree, not copied)."""
-    if isinstance(path, str):  # checked here, not in _as_path: get is the hot path
+    if isinstance(path, str):
         raise _str_path(path)
     cur: Node = tree.root
     try:
@@ -163,7 +157,9 @@ def _edited(tree: TreeTensor, new_root: TreeNode, path: Path, new: Node | None) 
 
 def set(tree: TreeTensor, path: Iterable[str], value) -> TreeTensor:
     """Persistent set; validates what the write can break and fails atomically."""
-    path = _as_path(path)
+    if isinstance(path, str):
+        raise _str_path(path)
+    path = tuple(path)
     node = _coerce(value)
     if not path:
         if not isinstance(node, TreeNode):
@@ -178,7 +174,9 @@ def set(tree: TreeTensor, path: Iterable[str], value) -> TreeTensor:
 
 def remove(tree: TreeTensor, path: Iterable[str]) -> TreeTensor:
     """Persistent removal of the node at path."""
-    path = _as_path(path)
+    if isinstance(path, str):
+        raise _str_path(path)
+    path = tuple(path)
     if not path:
         raise PathNotFound(path, "cannot remove the root")
     get(tree, path)
