@@ -114,9 +114,9 @@ def _node_atom_holds(atom, node: Node) -> bool:
     shapes = []
     for p in atom.paths:
         target = get_node(node, p)
-        if not isinstance(target, ValueNode) or not isinstance(target.leaf, TensorLeaf):
+        if not isinstance(target, TensorLeaf):
             return False
-        shapes.append(target.leaf.shape)
+        shapes.append(target.shape)
     if isinstance(atom, ShapesEqual):
         return all(s == shapes[0] for s in shapes)
     if isinstance(atom, SharedPrefix):
@@ -223,24 +223,18 @@ def satisfies(c: Constraint, n: Node) -> bool:
         if inh:
             if not _inherit_holds(atom, n):
                 return False
-        else:
-            if isinstance(atom, _NODE_ATOMS):
-                if not _node_atom_holds(atom, n):
-                    return False
-            else:
-                # leaf atom pinned to a node: false unless a matching value node
-                if not (
-                    isinstance(n, ValueNode)
-                    and isinstance(n.leaf, TensorLeaf)
-                    and _leaf_atom_holds(atom, n.leaf)
-                ):
-                    return False
+        elif isinstance(atom, _NODE_ATOMS):
+            if not _node_atom_holds(atom, n):
+                return False
+        # leaf atom pinned to a node: false unless a tensor leaf satisfies it
+        elif not (isinstance(n, TensorLeaf) and _leaf_atom_holds(atom, n)):
+            return False
     return True
 
 
 def _inherit_holds(atom, n: Node) -> bool:
     if isinstance(n, ValueNode):
-        return isinstance(n.leaf, TensorLeaf) and _leaf_atom_holds(atom, n.leaf)
+        return isinstance(n, TensorLeaf) and _leaf_atom_holds(atom, n)
     return all(_inherit_holds(atom, c) for c in n.children.values())
 
 
@@ -249,24 +243,20 @@ def _local_ok(c: Constraint, n: Node) -> bool:
 
     Inheriting atoms are checked only at value nodes: every descendant's
     effective constraint carries them, so the local check is complete and
-    each failure is reported once, at the most specific path.
+    each failure is reported once, at the most specific path. A TensorLeaf
+    is its own value node; any other value node fails every leaf atom.
     """
+    tensor = isinstance(n, TensorLeaf)
+    value = tensor or isinstance(n, ValueNode)
     for inh, atom in c.entries:
         if inh:
-            if isinstance(n, ValueNode) and not (
-                isinstance(n.leaf, TensorLeaf) and _leaf_atom_holds(atom, n.leaf)
-            ):
+            if value and not (tensor and _leaf_atom_holds(atom, n)):
                 return False
-        else:
-            if isinstance(atom, _NODE_ATOMS):
-                if not _node_atom_holds(atom, n):
-                    return False
-            elif not (
-                isinstance(n, ValueNode)
-                and isinstance(n.leaf, TensorLeaf)
-                and _leaf_atom_holds(atom, n.leaf)
-            ):
+        elif isinstance(atom, _NODE_ATOMS):
+            if not _node_atom_holds(atom, n):
                 return False
+        elif not (tensor and _leaf_atom_holds(atom, n)):
+            return False
     return True
 
 

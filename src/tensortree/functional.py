@@ -22,7 +22,7 @@ from .errors import (
     StructureMismatch,
     TensorTreeError,
 )
-from .leaf import TensorLeaf
+from .leaf import TensorLeaf, stack_arrays
 from .node import Node, Path, TreeNode, ValueNode, flatten, iter_leaves, unflatten
 from .tree import TreeTensor, structure_equal
 
@@ -178,10 +178,10 @@ def subside(outer) -> TreeTensor:
     for parts in zip(*(leaves for _, leaves in flat)):
         f0 = parts[0]
         if is_flat_seq and all(
-            isinstance(p, TensorLeaf) and p.shape == f0.shape and p.dtype == f0.dtype
+            isinstance(p, TensorLeaf) and p.shape == f0.shape and p._dtype == f0._dtype
             for p in parts
         ):
-            sunk.append(StackedLeaf(np.stack([p.array for p in parts], axis=0), device=f0.device))
+            sunk.append(StackedLeaf(stack_arrays([p._array for p in parts]), f0._device))
         else:
             # _outer_map visits the trees in _collect_trees order
             column = iter(parts)
@@ -212,7 +212,7 @@ def _payload_skeleton(payload):
 def _component(leaf, sigma):
     if isinstance(leaf, StackedLeaf):
         (i,) = sigma
-        return TensorLeaf(np.asarray(leaf.array[i]).copy(), device=leaf.device)
+        return TensorLeaf(np.array(leaf._array[i]), leaf._device)
     cur = leaf.payload
     for step in sigma:
         cur = cur[step]

@@ -119,7 +119,7 @@ def _parse_leaf(obj: dict) -> TensorLeaf:
         raise DtypeUnknown(f"unknown dtype {obj['dtype']!r}")
     leaf = make_leaf(obj["shape"], obj["dtype"], obj["data"], obj.get("device", "cpu"))
     if obj.get("stacked_seq"):
-        leaf = StackedLeaf(leaf.array.copy(), device=leaf.device)
+        leaf = StackedLeaf(leaf.array, leaf.device)  # shares the read-only array
     return leaf
 
 
@@ -137,7 +137,7 @@ def _parse_node(obj) -> Node:
     if not isinstance(obj, dict):
         raise ParseError(f"expected an object, got {type(obj).__name__}")
     if obj.get("__leaf__") is True:
-        return ValueNode(_parse_leaf(obj))
+        return _parse_leaf(obj)  # a TensorLeaf is its own value node
     if obj.get("__structured__") is True:
         return ValueNode(StructuredLeaf(_parse_payload(obj["payload"])))
     return TreeNode({k: _parse_node(v) for k, v in obj.items()})

@@ -20,6 +20,7 @@ from .errors import (
     ShapeMismatchLeaf,
     UnknownFunction,
 )
+from .node import ValueNode
 
 DTYPES = ("f32", "f64", "i64", "bool")
 
@@ -32,19 +33,37 @@ _NP_DTYPE = {
 _DTYPE_NAME = {np.dtype(v): k for k, v in _NP_DTYPE.items()}
 
 
-class TensorLeaf:
+class TensorLeaf(ValueNode):
     """An immutable dense array with shape, dtype tag and inert device tag.
 
-    Data is held row-major. Equality is by value (shape, dtype, device and
-    element-wise exact contents).
+    A leaf is its own value node in a tree (`leaf.leaf is leaf`). Data is
+    held row-major. Equality is by value (shape, dtype, device and
+    element-wise exact contents). The constructor makes `array` read-only
+    and raises DtypeUnsupported for a numpy dtype without a tag.
     """
 
-    __slots__ = ("_array", "_device")
+    __slots__ = ("_array", "_dtype", "_device")
 
-    def __init__(self, array: np.ndarray, device: str = "cpu"):
+    # built in __new__: ValueNode(leaf) returns the leaf, after which Python
+    # would run an __init__ again on it
+    def __new__(cls, array: np.ndarray, device: str = "cpu"):
+        try:
+            dtype = _DTYPE_NAME[array.dtype]
+        except KeyError:
+            raise DtypeUnsupported(f"unsupported numpy dtype {array.dtype}") from None
+        array.setflags(False)  # write=False; positional is the cheap form
+        self = object.__new__(cls)
         self._array = array
-        self._array.flags.writeable = False
+        self._dtype = dtype
         self._device = device
+        return self
+
+    def __reduce__(self):
+        return type(self), (self._array, self._device)
+
+    @property
+    def leaf(self) -> "TensorLeaf":
+        return self
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -60,7 +79,7 @@ class TensorLeaf:
 
     @property
     def dtype(self) -> str:
-        return _DTYPE_NAME[self._array.dtype]
+        return self._dtype
 
     @property
     def device(self) -> str:
@@ -87,14 +106,14 @@ class TensorLeaf:
         if not isinstance(other, TensorLeaf):
             return NotImplemented
         return (
-            self.shape == other.shape
-            and self.dtype == other.dtype
+            self._dtype == other._dtype
             and self._device == other._device
+            and self._array.shape == other._array.shape
             and np.array_equal(self._array, other._array)
         )
 
     def __hash__(self):
-        return hash((self.shape, self.dtype, self._device, self._array.tobytes()))
+        return hash((self.shape, self._dtype, self._device, self._array.tobytes()))
 
     def __repr__(self):
         return f"TensorLeaf(shape={list(self.shape)}, dtype={self.dtype}, data={self.data})"
@@ -126,9 +145,8 @@ def scalar(value, dtype: str = "f64") -> TensorLeaf:
 
 
 def from_array(arr: np.ndarray, device: str = "cpu") -> TensorLeaf:
-    if arr.dtype not in _DTYPE_NAME:
-        raise DtypeUnsupported(f"unsupported numpy dtype {arr.dtype}")
-    return TensorLeaf(np.ascontiguousarray(arr).copy(), device=device)
+    """A leaf holding a row-major copy of `arr` (0-d stays 0-d)."""
+    return TensorLeaf(arr.copy(order="C"), device)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +190,13 @@ def ew_unary(fn_id: str, t: TensorLeaf) -> TensorLeaf:
     """Apply a registered unary function element-wise."""
     if fn_id not in _UNARY:
         raise UnknownFunction(f"unknown unary function {fn_id!r}")
-    if t.dtype == "bool":
+    if t._dtype == "bool":
         raise DtypeUnsupported(f"{fn_id} unsupported on bool leaves")
-    arr = t.array
-    if t.dtype == "i64" and fn_id in _TRANSCENDENTAL:
+    arr = t._array
+    if t._dtype == "i64" and fn_id in _TRANSCENDENTAL:
         arr = arr.astype(np.float64)
     out = _UNARY[fn_id](arr)
-    return TensorLeaf(np.asarray(out), device=t.device)
+    return TensorLeaf(np.asarray(out), t._device)
 
 
 def _promote(da: str, db: str) -> str:
@@ -196,12 +214,14 @@ def ew_binary(fn_id: str, a: TensorLeaf, b: TensorLeaf) -> TensorLeaf:
     """Elementwise binary op; shapes must be equal or one operand scalar."""
     if fn_id not in _BINARY:
         raise UnknownFunction(f"unknown binary function {fn_id!r}")
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise ShapeMismatchLeaf(f"shapes {a.shape} and {b.shape} are incompatible")
-    out_dtype = _promote(a.dtype, b.dtype)
-    np_dt = _NP_DTYPE[out_dtype]
-    x = a.array.astype(np_dt, copy=False)
-    y = b.array.astype(np_dt, copy=False)
+    x, y = a._array, b._array
+    if x.shape != y.shape and x.shape != () and y.shape != ():
+        raise ShapeMismatchLeaf(f"shapes {x.shape} and {y.shape} are incompatible")
+    dtype = a._dtype
+    if dtype != b._dtype or dtype == "bool":
+        dtype = _promote(dtype, b._dtype)
+        np_dt = _NP_DTYPE[dtype]
+        x, y = x.astype(np_dt, copy=False), y.astype(np_dt, copy=False)
     if fn_id == "add":
         out = x + y
     elif fn_id == "sub":
@@ -209,15 +229,14 @@ def ew_binary(fn_id: str, a: TensorLeaf, b: TensorLeaf) -> TensorLeaf:
     elif fn_id == "mul":
         out = x * y
     else:  # div
-        if out_dtype == "i64":
+        if dtype == "i64":
             if np.any(y == 0):
                 raise DivisionByZero("integer division by zero")
             out = x // y
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = x / y
-            out = out.astype(np_dt, copy=False)
-    return TensorLeaf(np.asarray(out), device=a.device)
+    return TensorLeaf(np.asarray(out), a._device)
 
 
 def ew_nary(fn_id: str, leaves: Sequence[TensorLeaf]) -> TensorLeaf:
@@ -230,42 +249,52 @@ def ew_nary(fn_id: str, leaves: Sequence[TensorLeaf]) -> TensorLeaf:
         return ew_unary(fn_id, leaves[0])
     if n == 2 and fn_id in _BINARY:
         return ew_binary(fn_id, leaves[0], leaves[1])
-    shapes = {l.shape for l in leaves if l.shape != ()}
+    arrs = [l._array for l in leaves]
+    shapes = {a.shape for a in arrs if a.shape != ()}
     if len(shapes) > 1:
         raise ShapeMismatchLeaf(f"shapes {sorted(shapes)} are incompatible")
-    dtype = leaves[0].dtype
-    for l in leaves[1:]:
-        dtype = _promote(dtype, l.dtype)
-    np_dt = _NP_DTYPE[dtype]
-    arrs = [l.array.astype(np_dt, copy=False) for l in leaves]
-    out = _NARY[fn_id][1](*arrs)
-    return TensorLeaf(np.asarray(out, dtype=np_dt), device=leaves[0].device)
+    dtype = leaves[0]._dtype
+    if dtype == "bool" or any(l._dtype != dtype for l in leaves):
+        for l in leaves[1:]:
+            dtype = _promote(dtype, l._dtype)
+        np_dt = _NP_DTYPE[dtype]
+        arrs = [a.astype(np_dt, copy=False) for a in arrs]
+    return TensorLeaf(np.asarray(_NARY[fn_id][1](*arrs)), leaves[0]._device)
 
 
 # ---------------------------------------------------------------------------
 # structural leaf ops
 
-def _join(arrays_join, leaves: Sequence[TensorLeaf], axis: int, what: str) -> TensorLeaf:
+def _join(join, leaves: Sequence[TensorLeaf], axis: int, what: str) -> TensorLeaf:
     """numpy checks shapes and axis range; dtypes must match exactly."""
     if not leaves:
         raise EmptyInput(f"{what} of zero leaves")
     first = leaves[0]
-    dtype = first._array.dtype
     if axis < 0:
         raise ShapeMismatchLeaf(f"negative {what} axis {axis}")
     for l in leaves:
-        if l._array.dtype != dtype:
-            raise ShapeMismatchLeaf(f"{what} needs one dtype; got {first.dtype} and {l.dtype}")
+        if l._dtype != first._dtype:
+            raise ShapeMismatchLeaf(f"{what} needs one dtype; got {first._dtype} and {l._dtype}")
     try:
-        out = arrays_join([l._array for l in leaves], axis=axis)
+        out = join([l._array for l in leaves], axis)
     except ValueError as exc:  # numpy's AxisError is a ValueError too
         raise ShapeMismatchLeaf(f"{what}: {exc}") from exc
-    return TensorLeaf(out, device=first._device)
+    return TensorLeaf(out, first._device)
+
+
+def stack_arrays(arrays: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
+    """np.stack. Along axis 0, arrays of one shape with at least one
+    dimension take one concatenate and a reshape instead, which skips
+    np.stack's Python work per array; numpy checks everything else."""
+    shape = arrays[0].shape
+    if axis == 0 and shape and all(a.shape == shape for a in arrays):
+        return np.concatenate(arrays).reshape((len(arrays),) + shape)
+    return np.stack(arrays, axis)
 
 
 def stack(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
     """Stack same-shape leaves along a new axis."""
-    return _join(np.stack, leaves, axis, "stack")
+    return _join(stack_arrays, leaves, axis, "stack")
 
 
 def cat(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
@@ -277,13 +306,16 @@ def split(t: TensorLeaf, chunk: int, axis: int = 0) -> list[TensorLeaf]:
     """Split into pieces of size `chunk` along `axis` (last may be shorter)."""
     if chunk < 1:
         raise InvalidChunk(f"chunk must be >= 1, got {chunk}")
-    if t.ndim == 0 or not 0 <= axis < t.ndim:
-        raise ShapeMismatchLeaf(f"axis {axis} out of range for ndim {t.ndim}")
-    prefix = (slice(None),) * axis
+    arr, device = t._array, t._device
+    if arr.ndim == 0 or not 0 <= axis < arr.ndim:
+        raise ShapeMismatchLeaf(f"axis {axis} out of range for ndim {arr.ndim}")
     # pieces are read-only views; immutability makes sharing safe
+    if axis == 0:
+        return [TensorLeaf(arr[i : i + chunk], device) for i in range(0, arr.shape[0], chunk)]
+    prefix = (slice(None),) * axis
     return [
-        TensorLeaf(t._array[prefix + (slice(i, i + chunk),)], device=t._device)
-        for i in range(0, t.shape[axis], chunk)
+        TensorLeaf(arr[prefix + (slice(i, i + chunk),)], device)
+        for i in range(0, arr.shape[axis], chunk)
     ]
 
 

@@ -90,7 +90,7 @@ def _apply_nodes(
     if not tree_nodes:
         payloads = [n.leaf for n in nodes]
         try:
-            return ValueNode(fn(payloads))
+            return fn(payloads)
         except LeafOpError:
             raise
         except TensorTreeError as exc:
@@ -151,9 +151,7 @@ def _as_node(arg) -> Node:
     if isinstance(arg, TreeTensor):
         return arg.root
     if isinstance(arg, Node):
-        return arg
-    if isinstance(arg, TensorLeaf):
-        return ValueNode(arg)
+        return arg  # a raw TensorLeaf is a value node already
     raise TypeError(f"cannot lift over a {type(arg).__name__}")
 
 
@@ -184,15 +182,13 @@ def lift_multi(fn_id: str, policy: MismatchPolicy = STRICT) -> Callable[..., Tre
     def lifted(*args) -> TreeTensor:
         if len(args) != arity:
             raise ArityMismatch(f"{fn_id} takes {arity} arguments, got {len(args)}")
-        if not any(isinstance(a, (TreeTensor, Node)) for a in args):
+        if not any(isinstance(a, (TreeTensor, TreeNode)) for a in args):
             raise ArityMismatch("at least one argument must be a tree")
         nodes = [_as_node(a) for a in args]
         if arity == 1:
             root = _lift(nodes, policy, lambda ls: _lf.ew_unary(fn_id, ls[0]))
         else:
             root = _lift(nodes, policy, lambda ls: _lf.ew_nary(fn_id, ls))
-        if not isinstance(root, TreeNode):
-            raise ArityMismatch("at least one tree-rooted argument is required")
         return TreeTensor(root)
 
     return lifted

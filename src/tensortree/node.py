@@ -1,5 +1,10 @@
-"""Tree nodes: value nodes wrapping a leaf payload, tree nodes mapping keys
+"""Tree nodes: value nodes holding a leaf payload, tree nodes mapping keys
 to children.
+
+A `TensorLeaf` is its own value node (`ValueNode` subclass, `leaf.leaf is
+leaf`), so a tree holds one object per tensor leaf. `ValueNode` itself
+wraps only the payloads that are not tensors (a `StructuredLeaf` from
+subside); `ValueNode(tensor_leaf)` returns the leaf.
 
 Nodes never reference their parents, so a node may be shared by any number
 of trees; all mutation elsewhere in the package is copy-on-path. Children
@@ -53,12 +58,21 @@ class Node:
 
 
 class ValueNode(Node):
-    """Wraps one leaf payload (a TensorLeaf, or a StructuredLeaf from subside)."""
+    """A value position. A TensorLeaf subclasses it and is its own value
+    node; an instance of ValueNode itself wraps a payload that is not a
+    tensor (a StructuredLeaf from subside)."""
 
     __slots__ = ("leaf",)
 
-    def __init__(self, leaf):
-        self.leaf = leaf
+    def __new__(cls, leaf):
+        if isinstance(leaf, ValueNode):
+            return leaf  # a TensorLeaf: one representation, no wrapper
+        node = object.__new__(cls)
+        node.leaf = leaf
+        return node
+
+    def __reduce__(self):
+        return type(self), (self.leaf,)
 
     def __eq__(self, other):
         if not isinstance(other, ValueNode):
@@ -141,7 +155,8 @@ def _flatten_into(node: TreeNode, leaves: list) -> tuple:
 
 
 def unflatten(structure, leaves) -> Node:
-    """The node with this structure key holding `leaves` in flatten order."""
+    """The node with this structure key holding `leaves` in flatten order;
+    a TensorLeaf goes in as itself, any other payload wrapped."""
     if structure is None:
         (leaf,) = leaves
         return ValueNode(leaf)
@@ -149,10 +164,15 @@ def unflatten(structure, leaves) -> Node:
 
 
 def _unflatten(structure: tuple, leaves: Iterator) -> TreeNode:
-    return TreeNode._from_validated({
-        k: ValueNode(next(leaves)) if s is None else _unflatten(s, leaves)
-        for k, s in structure
-    })
+    children = {}
+    for k, s in structure:
+        if s is None:
+            leaf = next(leaves)
+            # ValueNode(leaf) gives the same node; the check skips its call
+            children[k] = leaf if isinstance(leaf, ValueNode) else ValueNode(leaf)
+        else:
+            children[k] = _unflatten(s, leaves)
+    return TreeNode._from_validated(children)
 
 
 def leaf_path(node: Node, i: int) -> Path:

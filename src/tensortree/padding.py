@@ -80,25 +80,34 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
     lengths_structure, lengths = flatten(g.lengths.root)
     if lengths_structure != structure:
         raise StructureMismatch("stacked and lengths trees differ in structure")
+    for i, leaf in enumerate(stacked):
+        if leaf.ndim < 2:
+            raise CorruptLengths(
+                f"stacked leaf at {'/'.join(leaf_path(g.stacked.root, i))} needs a batch "
+                f"and a length dimension, got shape {list(leaf.shape)}"
+            )
     ks = {l.shape[0] for l in stacked}
     if len(ks) > 1:
         raise CorruptLengths(f"inconsistent batch sizes {sorted(ks)}")
     k = ks.pop() if ks else 0
+    sizes = []
     for i, (leaf, l) in enumerate(zip(stacked, lengths)):
         if l.dtype != "i64" or l.shape != (k,):
             raise CorruptLengths(
                 f"lengths at {'/'.join(leaf_path(g.lengths.root, i))} must be an i64 vector "
                 f"of {k} entries"
             )
-        if k and (l.array.min() < 0 or l.array.max() > leaf.shape[1]):
+        n = l.array.tolist()
+        if k and (min(n) < 0 or max(n) > leaf.shape[1]):
             raise CorruptLengths(
                 f"lengths at {'/'.join(leaf_path(g.lengths.root, i))} must lie in "
-                f"[0, {leaf.shape[1]}], got {l.data}"
+                f"[0, {leaf.shape[1]}], got {n}"
             )
+        sizes.append(n)
     return [
         TreeTensor(unflatten(structure, [
-            TensorLeaf(np.ascontiguousarray(leaf.array[j, : l.array[j]]), device=leaf.device)
-            for leaf, l in zip(stacked, lengths)
+            TensorLeaf(np.ascontiguousarray(leaf.array[j, : n[j]]), leaf.device)
+            for leaf, n in zip(stacked, sizes)
         ]))
         for j in range(k)
     ]

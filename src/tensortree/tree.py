@@ -15,7 +15,7 @@ import numpy as np
 
 from . import constraints as _c
 from .errors import ConstraintViolation, PathNotFound
-from .leaf import TensorLeaf, from_array, make_leaf
+from .leaf import from_array, make_leaf
 from .node import Node, Path, TreeNode, ValueNode, flatten, get_node, iter_leaves, unflatten
 
 
@@ -61,22 +61,23 @@ class TreeTensor:
 
 
 def _coerce(value) -> Node:
+    # the cheap exact checks first: the Mapping ABC check is slow
     if isinstance(value, Node):
-        return value
+        return value  # a TensorLeaf is its own value node
+    if isinstance(value, np.ndarray):
+        return from_array(value)
+    if isinstance(value, dict):
+        return TreeNode({k: _coerce(v) for k, v in value.items()})
     if isinstance(value, TreeTensor):
         return value.root
-    if isinstance(value, TensorLeaf):
-        return ValueNode(value)
+    if isinstance(value, bool):
+        return make_leaf((), "bool", [value])
+    if isinstance(value, int):
+        return make_leaf((), "i64", [value])
+    if isinstance(value, float):
+        return make_leaf((), "f64", [value])
     if isinstance(value, Mapping):
         return TreeNode({k: _coerce(v) for k, v in value.items()})
-    if isinstance(value, np.ndarray):
-        return ValueNode(from_array(value))
-    if isinstance(value, bool):
-        return ValueNode(make_leaf((), "bool", [value]))
-    if isinstance(value, int):
-        return ValueNode(make_leaf((), "i64", [value]))
-    if isinstance(value, float):
-        return ValueNode(make_leaf((), "f64", [value]))
     raise TypeError(f"cannot build a node from {type(value).__name__}")
 
 

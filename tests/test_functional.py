@@ -210,3 +210,9 @@ def test_rise_frees_the_input_leaves_without_a_collection():
     finally:
         gc.enable()
     assert [tt.get(x, ["p"]).leaf.data for x in out] == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+
+def test_rise_copies_the_components():
+    stacked = tt.StackedLeaf(np.arange(6.0).reshape(3, 2))
+    for x in tt.rise(tt.TreeTensor(tt.TreeNode({"p": stacked}))):
+        assert not np.shares_memory(tt.get(x, ["p"]).array, stacked.array)

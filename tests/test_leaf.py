@@ -255,3 +255,58 @@ def test_zeros_like():
     l = tt.make_leaf((2, 2), "f32", [1, 2, 3, 4])
     z = tt.zeros_like(l)
     assert z.shape == l.shape and z.dtype == l.dtype and z.data == [0.0] * 4
+
+
+def test_from_array_keeps_zero_dim_arrays_zero_dim():
+    leaf = tt.from_array(np.array(1.0))
+    assert leaf.shape == () and leaf.item() == 1.0
+    assert tt.get(tt.build_tree({"a": np.array(2.0)}), ["a"]).shape == ()
+    # a copy in row-major order, whatever the input's layout
+    src = np.arange(6.0).reshape(2, 3).T
+    leaf = tt.from_array(src)
+    assert leaf.array.flags.c_contiguous and leaf.data == src.reshape(-1).tolist()
+    assert src.flags.writeable
+
+
+def test_constructor_rejects_an_untagged_dtype():
+    with pytest.raises(DtypeUnsupported):
+        tt.TensorLeaf(np.arange(3, dtype=np.int32))
+    with pytest.raises(DtypeUnsupported):
+        tt.from_array(np.arange(3, dtype=np.int32))
+    assert tt.TensorLeaf(np.arange(3, dtype=np.int64)).dtype == "i64"
+
+
+def test_stack_along_axis_0_matches_numpy():
+    shapes = [(0,), (3,), (3, 0), (2, 3), (1, 1, 2), ()]
+    for shape in shapes:
+        arrays = [np.random.default_rng(i).random(shape) for i in range(4)]
+        # a transposed view is not row-major
+        arrays[1] = np.ascontiguousarray(arrays[1].T).T if len(shape) > 1 else arrays[1]
+        leaves = [tt.TensorLeaf(a) for a in arrays]
+        for axis in range(len(shape) + 1):
+            out = tt.stack(leaves, axis)
+            assert out.array.tobytes() == np.stack(arrays, axis).tobytes()
+            assert out.shape == np.stack(arrays, axis).shape
+    # (2,), (1,), (3,) hold as many elements as three leaves of shape (2,)
+    for shapes in (((1, 3), (3, 3)), ((2,), (1,), (3,))):
+        with pytest.raises(ShapeMismatchLeaf):
+            tt.stack([tt.TensorLeaf(np.zeros(s)) for s in shapes])
+    with pytest.raises(ShapeMismatchLeaf):
+        tt.stack([tt.TensorLeaf(np.zeros(2)), tt.TensorLeaf(np.zeros(2))], axis=2)
+
+
+def test_split_along_axis_0_gives_read_only_views():
+    leaf = tt.TensorLeaf(np.arange(10.0).reshape(5, 2))
+    pieces = tt.split(leaf, 2)
+    assert [p.shape for p in pieces] == [(2, 2), (2, 2), (1, 2)]
+    assert [p.data for p in pieces] == [[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0], [8.0, 9.0]]
+    assert all(not p.array.flags.writeable and p.array.base is not None for p in pieces)
+
+
+def test_arithmetic_rejects_bool_leaves_of_one_dtype():
+    b = tt.make_leaf((2,), "bool", [True, False])
+    for fn_id in tt.leaf.BINARY_FN_IDS:
+        with pytest.raises(DtypeUnsupported):
+            tt.ew_binary(fn_id, b, b)
+    with pytest.raises(DtypeUnsupported):
+        tt.ew_nary("mulsub", [b, b, b])

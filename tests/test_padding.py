@@ -135,3 +135,12 @@ def test_pad_fill_an_i64_leaf_cannot_hold_is_rejected():
     # a fill that is never written is not checked
     g = tt.group_pad([b, b], float("nan"))
     assert tt.unpad(g) == [b, b]
+
+
+def test_unpad_rejects_a_stacked_leaf_without_a_length_dimension():
+    for stacked in (np.arange(3.0), np.array(1.0)):
+        g = tt.PaddedGroup(
+            tt.build_tree({"x": {"s": stacked}}), tt.build_tree({"x": {"s": np.array([2, 3, 1])}}), 0.0
+        )
+        with pytest.raises(CorruptLengths, match="x/s"):
+            tt.unpad(g)

@@ -165,3 +165,12 @@ def test_str_paths_are_rejected():
         with pytest.raises(TypeError, match="path_from_string"):
             call()
     assert tt.get(t, tt.path_from_string("a/b")).leaf.item() == 1.0
+
+
+def test_build_tree_accepts_any_mapping():
+    from types import MappingProxyType
+
+    t = tt.build_tree(MappingProxyType({"a": 1.0, "x": MappingProxyType({"b": np.arange(2)})}))
+    assert t == tt.build_tree({"a": 1.0, "x": {"b": np.arange(2)}})
+    with pytest.raises(TypeError):
+        tt.build_tree({"a": "text"})
