@@ -22,7 +22,7 @@ from .errors import (
     StructureMismatch,
     TensorTreeError,
 )
-from .leaf import TensorLeaf, stack_arrays
+from .leaf import TensorLeaf
 from .node import Node, Path, TreeNode, ValueNode, flatten, iter_leaves, unflatten
 from .tree import TreeTensor, structure_equal
 
@@ -181,7 +181,7 @@ def subside(outer) -> TreeTensor:
             isinstance(p, TensorLeaf) and p.shape == f0.shape and p._dtype == f0._dtype
             for p in parts
         ):
-            sunk.append(StackedLeaf(stack_arrays([p._array for p in parts]), f0._device))
+            sunk.append(StackedLeaf(np.stack([p._array for p in parts]), f0._device))
         else:
             # _outer_map visits the trees in _collect_trees order
             column = iter(parts)

@@ -145,8 +145,9 @@ def scalar(value, dtype: str = "f64") -> TensorLeaf:
 
 
 def from_array(arr: np.ndarray, device: str = "cpu") -> TensorLeaf:
-    """A leaf holding a row-major copy of `arr` (0-d stays 0-d)."""
-    return TensorLeaf(arr.copy(order="C"), device)
+    """A leaf holding a row-major copy of `arr` as a plain ndarray (0-d
+    stays 0-d; an ndarray subclass such as np.matrix is dropped)."""
+    return TensorLeaf(np.array(arr, order="C"), device)
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +283,9 @@ def _join(join, leaves: Sequence[TensorLeaf], axis: int, what: str) -> TensorLea
     return TensorLeaf(out, first._device)
 
 
-def stack_arrays(arrays: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
-    """np.stack. Along axis 0, arrays of one shape with at least one
-    dimension take one concatenate and a reshape instead, which skips
-    np.stack's Python work per array; numpy checks everything else."""
-    shape = arrays[0].shape
-    if axis == 0 and shape and all(a.shape == shape for a in arrays):
-        return np.concatenate(arrays).reshape((len(arrays),) + shape)
-    return np.stack(arrays, axis)
-
-
 def stack(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
     """Stack same-shape leaves along a new axis."""
-    return _join(stack_arrays, leaves, axis, "stack")
+    return _join(np.stack, leaves, axis, "stack")
 
 
 def cat(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
@@ -310,8 +301,6 @@ def split(t: TensorLeaf, chunk: int, axis: int = 0) -> list[TensorLeaf]:
     if arr.ndim == 0 or not 0 <= axis < arr.ndim:
         raise ShapeMismatchLeaf(f"axis {axis} out of range for ndim {arr.ndim}")
     # pieces are read-only views; immutability makes sharing safe
-    if axis == 0:
-        return [TensorLeaf(arr[i : i + chunk], device) for i in range(0, arr.shape[0], chunk)]
     prefix = (slice(None),) * axis
     return [
         TensorLeaf(arr[prefix + (slice(i, i + chunk),)], device)

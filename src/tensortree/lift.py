@@ -112,7 +112,7 @@ def _apply_nodes(
                             f"no child {k!r} at {'/'.join(path) or '<root>'} "
                             "and the policy carries no default"
                         )
-                    child = ValueNode(policy.default)
+                    child = policy.default
                 sub.append(child)
             else:
                 # value nodes and raw leaves broadcast into every branch

@@ -167,9 +167,7 @@ def _unflatten(structure: tuple, leaves: Iterator) -> TreeNode:
     children = {}
     for k, s in structure:
         if s is None:
-            leaf = next(leaves)
-            # ValueNode(leaf) gives the same node; the check skips its call
-            children[k] = leaf if isinstance(leaf, ValueNode) else ValueNode(leaf)
+            children[k] = ValueNode(next(leaves))
         else:
             children[k] = _unflatten(s, leaves)
     return TreeNode._from_validated(children)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,19 @@ def test_from_array_keeps_zero_dim_arrays_zero_dim():
     leaf = tt.from_array(src)
     assert leaf.array.flags.c_contiguous and leaf.data == src.reshape(-1).tolist()
     assert src.flags.writeable
+    # an ndarray subclass is stored as a plain ndarray
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        mat = np.matrix([[1.0, 2.0], [3.0, 4.0]])
+    masked = np.ma.masked_array([1.0, 2.0, 3.0], mask=[False, True, False])
+    for src in (mat, masked):
+        leaf = tt.from_array(src)
+        assert type(leaf.array) is np.ndarray
+        assert tt.get(tt.build_tree({"a": src}), ["a"]).array.__class__ is np.ndarray
+    m = tt.from_array(mat)
+    assert m.data == [1.0, 2.0, 3.0, 4.0]
+    assert tt.ew_binary("mul", m, m).data == [1.0, 4.0, 9.0, 16.0]
+    assert tt.from_array(masked).data == [1.0, 2.0, 3.0]
 
 
 def test_constructor_rejects_an_untagged_dtype():
@@ -274,25 +288,6 @@ def test_constructor_rejects_an_untagged_dtype():
     with pytest.raises(DtypeUnsupported):
         tt.from_array(np.arange(3, dtype=np.int32))
     assert tt.TensorLeaf(np.arange(3, dtype=np.int64)).dtype == "i64"
-
-
-def test_stack_along_axis_0_matches_numpy():
-    shapes = [(0,), (3,), (3, 0), (2, 3), (1, 1, 2), ()]
-    for shape in shapes:
-        arrays = [np.random.default_rng(i).random(shape) for i in range(4)]
-        # a transposed view is not row-major
-        arrays[1] = np.ascontiguousarray(arrays[1].T).T if len(shape) > 1 else arrays[1]
-        leaves = [tt.TensorLeaf(a) for a in arrays]
-        for axis in range(len(shape) + 1):
-            out = tt.stack(leaves, axis)
-            assert out.array.tobytes() == np.stack(arrays, axis).tobytes()
-            assert out.shape == np.stack(arrays, axis).shape
-    # (2,), (1,), (3,) hold as many elements as three leaves of shape (2,)
-    for shapes in (((1, 3), (3, 3)), ((2,), (1,), (3,))):
-        with pytest.raises(ShapeMismatchLeaf):
-            tt.stack([tt.TensorLeaf(np.zeros(s)) for s in shapes])
-    with pytest.raises(ShapeMismatchLeaf):
-        tt.stack([tt.TensorLeaf(np.zeros(2)), tt.TensorLeaf(np.zeros(2))], axis=2)
 
 
 def test_split_along_axis_0_gives_read_only_views():
