@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-import numpy as np
-
 from .errors import (
     InconsistentInnerStructure,
     LeafOpError,
@@ -22,7 +20,7 @@ from .errors import (
     StructureMismatch,
     TensorTreeError,
 )
-from .leaf import TensorLeaf
+from .leaf import TensorLeaf, _new_leaf, stack_axis0
 from .node import Node, Path, TreeNode, ValueNode, flatten, iter_leaves, unflatten
 from .tree import TreeTensor, structure_equal
 
@@ -161,7 +159,13 @@ def _outer_map(outer, f):
 
 
 def subside(outer) -> TreeTensor:
-    """Sink an outer container of structurally equal trees into the leaves."""
+    """Sink an outer container of structurally equal trees into the leaves.
+
+    The StackedLeaf outputs of a flat list are copies; when every column
+    aligns they are read-only views into one buffer per dtype
+    (`leaf.stack_axis0`), so one surviving leaf keeps its dtype's whole
+    buffer alive until `leaf.copy()` or `deep_copy` detaches it.
+    """
     trees = _collect_trees(outer, [])
     if not trees:
         raise NoEmbeddedTree("no tree inside the outer structure")
@@ -171,17 +175,20 @@ def subside(outer) -> TreeTensor:
     structure = flat[0][0]
     if any(s != structure for s, _ in flat[1:]):
         raise StructureMismatch("embedded trees differ in structure")
+    lists = [leaves for _, leaves in flat]
     is_flat_seq = isinstance(outer, (list, tuple)) and all(
         isinstance(x, TreeTensor) for x in outer
     )
+    if is_flat_seq:
+        sunk = stack_axis0(lists, StackedLeaf)
+        if sunk is not None:
+            return TreeTensor(unflatten(structure, sunk))
     sunk = []
-    for parts in zip(*(leaves for _, leaves in flat)):
-        f0 = parts[0]
-        if is_flat_seq and all(
-            isinstance(p, TensorLeaf) and p.shape == f0.shape and p._dtype == f0._dtype
-            for p in parts
-        ):
-            sunk.append(StackedLeaf(np.stack([p._array for p in parts]), f0._device))
+    for parts in zip(*lists):
+        # a flat list with a ragged column still stacks every column that aligns
+        stacked = stack_axis0([[p] for p in parts], StackedLeaf) if is_flat_seq else None
+        if stacked:
+            sunk.append(stacked[0])
         else:
             # _outer_map visits the trees in _collect_trees order
             column = iter(parts)
@@ -209,18 +216,28 @@ def _payload_skeleton(payload):
     raise InconsistentInnerStructure(f"bad payload element {type(payload).__name__}")
 
 
-def _component(leaf, sigma):
+def _payload(leaf):
+    """The nested lists and dicts of leaves that rise indexes into: a
+    StackedLeaf is copied once and split into its rows."""
     if isinstance(leaf, StackedLeaf):
-        (i,) = sigma
-        return TensorLeaf(np.array(leaf._array[i]), leaf._device)
-    cur = leaf.payload
+        rows = leaf._array.copy()
+        rows.setflags(False)
+        # rows[i, ...] is a 0-d array where rows[i] would be a numpy scalar
+        return [_new_leaf(TensorLeaf, rows[i, ...], leaf._device) for i in range(len(rows))]
+    return leaf.payload
+
+
+def _component(payload, sigma):
     for step in sigma:
-        cur = cur[step]
-    return cur
+        payload = payload[step]
+    return payload
 
 
 def rise(tree: TreeTensor):
-    """Lift the common per-leaf inner structure back above the tree."""
+    """Lift the common per-leaf inner structure back above the tree.
+
+    The component leaves are copies of the input; the k rows of one
+    StackedLeaf share one read-only buffer."""
     structure, leaves = flatten(tree.root)
     if not leaves:
         return tree
@@ -230,10 +247,10 @@ def rise(tree: TreeTensor):
     spec = skels[0]
     if spec == "leaf":
         return tree
-    return _rise_build(structure, leaves, spec, ())
+    return _rise_build(structure, [_payload(l) for l in leaves], spec, ())
 
 
-def _rise_build(structure, leaves: list, s, sigma):
+def _rise_build(structure, payloads: list, s, sigma):
     """The outer structure of skeleton `s` below position `sigma`.
 
     A module-level function rather than a recursive closure: a closure that
@@ -241,8 +258,8 @@ def _rise_build(structure, leaves: list, s, sigma):
     until the next full garbage collection.
     """
     if s == "leaf":
-        return TreeTensor(unflatten(structure, [_component(l, sigma) for l in leaves]))
+        return TreeTensor(unflatten(structure, [_component(p, sigma) for p in payloads]))
     kind, parts = s
     if kind == "seq":
-        return [_rise_build(structure, leaves, sub, sigma + (i,)) for i, sub in enumerate(parts)]
-    return {k: _rise_build(structure, leaves, sub, sigma + (k,)) for k, sub in parts.items()}
+        return [_rise_build(structure, payloads, sub, sigma + (i,)) for i, sub in enumerate(parts)]
+    return {k: _rise_build(structure, payloads, sub, sigma + (k,)) for k, sub in parts.items()}

@@ -111,13 +111,30 @@ def serialize_tree(tree: TreeTensor) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+# the exact JSON type every element of a leaf's data must have; float
+# leaves take whatever numpy converts
+_DATA_TYPE = {"i64": int, "bool": bool}
+
+
 def _parse_leaf(obj: dict) -> TensorLeaf:
     for field in ("shape", "dtype", "data"):
         if field not in obj:
             raise ParseError(f"leaf object missing {field!r}")
-    if obj["dtype"] not in DTYPES:
-        raise DtypeUnknown(f"unknown dtype {obj['dtype']!r}")
-    leaf = make_leaf(obj["shape"], obj["dtype"], obj["data"], obj.get("device", "cpu"))
+    shape, dtype, data = obj["shape"], obj["dtype"], obj["data"]
+    if dtype not in DTYPES:
+        raise DtypeUnknown(f"unknown dtype {dtype!r}")
+    # type(True) is bool, so the exact checks reject bools as shapes or i64 data
+    if not isinstance(shape, list) or any(type(s) is not int for s in shape):
+        raise ParseError(f"leaf shape must be a list of integers, got {shape!r}")
+    if not isinstance(data, list):
+        raise ParseError(f"leaf data must be a list, got {type(data).__name__}")
+    want = _DATA_TYPE.get(dtype)
+    if want and any(type(v) is not want for v in data):
+        raise ParseError(f"{dtype} leaf data must hold only {want.__name__} values")
+    try:
+        leaf = make_leaf(shape, dtype, data, obj.get("device", "cpu"))
+    except (TypeError, ValueError, OverflowError) as exc:  # numpy's conversion
+        raise ParseError(f"bad {dtype} leaf data: {exc}") from exc
     if obj.get("stacked_seq"):
         leaf = StackedLeaf(leaf.array, leaf.device)  # shares the read-only array
     return leaf

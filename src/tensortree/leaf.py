@@ -47,16 +47,7 @@ class TensorLeaf(ValueNode):
     # built in __new__: ValueNode(leaf) returns the leaf, after which Python
     # would run an __init__ again on it
     def __new__(cls, array: np.ndarray, device: str = "cpu"):
-        try:
-            dtype = _DTYPE_NAME[array.dtype]
-        except KeyError:
-            raise DtypeUnsupported(f"unsupported numpy dtype {array.dtype}") from None
-        array.setflags(False)  # write=False; positional is the cheap form
-        self = object.__new__(cls)
-        self._array = array
-        self._dtype = dtype
-        self._device = device
-        return self
+        return _new_leaf(cls, array, device)
 
     def __reduce__(self):
         return type(self), (self._array, self._device)
@@ -113,10 +104,32 @@ class TensorLeaf(ValueNode):
         )
 
     def __hash__(self):
-        return hash((self.shape, self._dtype, self._device, self._array.tobytes()))
+        arr = self._array
+        if self._dtype in ("f32", "f64"):
+            arr = arr + 0.0  # -0.0 + 0.0 is 0.0, so leaves that compare equal hash equal
+        return hash((self._array.shape, self._dtype, self._device, arr.tobytes()))
 
     def __repr__(self):
         return f"TensorLeaf(shape={list(self.shape)}, dtype={self.dtype}, data={self.data})"
+
+
+_object_new = object.__new__
+
+
+def _new_leaf(cls, array: np.ndarray, device: str) -> TensorLeaf:
+    """The one leaf constructor: checks the dtype tag and makes `array`
+    read-only. Kernel outputs call it directly, which skips the type call
+    that `TensorLeaf(...)` pays."""
+    try:
+        dtype = _DTYPE_NAME[array.dtype]
+    except KeyError:
+        raise DtypeUnsupported(f"unsupported numpy dtype {array.dtype}") from None
+    array.setflags(False)  # write=False; positional is the cheap form
+    self = _object_new(cls)
+    self._array = array
+    self._dtype = dtype
+    self._device = device
+    return self
 
 
 def make_leaf(shape: Sequence[int], dtype: str, data: Sequence, device: str = "cpu") -> TensorLeaf:
@@ -136,7 +149,7 @@ def make_leaf(shape: Sequence[int], dtype: str, data: Sequence, device: str = "c
             f"shape {list(shape)} needs {n} elements, got {len(data)}"
         )
     arr = np.array(data, dtype=_NP_DTYPE[dtype]).reshape(shape)
-    return TensorLeaf(arr, device=device)
+    return _new_leaf(TensorLeaf, arr, device)
 
 
 def scalar(value, dtype: str = "f64") -> TensorLeaf:
@@ -147,7 +160,7 @@ def scalar(value, dtype: str = "f64") -> TensorLeaf:
 def from_array(arr: np.ndarray, device: str = "cpu") -> TensorLeaf:
     """A leaf holding a row-major copy of `arr` as a plain ndarray (0-d
     stays 0-d; an ndarray subclass such as np.matrix is dropped)."""
-    return TensorLeaf(np.array(arr, order="C"), device)
+    return _new_leaf(TensorLeaf, np.array(arr, order="C"), device)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +210,7 @@ def ew_unary(fn_id: str, t: TensorLeaf) -> TensorLeaf:
     if t._dtype == "i64" and fn_id in _TRANSCENDENTAL:
         arr = arr.astype(np.float64)
     out = _UNARY[fn_id](arr)
-    return TensorLeaf(np.asarray(out), t._device)
+    return _new_leaf(TensorLeaf, np.asarray(out), t._device)
 
 
 def _promote(da: str, db: str) -> str:
@@ -237,7 +250,7 @@ def ew_binary(fn_id: str, a: TensorLeaf, b: TensorLeaf) -> TensorLeaf:
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = x / y
-    return TensorLeaf(np.asarray(out), a._device)
+    return _new_leaf(TensorLeaf, np.asarray(out), a._device)
 
 
 def ew_nary(fn_id: str, leaves: Sequence[TensorLeaf]) -> TensorLeaf:
@@ -260,7 +273,7 @@ def ew_nary(fn_id: str, leaves: Sequence[TensorLeaf]) -> TensorLeaf:
             dtype = _promote(dtype, l._dtype)
         np_dt = _NP_DTYPE[dtype]
         arrs = [a.astype(np_dt, copy=False) for a in arrs]
-    return TensorLeaf(np.asarray(_NARY[fn_id][1](*arrs)), leaves[0]._device)
+    return _new_leaf(TensorLeaf, np.asarray(_NARY[fn_id][1](*arrs)), leaves[0]._device)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +293,7 @@ def _join(join, leaves: Sequence[TensorLeaf], axis: int, what: str) -> TensorLea
         out = join([l._array for l in leaves], axis)
     except ValueError as exc:  # numpy's AxisError is a ValueError too
         raise ShapeMismatchLeaf(f"{what}: {exc}") from exc
-    return TensorLeaf(out, first._device)
+    return _new_leaf(TensorLeaf, out, first._device)
 
 
 def stack(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
@@ -293,6 +306,43 @@ def cat(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
     return _join(np.concatenate, leaves, axis, "cat")
 
 
+def stack_axis0(lists: Sequence[Sequence], cls=TensorLeaf) -> list | None:
+    """Stack along a new axis 0 each column of the aligned leaf lists, one
+    list per tree, copying each dtype once: the outputs, in column order,
+    are read-only C-contiguous views into one `np.concatenate` buffer per
+    dtype, so one surviving output keeps its dtype's whole buffer alive.
+
+    None, with nothing copied, unless every payload is a TensorLeaf and each
+    column has one dtype and one shape; callers then stack column by column,
+    which raises at the column at fault.
+    """
+    k = len(lists)
+    parts: dict[str, list] = {}
+    plan = []  # per column: dtype, output shape, element count, device
+    for column in zip(*lists):
+        first = column[0]
+        if not isinstance(first, TensorLeaf):
+            return None
+        dtype, shape = first._dtype, first._array.shape
+        arrays = parts.setdefault(dtype, [])
+        for p in column:
+            if not isinstance(p, TensorLeaf) or p._dtype != dtype or p._array.shape != shape:
+                return None
+            arrays.append(p._array)
+        plan.append((dtype, (k,) + shape, k * first._array.size, first._device))
+    buffers = {}
+    for dtype, arrays in parts.items():
+        buffers[dtype] = buf = np.concatenate(arrays, axis=None)
+        buf.setflags(False)
+    offsets = dict.fromkeys(parts, 0)
+    out = []
+    for dtype, shape, n, device in plan:
+        o = offsets[dtype]
+        offsets[dtype] = o + n
+        out.append(_new_leaf(cls, buffers[dtype][o : o + n].reshape(shape), device))
+    return out
+
+
 def split(t: TensorLeaf, chunk: int, axis: int = 0) -> list[TensorLeaf]:
     """Split into pieces of size `chunk` along `axis` (last may be shorter)."""
     if chunk < 1:
@@ -303,10 +353,10 @@ def split(t: TensorLeaf, chunk: int, axis: int = 0) -> list[TensorLeaf]:
     # pieces are read-only views; immutability makes sharing safe
     prefix = (slice(None),) * axis
     return [
-        TensorLeaf(arr[prefix + (slice(i, i + chunk),)], device)
+        _new_leaf(TensorLeaf, arr[prefix + (slice(i, i + chunk),)], device)
         for i in range(0, arr.shape[axis], chunk)
     ]
 
 
 def zeros_like(t: TensorLeaf) -> TensorLeaf:
-    return TensorLeaf(np.zeros(t.shape, dtype=t.array.dtype), device=t.device)
+    return _new_leaf(TensorLeaf, np.zeros(t.shape, dtype=t.array.dtype), t.device)

@@ -134,16 +134,22 @@ def _leafwise(fn, columns: Sequence[list], root: Node) -> list:
     return out
 
 
-def _lift(nodes: Sequence[Node], policy: MismatchPolicy, fn) -> Node:
+def _lift(nodes: Sequence[Node], policy: MismatchPolicy, fn, batch=None) -> Node:
     """The strict fast path when every argument has the same structure key:
-    fn runs over the leaf columns and the result takes that structure. Other
-    policies, and strict arguments whose structures differ (a missing key,
-    or a value node facing a subtree), go through _apply_nodes."""
+    fn runs over the leaf columns and the result takes that structure.
+    `batch`, if given, is tried first on the leaf lists: it returns every
+    output leaf at once, or None to leave the columns to fn. Other policies,
+    and strict arguments whose structures differ (a missing key, or a value
+    node facing a subtree), go through _apply_nodes."""
     if policy.kind == "strict":
         flat = [flatten(n) for n in nodes]
         structure = flat[0][0]
         if all(s == structure for s, _ in flat[1:]):
-            return unflatten(structure, _leafwise(fn, [ls for _, ls in flat], nodes[0]))
+            lists = [ls for _, ls in flat]
+            out = batch(lists) if batch else None
+            if out is None:
+                out = _leafwise(fn, lists, nodes[0])
+            return unflatten(structure, out)
     return _apply_nodes(nodes, policy, fn)
 
 
@@ -201,19 +207,29 @@ def lift_multi(fn_id: str, policy: MismatchPolicy = STRICT) -> Callable[..., Tre
 def lifted_stack(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
     """Per-position leaf stack of structurally equal trees. As in strict
     lift_multi, a value node facing a subtree broadcasts into each of its
-    leaves."""
+    leaves.
+
+    Along axis 0 the output leaves of one call are read-only views into one
+    buffer per dtype (`leaf.stack_axis0`), so a single surviving leaf keeps
+    its dtype's whole buffer alive; `leaf.copy()` or `deep_copy` detaches it.
+    """
     if not trees:
         raise EmptyInput("stack of zero trees")
     if not 0 <= axis:
         raise ShapeMismatchLeaf(f"negative stack axis {axis}")
     nodes = [_as_node(t) for t in trees]
-    return TreeTensor(_lift(nodes, STRICT, lambda ls: _lf.stack(ls, axis)))
+    return TreeTensor(_lift(
+        nodes, STRICT, lambda ls: _lf.stack(ls, axis),
+        _lf.stack_axis0 if axis == 0 else None,
+    ))
 
 
 def lifted_cat(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
     """Per-position leaf concatenation of structurally equal trees. As in
     strict lift_multi, a value node facing a subtree broadcasts into each of
-    its leaves."""
+    its leaves. Each output leaf is its own copy: one buffer per dtype, as
+    lifted_stack does, costs more than it saves below about 1 MB a leaf.
+    """
     if not trees:
         raise EmptyInput("cat of zero trees")
     if not 0 <= axis:
@@ -225,7 +241,8 @@ def lifted_cat(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
 def lifted_split(tree: TreeTensor, chunk: int, axis: int = 0) -> list[TreeTensor]:
     """Split every leaf; regroup piece i of each leaf into tree i. Every
     leaf must give the same number of pieces; subtrees without leaves are
-    carried into every piece."""
+    carried into every piece. The pieces are read-only views of the input
+    leaves, not copies."""
     if chunk < 1:
         raise InvalidChunk(f"chunk must be >= 1, got {chunk}")
     node = _as_node(tree)

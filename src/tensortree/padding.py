@@ -18,7 +18,7 @@ from .errors import (
     StructureMismatch,
     TailShapeMismatch,
 )
-from .leaf import TensorLeaf
+from .leaf import TensorLeaf, _new_leaf
 from .node import flatten, leaf_path, unflatten
 from .tree import TreeTensor
 
@@ -47,14 +47,18 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     stacked, lengths = [], []
     for i, parts in enumerate(zip(*(leaves for _, leaves in flat))):
         f0 = parts[0]
-        if f0.ndim == 0:
+        if f0._array.ndim == 0:
             raise TailShapeMismatch(
                 leaf_path(trees[0].root, i), "leaves must have a length dimension"
             )
-        tail, dtype = f0.shape[1:], f0.array.dtype
-        if any(p.ndim != f0.ndim or p.shape[1:] != tail or p.array.dtype != dtype for p in parts):
-            raise TailShapeMismatch(leaf_path(trees[0].root, i))
-        sizes = [p.shape[0] for p in parts]
+        tail, tag, dtype = f0._array.shape[1:], f0._dtype, f0._array.dtype
+        arrays, sizes = [], []
+        for p in parts:
+            a = p._array
+            if not a.shape or a.shape[1:] != tail or p._dtype != tag:
+                raise TailShapeMismatch(leaf_path(trees[0].root, i))
+            arrays.append(a)
+            sizes.append(a.shape[0])
         shape = (len(parts), max(sizes)) + tail
         if min(sizes) == shape[1]:
             out = np.empty(shape, dtype)  # nothing to pad: every cell is copied below
@@ -65,49 +69,54 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
             ))
         else:
             out = np.full(shape, fill, dtype)
-        for j, p in enumerate(parts):
-            out[j, : sizes[j]] = p.array
-        stacked.append(TensorLeaf(out, device=f0.device))
-        lengths.append(TensorLeaf(np.asarray(sizes, dtype=np.int64)))
+        for row, n, a in zip(out, sizes, arrays):
+            row[:n] = a
+        stacked.append(_new_leaf(TensorLeaf, out, f0._device))
+        lengths.append(_new_leaf(TensorLeaf, np.asarray(sizes, dtype=np.int64), "cpu"))
     return PaddedGroup(
         TreeTensor(unflatten(structure, stacked)), TreeTensor(unflatten(structure, lengths)), fill
     )
 
 
 def unpad(g: PaddedGroup) -> list[TreeTensor]:
-    """Recover the original trees exactly."""
+    """Recover the original trees exactly.
+
+    The recovered leaves are read-only views of `g.stacked` (of a row-major
+    copy if a stacked leaf is not row-major), so one surviving leaf keeps
+    its whole padded buffer alive; `leaf.copy()` or `deep_copy` detaches it.
+    """
     structure, stacked = flatten(g.stacked.root)
     lengths_structure, lengths = flatten(g.lengths.root)
     if lengths_structure != structure:
         raise StructureMismatch("stacked and lengths trees differ in structure")
-    for i, leaf in enumerate(stacked):
-        if leaf.ndim < 2:
+    arrays = [leaf._array for leaf in stacked]
+    for i, a in enumerate(arrays):
+        if a.ndim < 2:
             raise CorruptLengths(
                 f"stacked leaf at {'/'.join(leaf_path(g.stacked.root, i))} needs a batch "
-                f"and a length dimension, got shape {list(leaf.shape)}"
+                f"and a length dimension, got shape {list(a.shape)}"
             )
-    ks = {l.shape[0] for l in stacked}
+    ks = {a.shape[0] for a in arrays}
     if len(ks) > 1:
         raise CorruptLengths(f"inconsistent batch sizes {sorted(ks)}")
     k = ks.pop() if ks else 0
-    sizes = []
-    for i, (leaf, l) in enumerate(zip(stacked, lengths)):
-        if l.dtype != "i64" or l.shape != (k,):
+    columns = []
+    for i, (a, leaf, l) in enumerate(zip(arrays, stacked, lengths)):
+        if l._dtype != "i64" or l._array.shape != (k,):
             raise CorruptLengths(
                 f"lengths at {'/'.join(leaf_path(g.lengths.root, i))} must be an i64 vector "
                 f"of {k} entries"
             )
-        n = l.array.tolist()
-        if k and (min(n) < 0 or max(n) > leaf.shape[1]):
+        n = l._array.tolist()
+        if k and (min(n) < 0 or max(n) > a.shape[1]):
             raise CorruptLengths(
                 f"lengths at {'/'.join(leaf_path(g.lengths.root, i))} must lie in "
-                f"[0, {leaf.shape[1]}], got {n}"
+                f"[0, {a.shape[1]}], got {n}"
             )
-        sizes.append(n)
+        columns.append((np.ascontiguousarray(a), n, leaf._device))
     return [
         TreeTensor(unflatten(structure, [
-            TensorLeaf(np.ascontiguousarray(leaf.array[j, : n[j]]), leaf.device)
-            for leaf, n in zip(stacked, sizes)
+            _new_leaf(TensorLeaf, a[j, : n[j]], device) for a, n, device in columns
         ]))
         for j in range(k)
     ]
