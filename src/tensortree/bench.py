@@ -22,7 +22,7 @@ import numpy as np
 from . import constraints as _c
 from . import tree as _t
 from .errors import ConstraintViolation
-from .leaf import TensorLeaf, from_array
+from .leaf import from_array
 from .lift import lifted_cat, lifted_split, lifted_stack
 
 BENCH_OPS = ("get", "set", "cset", "init", "deepcopy", "stack", "cat", "split")

@@ -72,15 +72,13 @@ def cmd_apply(args) -> int:
         print(_io.serialize_tree(lifted(*trees)))
     elif args.fn in ("stack", "cat"):
         print(_io.serialize_tree(entry["fn"](trees, axis=args.axis)))
+    elif len(trees) != 1:
+        raise ParseError(f"{args.fn} takes exactly one input file")
     elif args.fn == "split":
-        if len(trees) != 1:
-            raise ParseError("split takes exactly one input file")
         pieces = entry["fn"](trees[0], args.chunk, axis=args.axis)
         docs = [json.loads(_io.serialize_tree(p)) for p in pieces]
         print(json.dumps(docs, sort_keys=True, separators=(",", ":")))
     else:  # shape
-        if len(trees) != 1:
-            raise ParseError("shape takes exactly one input file")
         print(json.dumps(entry["fn"](trees[0]), sort_keys=True, separators=(",", ":")))
     return 0
 

@@ -8,89 +8,76 @@ and their inherited form is the empty constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import ConstraintViolation, PathNotFound
 from .leaf import TensorLeaf
-from .node import Node, Path, TreeNode, ValueNode, count_leaves, get_node
+from .node import Node, Path, TreeNode, ValueNode, flatten, get_node
 
 # ---------------------------------------------------------------------------
 # atoms
 
 
+class _Atom:
+    """Base of the atoms: every int field must be >= 0."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and value < 0:
+                raise ValueError(f"{type(self).__name__}.{f.name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
-class DtypeIs:
+class DtypeIs(_Atom):
     dtype: str
 
 
-def _reject_negative(atom, *fields):
-    for name in fields:
-        value = getattr(atom, name)
-        if value < 0:
-            raise ValueError(f"{type(atom).__name__}.{name} must be >= 0, got {value}")
-
-
 @dataclass(frozen=True)
-class NdimIs:
+class NdimIs(_Atom):
     n: int
 
-    def __post_init__(self):
-        _reject_negative(self, "n")
-
 
 @dataclass(frozen=True)
-class DimEquals:
+class DimEquals(_Atom):
     axis: int
     size: int
 
-    def __post_init__(self):
-        _reject_negative(self, "axis", "size")
-
 
 @dataclass(frozen=True)
-class DimAtLeast:
+class DimAtLeast(_Atom):
     axis: int
     size: int
 
-    def __post_init__(self):
-        _reject_negative(self, "axis", "size")
-
 
 @dataclass(frozen=True)
-class DeviceIs:
+class DeviceIs(_Atom):
     tag: str
 
 
 @dataclass(frozen=True)
-class LeafCountIs:
+class LeafCountIs(_Atom):
     """Subtree leaf count; non-inheriting only."""
 
     n: int
 
-    def __post_init__(self):
-        _reject_negative(self, "n")
-
 
 @dataclass(frozen=True)
-class ShapesEqual:
+class ShapesEqual(_Atom):
     """Leaves at the given relative paths share one shape; non-inheriting only."""
 
     paths: tuple[Path, ...]
 
 
 @dataclass(frozen=True)
-class SharedPrefix:
+class SharedPrefix(_Atom):
     """Leaves at the given relative paths agree on the first k dims."""
 
     paths: tuple[Path, ...]
     k: int
 
-    def __post_init__(self):
-        _reject_negative(self, "k")
 
-
-_LEAF_ATOMS = (DtypeIs, NdimIs, DimEquals, DimAtLeast, DeviceIs)
 _NODE_ATOMS = (LeafCountIs, ShapesEqual, SharedPrefix)
 
 
@@ -110,7 +97,7 @@ def _leaf_atom_holds(atom, leaf: TensorLeaf) -> bool:
 
 def _node_atom_holds(atom, node: Node) -> bool:
     if isinstance(atom, LeafCountIs):
-        return count_leaves(node) == atom.n
+        return len(flatten(node)[1]) == atom.n
     shapes = []
     for p in atom.paths:
         target = get_node(node, p)
@@ -218,24 +205,9 @@ def equals(c1: Constraint, c2: Constraint) -> bool:
 
 
 def satisfies(c: Constraint, n: Node) -> bool:
-    """Full (recursive) satisfaction check of a constraint on a node."""
-    for inh, atom in c.entries:
-        if inh:
-            if not _inherit_holds(atom, n):
-                return False
-        elif isinstance(atom, _NODE_ATOMS):
-            if not _node_atom_holds(atom, n):
-                return False
-        # leaf atom pinned to a node: false unless a tensor leaf satisfies it
-        elif not (isinstance(n, TensorLeaf) and _leaf_atom_holds(atom, n)):
-            return False
-    return True
-
-
-def _inherit_holds(atom, n: Node) -> bool:
-    if isinstance(n, ValueNode):
-        return isinstance(n, TensorLeaf) and _leaf_atom_holds(atom, n)
-    return all(_inherit_holds(atom, c) for c in n.children.values())
+    """Full (recursive) satisfaction check of a constraint on a node: the
+    local check of every position under `n` against a one-position trie."""
+    return first_violation(n, ConstraintTree(c)) is None
 
 
 def _local_ok(c: Constraint, n: Node) -> bool:
@@ -485,8 +457,8 @@ def write_violation(
                 continue  # leaf atoms of a tree node cannot change here
             if isinstance(atom, LeafCountIs):
                 if delta is None:
-                    delta = (count_leaves(new) if new is not None else 0) - (
-                        count_leaves(old) if old is not None else 0
+                    delta = (len(flatten(new)[1]) if new is not None else 0) - (
+                        len(flatten(old)[1]) if old is not None else 0
                     )
                 ok = delta == 0  # the count held before the edit
             else:

@@ -50,34 +50,36 @@ class StructuredLeaf:
     def __eq__(self, other):
         if not isinstance(other, StructuredLeaf):
             return NotImplemented
-        return _payload_equal(self.payload, other.payload)
+        try:
+            # as lists and dicts of leaves, which compare by TensorLeaf ==
+            a, b = (nested_map(x.payload, lambda l: l, TensorLeaf) for x in (self, other))
+        except InconsistentInnerStructure:
+            return False
+        return a == b
 
     def __hash__(self):
         return 0  # payloads contain unhashable lists; rarely hashed
 
     def copy(self) -> "StructuredLeaf":
-        return StructuredLeaf(_payload_map(self.payload, lambda l: l.copy()))
+        return StructuredLeaf(nested_map(self.payload, TensorLeaf.copy, TensorLeaf))
 
     def __repr__(self):
         return f"StructuredLeaf({self.payload!r})"
 
 
-def _payload_equal(a, b) -> bool:
-    if isinstance(a, TensorLeaf) and isinstance(b, TensorLeaf):
-        return a == b
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(_payload_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_payload_equal(a[k], b[k]) for k in a)
-    return False
-
-
-def _payload_map(payload, f):
-    if isinstance(payload, TensorLeaf):
-        return f(payload)
-    if isinstance(payload, (list, tuple)):
-        return [_payload_map(p, f) for p in payload]
-    return {k: _payload_map(v, f) for k, v in payload.items()}
+def nested_map(x, f, leaf_type):
+    """The nested lists and dicts of `x` with f(v) in place of each element
+    `v` of `leaf_type`; a tuple becomes a list. Any other element raises
+    InconsistentInnerStructure."""
+    if isinstance(x, leaf_type):
+        return f(x)
+    if isinstance(x, (list, tuple)):
+        return [nested_map(v, f, leaf_type) for v in x]
+    if isinstance(x, Mapping):
+        return {k: nested_map(v, f, leaf_type) for k, v in x.items()}
+    raise InconsistentInnerStructure(
+        f"nested lists and dicts may hold only {leaf_type.__name__}s, not {type(x).__name__}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -133,31 +135,6 @@ def reduce(tree: TreeTensor, binop: Callable, init):
 # subside / rise
 
 
-def _collect_trees(outer, out: list):
-    if isinstance(outer, TreeTensor):
-        out.append(outer)
-    elif isinstance(outer, (list, tuple)):
-        for item in outer:
-            _collect_trees(item, out)
-    elif isinstance(outer, Mapping):
-        for v in outer.values():
-            _collect_trees(v, out)
-    else:
-        raise InconsistentInnerStructure(
-            f"outer structures may hold only lists, dicts and trees, "
-            f"not {type(outer).__name__}"
-        )
-    return out
-
-
-def _outer_map(outer, f):
-    if isinstance(outer, TreeTensor):
-        return f(outer)
-    if isinstance(outer, (list, tuple)):
-        return [_outer_map(item, f) for item in outer]
-    return {k: _outer_map(v, f) for k, v in outer.items()}
-
-
 def subside(outer) -> TreeTensor:
     """Sink an outer container of structurally equal trees into the leaves.
 
@@ -166,7 +143,8 @@ def subside(outer) -> TreeTensor:
     (`leaf.stack_axis0`), so one surviving leaf keeps its dtype's whole
     buffer alive until `leaf.copy()` or `deep_copy` detaches it.
     """
-    trees = _collect_trees(outer, [])
+    trees: list[TreeTensor] = []
+    nested_map(outer, trees.append, TreeTensor)
     if not trees:
         raise NoEmbeddedTree("no tree inside the outer structure")
     if isinstance(outer, TreeTensor):
@@ -190,30 +168,21 @@ def subside(outer) -> TreeTensor:
         if stacked:
             sunk.append(stacked[0])
         else:
-            # _outer_map visits the trees in _collect_trees order
+            # nested_map visits the trees in the order it collected them
             column = iter(parts)
-            sunk.append(StructuredLeaf(_outer_map(outer, lambda _t: next(column))))
+            sunk.append(StructuredLeaf(nested_map(outer, lambda _t: next(column), TreeTensor)))
     return TreeTensor(unflatten(structure, sunk))
 
 
 def _skeleton(leaf):
+    """The nested lists and dicts of "leaf" that `leaf` holds, or "leaf"."""
     if isinstance(leaf, StackedLeaf):
-        return ("seq", ["leaf"] * leaf.seq_len)
+        return ["leaf"] * leaf.seq_len
     if isinstance(leaf, StructuredLeaf):
-        return _payload_skeleton(leaf.payload)
+        return nested_map(leaf.payload, lambda _l: "leaf", TensorLeaf)
     if isinstance(leaf, TensorLeaf):
         return "leaf"
     raise InconsistentInnerStructure(f"unriseable leaf payload {type(leaf).__name__}")
-
-
-def _payload_skeleton(payload):
-    if isinstance(payload, TensorLeaf):
-        return "leaf"
-    if isinstance(payload, (list, tuple)):
-        return ("seq", [_payload_skeleton(p) for p in payload])
-    if isinstance(payload, dict):
-        return ("map", {k: _payload_skeleton(v) for k, v in payload.items()})
-    raise InconsistentInnerStructure(f"bad payload element {type(payload).__name__}")
 
 
 def _payload(leaf):
@@ -259,7 +228,6 @@ def _rise_build(structure, payloads: list, s, sigma):
     """
     if s == "leaf":
         return TreeTensor(unflatten(structure, [_component(p, sigma) for p in payloads]))
-    kind, parts = s
-    if kind == "seq":
-        return [_rise_build(structure, payloads, sub, sigma + (i,)) for i, sub in enumerate(parts)]
-    return {k: _rise_build(structure, payloads, sub, sigma + (k,)) for k, sub in parts.items()}
+    if isinstance(s, list):
+        return [_rise_build(structure, payloads, sub, sigma + (i,)) for i, sub in enumerate(s)]
+    return {k: _rise_build(structure, payloads, sub, sigma + (k,)) for k, sub in s.items()}

@@ -24,14 +24,24 @@ from .errors import (
     BadPath,
     DtypeUnknown,
     ParseError,
-    ShapeDataMismatch,
     UnknownAtomKind,
 )
-from .functional import StackedLeaf, StructuredLeaf
+from .functional import StackedLeaf, StructuredLeaf, nested_map
 from .leaf import DTYPES, TensorLeaf, make_leaf
 from .node import Node, Path, TreeNode, ValueNode, path_from_string, path_to_string
 from .padding import PaddedGroup
 from .tree import TreeTensor
+
+
+def _loads(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno) from exc
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _leaf_obj(leaf: TensorLeaf) -> dict:
@@ -47,19 +57,12 @@ def _leaf_obj(leaf: TensorLeaf) -> dict:
     return obj
 
 
-def _payload_obj(payload):
-    if isinstance(payload, TensorLeaf):
-        return _leaf_obj(payload)
-    if isinstance(payload, (list, tuple)):
-        return [_payload_obj(p) for p in payload]
-    return {k: _payload_obj(v) for k, v in payload.items()}
-
-
 def _node_obj(node: Node):
     if isinstance(node, ValueNode):
         leaf = node.leaf
         if isinstance(leaf, StructuredLeaf):
-            return {"__structured__": True, "payload": _payload_obj(leaf.payload)}
+            payload = nested_map(leaf.payload, _leaf_obj, TensorLeaf)
+            return {"__structured__": True, "payload": payload}
         return _leaf_obj(leaf)
     return {k: _node_obj(c) for k, c in node.children.items()}
 
@@ -108,7 +111,7 @@ def serialize_tree(tree: TreeTensor) -> str:
     placements = _constraint_entries(tree)
     if placements:
         doc["__constraints__"] = placements
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _dumps(doc)
 
 
 # the exact JSON type every element of a leaf's data must have; float
@@ -124,15 +127,18 @@ def _parse_leaf(obj: dict) -> TensorLeaf:
     if dtype not in DTYPES:
         raise DtypeUnknown(f"unknown dtype {dtype!r}")
     # type(True) is bool, so the exact checks reject bools as shapes or i64 data
-    if not isinstance(shape, list) or any(type(s) is not int for s in shape):
-        raise ParseError(f"leaf shape must be a list of integers, got {shape!r}")
+    if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
+        raise ParseError(f"leaf shape must be a list of non-negative integers, got {shape!r}")
     if not isinstance(data, list):
         raise ParseError(f"leaf data must be a list, got {type(data).__name__}")
     want = _DATA_TYPE.get(dtype)
     if want and any(type(v) is not want for v in data):
         raise ParseError(f"{dtype} leaf data must hold only {want.__name__} values")
+    device = obj.get("device", "cpu")
+    if not isinstance(device, str):
+        raise ParseError(f"leaf device must be a string, got {device!r}")
     try:
-        leaf = make_leaf(shape, dtype, data, obj.get("device", "cpu"))
+        leaf = make_leaf(shape, dtype, data, device)
     except (TypeError, ValueError, OverflowError) as exc:  # numpy's conversion
         raise ParseError(f"bad {dtype} leaf data: {exc}") from exc
     if obj.get("stacked_seq"):
@@ -148,6 +154,13 @@ def _parse_payload(obj):
             return _parse_leaf(obj)
         return {k: _parse_payload(v) for k, v in obj.items()}
     raise ParseError(f"bad structured payload element: {obj!r}")
+
+
+def _parse_root(obj, what: str) -> TreeTensor:
+    root = _parse_node(obj)
+    if not isinstance(root, TreeNode):
+        raise ParseError(f"{what} must be a tree node")
+    return TreeTensor(root)
 
 
 def _parse_node(obj) -> Node:
@@ -204,17 +217,11 @@ def _parse_placements(entries) -> dict[Path, _c.Constraint]:
 
 def parse_tree(text: str) -> TreeTensor:
     """Parse a tree document; inverse of serialize_tree."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno) from exc
+    obj = _loads(text)
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
     entries = obj.pop("__constraints__", None)
-    root = _parse_node(obj)
-    if not isinstance(root, TreeNode):
-        raise ParseError("root must be a tree node")
-    tree = TreeTensor(root)
+    tree = _parse_root(obj, "root")
     if entries:
         tree = tree.with_constraints(_parse_placements(entries))
     return tree
@@ -222,11 +229,7 @@ def parse_tree(text: str) -> TreeTensor:
 
 def parse_constraint_spec(text: str) -> dict[Path, _c.Constraint]:
     """Parse a standalone constraint spec document (.ttc)."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno) from exc
-    return _parse_placements(obj)
+    return _parse_placements(_loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,7 @@ def _outer_obj(outer):
 
 def serialize_outer(outer) -> str:
     """Document for an outer container of trees (lists/dicts/trees)."""
-    return json.dumps(_outer_obj(outer), sort_keys=True, separators=(",", ":"))
+    return _dumps(_outer_obj(outer))
 
 
 def _parse_outer_obj(obj):
@@ -251,10 +254,7 @@ def _parse_outer_obj(obj):
         raise ParseError(f"bad outer-structure element: {obj!r}")
     kind = obj["kind"]
     if kind == "tree":
-        node = _parse_node(obj["value"])
-        if not isinstance(node, TreeNode):
-            raise ParseError("embedded tree must be a tree node")
-        return TreeTensor(node)
+        return _parse_root(obj["value"], "embedded tree")
     if kind == "seq":
         return [_parse_outer_obj(x) for x in obj["items"]]
     if kind == "map":
@@ -263,11 +263,7 @@ def _parse_outer_obj(obj):
 
 
 def parse_outer(text: str):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno) from exc
-    return _parse_outer_obj(obj)
+    return _parse_outer_obj(_loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +277,13 @@ def serialize_padded_group(g: PaddedGroup) -> str:
         "lengths": _node_obj(g.lengths.root),
         "fill": g.fill,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _dumps(doc)
 
 
 def parse_padded_group(text: str) -> PaddedGroup:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno) from exc
+    obj = _loads(text)
     if not isinstance(obj, dict) or obj.get("__padded_group__") is not True:
         raise ParseError("not a padded-group document")
-    stacked = _parse_node(obj["stacked"])
-    lengths = _parse_node(obj["lengths"])
-    if not isinstance(stacked, TreeNode) or not isinstance(lengths, TreeNode):
-        raise ParseError("padded-group trees must be tree nodes")
-    return PaddedGroup(TreeTensor(stacked), TreeTensor(lengths), obj["fill"])
+    stacked = _parse_root(obj["stacked"], "padded-group stacked tree")
+    lengths = _parse_root(obj["lengths"], "padded-group lengths tree")
+    return PaddedGroup(stacked, lengths, obj["fill"])

@@ -10,6 +10,7 @@ a mismatch policy (strict / inner / outer / left).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from . import leaf as _lf
@@ -17,6 +18,7 @@ from .constraints import first_violation
 from .errors import (
     ArityMismatch,
     ConstraintViolation,
+    DtypeUnsupported,
     EmptyInput,
     InvalidChunk,
     LeafOpError,
@@ -26,7 +28,7 @@ from .errors import (
     TensorTreeError,
 )
 from .leaf import TensorLeaf
-from .node import Node, Path, TreeNode, ValueNode, flatten, leaf_path, unflatten
+from .node import Node, Path, TreeNode, flatten, leaf_path, unflatten
 from .tree import TreeTensor
 
 POLICIES = ("strict", "inner", "outer", "left")
@@ -57,11 +59,6 @@ def merge_keys(children_maps: Sequence, policy: MismatchPolicy) -> list[str]:
     """Resolve the output key set of tree-node arguments under a policy."""
     if not children_maps:
         raise EmptyInput("merge_keys of zero tree nodes")
-    if policy.kind == "strict":
-        # fast path: dict key views compare as sets in C
-        first = children_maps[0].keys()
-        if all(m.keys() == first for m in children_maps[1:]):
-            return list(first)
     key_sets = [set(m.keys()) for m in children_maps]
     if policy.kind == "strict":
         union = set().union(*key_sets)
@@ -88,13 +85,7 @@ def _apply_nodes(
     value node into every branch of a subtree it faces."""
     tree_nodes = [n for n in nodes if isinstance(n, TreeNode)]
     if not tree_nodes:
-        payloads = [n.leaf for n in nodes]
-        try:
-            return fn(payloads)
-        except LeafOpError:
-            raise
-        except TensorTreeError as exc:
-            raise LeafOpError(path, exc) from exc
+        return _leafwise(fn, [[n.leaf] for n in nodes], lambda _i: path)[0]
     try:
         keys = merge_keys([t._children for t in tree_nodes], policy)
     except StrictKeyMismatch as exc:
@@ -121,17 +112,30 @@ def _apply_nodes(
     return TreeNode._from_validated(children)
 
 
-def _leafwise(fn, columns: Sequence[list], root: Node) -> list:
-    """fn over each column of aligned leaf lists, in flatten order. A
-    TensorTreeError becomes a LeafOpError at the failing leaf's path in
-    `root`, which is looked up only then."""
+def _leafwise(fn, columns: Sequence[list], path_of: Callable[[int], Path]) -> list:
+    """fn over each column of aligned leaf lists. A TensorTreeError, or a
+    payload that is not a tensor, becomes a LeafOpError at `path_of(i)` for
+    the failing column i, which is looked up only then."""
     out = []
     try:
         for column in zip(*columns):
             out.append(fn(column))
     except TensorTreeError as exc:
-        raise LeafOpError(leaf_path(root, len(out)), exc) from exc
+        raise LeafOpError(path_of(len(out)), exc) from exc
+    except AttributeError:
+        _check_tensors(path_of(len(out)), column)
+        raise
     return out
+
+
+def _check_tensors(path: Path, payloads) -> None:
+    """Raise LeafOpError at `path` if a payload is not a TensorLeaf (a
+    StructuredLeaf from a ragged or nested subside). Leaf ops call it only
+    once they have failed, so trees of tensor leaves pay nothing."""
+    for p in payloads:
+        if not isinstance(p, TensorLeaf):
+            cause = DtypeUnsupported(f"{type(p).__name__} payload is not a tensor")
+            raise LeafOpError(path, cause)
 
 
 def _lift(nodes: Sequence[Node], policy: MismatchPolicy, fn, batch=None) -> Node:
@@ -148,7 +152,7 @@ def _lift(nodes: Sequence[Node], policy: MismatchPolicy, fn, batch=None) -> Node
             lists = [ls for _, ls in flat]
             out = batch(lists) if batch else None
             if out is None:
-                out = _leafwise(fn, lists, nodes[0])
+                out = _leafwise(fn, lists, partial(leaf_path, nodes[0]))
             return unflatten(structure, out)
     return _apply_nodes(nodes, policy, fn)
 
@@ -162,20 +166,21 @@ def _as_node(arg) -> Node:
 
 
 def lift_unary(fn_id: str) -> Callable[[TreeTensor], TreeTensor]:
-    """Lift a registered unary leaf function to trees."""
-    _lf.fn_arity(fn_id)  # fail fast on unknown ids
+    """Lift a registered unary leaf function to trees: `lift_multi(fn_id)`
+    plus an optional constraint carry."""
+    apply = lift_multi(fn_id)
 
     def lifted(tree: TreeTensor, *, carry_constraints: bool = False) -> TreeTensor:
         """With carry_constraints, the result keeps the input's constraints
         and is validated in full; a violation raises ConstraintViolation."""
-        root = _lift([_as_node(tree)], STRICT, lambda ls: _lf.ew_unary(fn_id, ls[0]))
+        out = apply(tree)
         if not (carry_constraints and isinstance(tree, TreeTensor)):
-            return TreeTensor(root)
-        bad = first_violation(root, tree.constraints)
+            return out
+        bad = first_violation(out.root, tree.constraints)
         if bad:
             raise ConstraintViolation(*bad)
         # strict lifting keeps the structure, so the trie still fits the root
-        return TreeTensor._make(root, tree.constraints)
+        return TreeTensor._make(out.root, tree.constraints)
 
     return lifted
 
@@ -191,17 +196,21 @@ def lift_multi(fn_id: str, policy: MismatchPolicy = STRICT) -> Callable[..., Tre
         if not any(isinstance(a, (TreeTensor, TreeNode)) for a in args):
             raise ArityMismatch("at least one argument must be a tree")
         nodes = [_as_node(a) for a in args]
-        if arity == 1:
-            root = _lift(nodes, policy, lambda ls: _lf.ew_unary(fn_id, ls[0]))
-        else:
-            root = _lift(nodes, policy, lambda ls: _lf.ew_nary(fn_id, ls))
-        return TreeTensor(root)
+        return TreeTensor(_lift(nodes, policy, lambda ls: _lf.ew_nary(fn_id, ls)))
 
     return lifted
 
 
 # ---------------------------------------------------------------------------
 # structural lifted ops
+
+
+def _joined(trees: Sequence[TreeTensor], axis: int, what: str, fn, batch=None) -> TreeTensor:
+    if not trees:
+        raise EmptyInput(f"{what} of zero trees")
+    if not 0 <= axis:
+        raise ShapeMismatchLeaf(f"negative {what} axis {axis}")
+    return TreeTensor(_lift([_as_node(t) for t in trees], STRICT, fn, batch))
 
 
 def lifted_stack(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
@@ -213,15 +222,8 @@ def lifted_stack(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
     buffer per dtype (`leaf.stack_axis0`), so a single surviving leaf keeps
     its dtype's whole buffer alive; `leaf.copy()` or `deep_copy` detaches it.
     """
-    if not trees:
-        raise EmptyInput("stack of zero trees")
-    if not 0 <= axis:
-        raise ShapeMismatchLeaf(f"negative stack axis {axis}")
-    nodes = [_as_node(t) for t in trees]
-    return TreeTensor(_lift(
-        nodes, STRICT, lambda ls: _lf.stack(ls, axis),
-        _lf.stack_axis0 if axis == 0 else None,
-    ))
+    batch = _lf.stack_axis0 if axis == 0 else None
+    return _joined(trees, axis, "stack", lambda ls: _lf.stack(ls, axis), batch)
 
 
 def lifted_cat(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
@@ -230,12 +232,7 @@ def lifted_cat(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
     its leaves. Each output leaf is its own copy: one buffer per dtype, as
     lifted_stack does, costs more than it saves below about 1 MB a leaf.
     """
-    if not trees:
-        raise EmptyInput("cat of zero trees")
-    if not 0 <= axis:
-        raise ShapeMismatchLeaf(f"negative cat axis {axis}")
-    nodes = [_as_node(t) for t in trees]
-    return TreeTensor(_lift(nodes, STRICT, lambda ls: _lf.cat(ls, axis)))
+    return _joined(trees, axis, "cat", lambda ls: _lf.cat(ls, axis))
 
 
 def lifted_split(tree: TreeTensor, chunk: int, axis: int = 0) -> list[TreeTensor]:
@@ -247,11 +244,12 @@ def lifted_split(tree: TreeTensor, chunk: int, axis: int = 0) -> list[TreeTensor
         raise InvalidChunk(f"chunk must be >= 1, got {chunk}")
     node = _as_node(tree)
     structure, leaves = flatten(node)
-    pieces = _leafwise(lambda ls: _lf.split(ls[0], chunk, axis), [leaves], node)
+    path_of = partial(leaf_path, node)
+    pieces = _leafwise(lambda ls: _lf.split(ls[0], chunk, axis), [leaves], path_of)
     counts = [len(p) for p in pieces]
     for i, n in enumerate(counts):
         if n != counts[0]:
-            raise LeafOpError(leaf_path(node, i), TensorTreeError(
+            raise LeafOpError(path_of(i), TensorTreeError(
                 f"split gives {n} pieces here but {counts[0]} at the first leaf"
             ))
     return [TreeTensor(unflatten(structure, column)) for column in zip(*pieces)]
@@ -260,9 +258,17 @@ def lifted_split(tree: TreeTensor, chunk: int, axis: int = 0) -> list[TreeTensor
 def lifted_shape(tree: TreeTensor):
     """Tree of shape descriptors as a nested plain dict."""
     node = _as_node(tree)
-    if isinstance(node, ValueNode):
-        return list(node.leaf.shape)
-    return {k: lifted_shape(c) for k, c in node.children.items()}
+    structure, leaves = flatten(node)
+    shapes = _leafwise(lambda ls: list(ls[0].shape), [leaves], partial(leaf_path, node))
+    return _as_dict(structure, iter(shapes))
+
+
+def _as_dict(structure, items):
+    """The nested plain dicts of a structure key, the next of `items` at
+    each value position."""
+    if structure is None:
+        return next(items)
+    return {k: _as_dict(s, items) for k, s in structure}
 
 
 def lifted_surface() -> dict:
@@ -272,17 +278,12 @@ def lifted_surface() -> dict:
     are the lifted callables themselves.
     """
     surface: dict[str, dict] = {}
-    for fn_id in _lf.UNARY_FN_IDS:
+    for fn_id in _lf.UNARY_FN_IDS + _lf.BINARY_FN_IDS + _lf.NARY_FN_IDS:
+        arity = _lf.fn_arity(fn_id)
         surface[fn_id] = {
-            "kind": "unary",
-            "arity": 1,
-            "make": (lambda f: lambda policy=STRICT: lift_multi(f, policy))(fn_id),
-        }
-    for fn_id in _lf.BINARY_FN_IDS + _lf.NARY_FN_IDS:
-        surface[fn_id] = {
-            "kind": "elementwise",
-            "arity": _lf.fn_arity(fn_id),
-            "make": (lambda f: lambda policy=STRICT: lift_multi(f, policy))(fn_id),
+            "kind": "unary" if arity == 1 else "elementwise",
+            "arity": arity,
+            "make": partial(lift_multi, fn_id),
         }
     surface["stack"] = {"kind": "structural", "fn": lifted_stack}
     surface["cat"] = {"kind": "structural", "fn": lifted_cat}

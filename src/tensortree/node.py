@@ -188,12 +188,6 @@ def iter_leaves(node: Node, prefix: Path = ()) -> Iterator[tuple[Path, object]]:
             yield from iter_leaves(child, prefix + (k,))
 
 
-def count_leaves(node: Node) -> int:
-    if isinstance(node, ValueNode):
-        return 1
-    return sum(count_leaves(c) for c in node.children.values())
-
-
 def get_node(node: Node, path: Path) -> Node | None:
     """Follow a path; None if it does not exist."""
     cur = node

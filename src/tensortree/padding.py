@@ -19,6 +19,7 @@ from .errors import (
     TailShapeMismatch,
 )
 from .leaf import TensorLeaf, _new_leaf
+from .lift import _check_tensors
 from .node import flatten, leaf_path, unflatten
 from .tree import TreeTensor
 
@@ -45,34 +46,38 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     if any(s != structure for s, _ in flat[1:]):
         raise StructureMismatch("group_pad needs structurally equal trees")
     stacked, lengths = [], []
-    for i, parts in enumerate(zip(*(leaves for _, leaves in flat))):
-        f0 = parts[0]
-        if f0._array.ndim == 0:
-            raise TailShapeMismatch(
-                leaf_path(trees[0].root, i), "leaves must have a length dimension"
-            )
-        tail, tag, dtype = f0._array.shape[1:], f0._dtype, f0._array.dtype
-        arrays, sizes = [], []
-        for p in parts:
-            a = p._array
-            if not a.shape or a.shape[1:] != tail or p._dtype != tag:
-                raise TailShapeMismatch(leaf_path(trees[0].root, i))
-            arrays.append(a)
-            sizes.append(a.shape[0])
-        shape = (len(parts), max(sizes)) + tail
-        if min(sizes) == shape[1]:
-            out = np.empty(shape, dtype)  # nothing to pad: every cell is copied below
-        elif dtype.kind == "i" and not -(2**63) <= fill < 2**63:
-            # numpy would write INT64_MIN (NaN, infinities) or raise a bare error
-            raise LeafOpError(leaf_path(trees[0].root, i), DtypeUnsupported(
-                f"fill {fill!r} does not fit an i64 leaf"
-            ))
-        else:
-            out = np.full(shape, fill, dtype)
-        for row, n, a in zip(out, sizes, arrays):
-            row[:n] = a
-        stacked.append(_new_leaf(TensorLeaf, out, f0._device))
-        lengths.append(_new_leaf(TensorLeaf, np.asarray(sizes, dtype=np.int64), "cpu"))
+    try:
+        for i, parts in enumerate(zip(*(leaves for _, leaves in flat))):
+            f0 = parts[0]
+            if f0._array.ndim == 0:
+                raise TailShapeMismatch(
+                    leaf_path(trees[0].root, i), "leaves must have a length dimension"
+                )
+            tail, tag, dtype = f0._array.shape[1:], f0._dtype, f0._array.dtype
+            arrays, sizes = [], []
+            for p in parts:
+                a = p._array
+                if not a.shape or a.shape[1:] != tail or p._dtype != tag:
+                    raise TailShapeMismatch(leaf_path(trees[0].root, i))
+                arrays.append(a)
+                sizes.append(a.shape[0])
+            shape = (len(parts), max(sizes)) + tail
+            if min(sizes) == shape[1]:
+                out = np.empty(shape, dtype)  # nothing to pad: every cell is copied below
+            elif dtype.kind == "i" and not -(2**63) <= fill < 2**63:
+                # numpy would write INT64_MIN (NaN, infinities) or raise a bare error
+                raise LeafOpError(leaf_path(trees[0].root, i), DtypeUnsupported(
+                    f"fill {fill!r} does not fit an i64 leaf"
+                ))
+            else:
+                out = np.full(shape, fill, dtype)
+            for row, n, a in zip(out, sizes, arrays):
+                row[:n] = a
+            stacked.append(_new_leaf(TensorLeaf, out, f0._device))
+            lengths.append(_new_leaf(TensorLeaf, np.asarray(sizes, dtype=np.int64), "cpu"))
+    except AttributeError:
+        _check_tensors(leaf_path(trees[0].root, i), parts)
+        raise
     return PaddedGroup(
         TreeTensor(unflatten(structure, stacked)), TreeTensor(unflatten(structure, lengths)), fill
     )

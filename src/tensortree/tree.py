@@ -91,51 +91,41 @@ def build_tree(pairs: Mapping) -> TreeTensor:
     return TreeTensor(root)
 
 
-def _str_path(path: str) -> TypeError:
-    return TypeError(
-        f"path {path!r} is a str, not a sequence of keys; "
-        "split an 'a/b' string with path_from_string"
-    )
+def _as_path(path: Iterable[str]) -> Path:
+    if isinstance(path, str):
+        raise TypeError(
+            f"path {path!r} is a str, not a sequence of keys; "
+            "split an 'a/b' string with path_from_string"
+        )
+    return tuple(path)
 
 
 def get(tree: TreeTensor, path: Iterable[str]) -> Node:
     """Return the node at path (shared with the tree, not copied)."""
-    if isinstance(path, str):
-        raise _str_path(path)
-    cur: Node = tree.root
-    try:
-        for key in path:
-            cur = cur._children[key]
-    except (AttributeError, KeyError):
-        raise PathNotFound(tuple(path)) from None
-    return cur
+    path = _as_path(path)
+    node = get_node(tree.root, path)
+    if node is None:
+        raise PathNotFound(path)
+    return node
 
 
-def _set_node(node: TreeNode, path: Path, value: Node) -> TreeNode:
-    key, rest = path[0], path[1:]
-    children = dict(node.children)
-    if rest:
+def _replace(node: TreeNode, path: Path, value: Node | None, i: int = 0) -> TreeNode:
+    """Copy of `node` with `path[i:]` set to `value`, or removed when `value`
+    is None, copying only the nodes on the path. PathNotFound names the
+    whole path for a removal; for a set, the parent's path, or for a
+    value-node parent its key and the target key."""
+    key = path[i]
+    children = dict(node._children)
+    if i + 1 < len(path):
         child = children.get(key)
         if not isinstance(child, TreeNode):
-            raise PathNotFound(path)
-        children[key] = _set_node(child, rest, value)
-    else:
+            valued = child is not None and i + 2 == len(path)
+            raise PathNotFound(path if value is None else path[i:] if valued else path[:-1])
+        children[key] = _replace(child, path, value, i + 1)
+    elif value is not None:
         children[key] = value
-    return TreeNode(children)
-
-
-def _remove_node(node: TreeNode, path: Path) -> TreeNode:
-    key, rest = path[0], path[1:]
-    children = dict(node.children)
-    if key not in children:
+    elif children.pop(key, None) is None:
         raise PathNotFound(path)
-    if rest:
-        child = children[key]
-        if not isinstance(child, TreeNode):
-            raise PathNotFound(path)
-        children[key] = _remove_node(child, rest)
-    else:
-        del children[key]
     return TreeNode(children)
 
 
@@ -158,30 +148,23 @@ def _edited(tree: TreeTensor, new_root: TreeNode, path: Path, new: Node | None) 
 
 def set(tree: TreeTensor, path: Iterable[str], value) -> TreeTensor:
     """Persistent set; validates what the write can break and fails atomically."""
-    if isinstance(path, str):
-        raise _str_path(path)
-    path = tuple(path)
+    path = _as_path(path)
     node = _coerce(value)
     if not path:
         if not isinstance(node, TreeNode):
             raise PathNotFound(path, "cannot replace the root with a value node")
         new_root = node
     else:
-        # parent must exist
-        get(tree, path[:-1])
-        new_root = _set_node(tree.root, path, node)
+        new_root = _replace(tree.root, path, node)
     return _edited(tree, new_root, path, node)
 
 
 def remove(tree: TreeTensor, path: Iterable[str]) -> TreeTensor:
     """Persistent removal of the node at path."""
-    if isinstance(path, str):
-        raise _str_path(path)
-    path = tuple(path)
+    path = _as_path(path)
     if not path:
         raise PathNotFound(path, "cannot remove the root")
-    get(tree, path)
-    return _edited(tree, _remove_node(tree.root, path), path, None)
+    return _edited(tree, _replace(tree.root, path, None), path, None)
 
 
 def structure_equal(a, b) -> bool:

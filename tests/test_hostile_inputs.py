@@ -48,6 +48,8 @@ def leaf_document(shape, dtype, data):
         ([1], "bool", [1]),
         ([1], "f64", ["x"]),  # once a bare ValueError
         ([2], "f64", "ab"),  # data must be a list
+        ([-1], "f64", []),  # once ShapeDataMismatch, CLI exit 1
+        ([2, -1], "i64", []),
     ],
 )
 def test_malformed_leaf_data_is_a_parse_error(shape, dtype, data):
@@ -64,7 +66,8 @@ def test_well_formed_leaves_still_parse():
 
 
 @pytest.mark.parametrize(
-    "shape, dtype, data", [(["a"], "f64", [1.0]), ([1.7], "f64", [1.0]), ([1], "i64", [1.5])]
+    "shape, dtype, data",
+    [(["a"], "f64", [1.0]), ([1.7], "f64", [1.0]), ([1], "i64", [1.5]), ([-1], "f64", [])],
 )
 def test_cli_exits_2_on_a_malformed_leaf(tmp_path, shape, dtype, data):
     f = tmp_path / "bad.ttj"
@@ -74,3 +77,29 @@ def test_cli_exits_2_on_a_malformed_leaf(tmp_path, shape, dtype, data):
     )
     assert r.returncode == 2
     assert "Traceback" not in r.stderr and "parse error" in r.stderr
+
+
+def device_document(device):
+    return json.dumps({"a": {"__leaf__": True, "shape": [1], "dtype": "f64", "data": [1.0],
+                             "device": device}})
+
+
+@pytest.mark.parametrize("device", [[1], None, 3], ids=["list", "null", "int"])
+def test_a_device_that_is_not_a_string_is_a_parse_error(tmp_path, device):
+    # a list once parsed, and then made hashing the leaf raise TypeError
+    text = device_document(device)
+    with pytest.raises(ParseError):
+        tt.parse_tree(text)
+    f = tmp_path / "bad.ttj"
+    f.write_text(text)
+    r = subprocess.run(
+        [sys.executable, "-m", "tensortree.cli", "show", str(f)], capture_output=True, text=True
+    )
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr and "parse error" in r.stderr
+
+
+def test_a_string_device_still_parses_and_hashes():
+    t = tt.parse_tree(device_document("gpu0"))
+    assert t.root.get("a").device == "gpu0"
+    hash(t.root)
