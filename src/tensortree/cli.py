@@ -74,8 +74,8 @@ def cmd_apply(args) -> int:
         raise ParseError(f"{args.fn} takes exactly one input file")
     elif args.fn == "split":
         pieces = entry["fn"](trees[0], args.chunk, axis=args.axis)
-        docs = [json.loads(_io.serialize_tree(p)) for p in pieces]
-        print(json.dumps(docs, sort_keys=True, separators=(",", ":")))
+        # canonical documents joined by "," are the canonical list of them
+        print(f"[{','.join(_io.serialize_tree(p) for p in pieces)}]")
     else:  # shape
         print(json.dumps(entry["fn"](trees[0]), sort_keys=True, separators=(",", ":")))
     return 0
