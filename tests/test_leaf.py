@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -91,6 +92,24 @@ BINARY_IDS = tt.leaf.BINARY_FN_IDS
 NARY_IDS = tt.leaf.NARY_FN_IDS
 
 
+# 0-d, zero-size and ordinary shapes; every elementwise id meets each
+SHAPES = ((), (0,), (3,), (2, 0), (2, 3))
+
+
+def shape_patterns(arity, shape):
+    """Argument shapes an elementwise call accepts: all `shape`, all 0-d,
+    and each position alone 0-d or alone `shape` among 0-d scalars."""
+    yield (shape,) * arity
+    yield ((),) * arity
+    for i in range(arity):
+        yield tuple(() if j == i else shape for j in range(arity))
+        yield tuple(shape if j == i else () for j in range(arity))
+
+
+def nonzero(leaf):
+    return tt.make_leaf(leaf.shape, leaf.dtype, [v or 1 for v in leaf.data])
+
+
 @pytest.mark.parametrize("fn_id", UNARY_IDS)
 def test_ew_unary_matches_oracle(fn_id):
     rng = random.Random(101)
@@ -99,6 +118,11 @@ def test_ew_unary_matches_oracle(fn_id):
         got = tt.ew_unary(fn_id, l)
         want = oracle_unary(fn_id, l)
         assert leaves_close(got, want), (fn_id, l.dtype, l.shape)
+    for dtype in LEAF_DTYPES:
+        for shape in SHAPES:
+            l = rand_leaf(rng, dtype=dtype, shape=shape)
+            for got in (tt.ew_unary(fn_id, l), tt.ew_nary(fn_id, [l])):
+                assert leaves_close(got, oracle_unary(fn_id, l)), (fn_id, dtype, shape)
 
 
 def test_unary_promotes_i64_for_transcendentals():
@@ -106,12 +130,27 @@ def test_unary_promotes_i64_for_transcendentals():
     for fn_id in TRANSCENDENTAL:
         assert tt.ew_unary(fn_id, l).dtype == "f64"
     assert tt.ew_unary("neg", l).dtype == "i64"
+    rng = random.Random(104)
+    for fn_id in TRANSCENDENTAL:
+        for shape in SHAPES:
+            l = rand_leaf(rng, dtype="i64", shape=shape)
+            got = tt.ew_unary(fn_id, l)
+            assert got.dtype == "f64" and got.shape == shape
+            assert leaves_close(got, oracle_unary(fn_id, l)), (fn_id, shape)
+    for fn_id in sorted(set(UNARY_IDS) - set(TRANSCENDENTAL)):
+        assert tt.ew_unary(fn_id, l).dtype == "i64"
 
 
 def test_unary_rejects_bool():
     l = tt.make_leaf((2,), "bool", [True, False])
     with pytest.raises(DtypeUnsupported):
         tt.ew_unary("neg", l)
+    for fn_id in UNARY_IDS:
+        for shape in SHAPES:
+            b = rand_leaf(random.Random(105), dtype="bool", shape=shape)
+            for call in (lambda: tt.ew_unary(fn_id, b), lambda: tt.ew_nary(fn_id, [b])):
+                with pytest.raises(DtypeUnsupported):
+                    call()
 
 
 def test_unknown_function():
@@ -119,6 +158,25 @@ def test_unknown_function():
         tt.ew_unary("tanhish", tt.scalar(1.0))
     with pytest.raises(UnknownFunction):
         tt.ew_binary("mod", tt.scalar(1.0), tt.scalar(2.0))
+    x = tt.scalar(1.0)
+    with pytest.raises(UnknownFunction):
+        tt.ew_nary("tanhish", [x])
+    for fn_id in BINARY_IDS + NARY_IDS:
+        with pytest.raises(UnknownFunction):
+            tt.ew_unary(fn_id, x)
+    for fn_id in UNARY_IDS + NARY_IDS:
+        with pytest.raises(UnknownFunction):
+            tt.ew_binary(fn_id, x, x)
+    # a known id with the wrong number of arguments, bool ones included
+    b = tt.scalar(True, "bool")
+    for fn_id in UNARY_IDS + BINARY_IDS + NARY_IDS:
+        arity = tt.leaf.fn_arity(fn_id)
+        for n in {0, 1, 2, 3, 4} - {arity}:
+            for arg in (x, b):
+                with pytest.raises(UnknownFunction):
+                    tt.ew_nary(fn_id, [arg] * n)
+    with pytest.raises(UnknownFunction):
+        tt.leaf.fn_arity("tanhish")
 
 
 @pytest.mark.parametrize("fn_id", BINARY_IDS)
@@ -135,6 +193,17 @@ def test_ew_binary_matches_oracle(fn_id):
         got = tt.ew_binary(fn_id, a, b)
         want = oracle_binary(fn_id, a, b)
         assert leaves_close(got, want), (fn_id, da, db)
+    # every dtype pair, with a 0-d scalar on either side, 0-d and zero-size
+    for da, db in itertools.product(LEAF_DTYPES, repeat=2):
+        for shape in SHAPES:
+            for sa, sb in shape_patterns(2, shape):
+                a = rand_leaf(rng, dtype=da, shape=sa)
+                b = rand_leaf(rng, dtype=db, shape=sb)
+                if fn_id == "div":
+                    b = nonzero(b)
+                want = oracle_binary(fn_id, a, b)
+                for got in (tt.ew_binary(fn_id, a, b), tt.ew_nary(fn_id, [a, b])):
+                    assert leaves_close(got, want), (fn_id, da, db, sa, sb)
 
 
 def test_binary_promotion_table():
@@ -169,6 +238,28 @@ def test_binary_shape_mismatch():
         tt.ew_binary("add", a, b)
 
 
+# shape pairs that differ and neither of which is 0-d; numpy would
+# broadcast several of them, the leaf kernel does not
+MISMATCHED = (((2,), (3,)), ((2,), (0,)), ((1,), (3,)), ((3,), (1, 3)), ((2, 3), (3,)))
+
+
+def test_shape_mismatch_for_every_id_and_dtype():
+    rng = random.Random(206)
+    for fn_id in BINARY_IDS + NARY_IDS:
+        arity = tt.leaf.fn_arity(fn_id)
+        for s1, s2 in MISMATCHED:
+            for odd in range(arity):
+                # bool too: the shape rule is checked before the dtype rule
+                for dtypes in itertools.product(LEAF_DTYPES + ("bool",), repeat=arity):
+                    args = [rand_leaf(rng, dtype=d, shape=s2 if j == odd else s1)
+                            for j, d in enumerate(dtypes)]
+                    with pytest.raises(ShapeMismatchLeaf):
+                        tt.ew_nary(fn_id, args)
+                    if arity == 2:
+                        with pytest.raises(ShapeMismatchLeaf):
+                            tt.ew_binary(fn_id, *args)
+
+
 def test_scalar_broadcast_both_sides():
     a = tt.make_leaf((3,), "f64", [1, 2, 3])
     s = tt.scalar(10.0)
@@ -187,6 +278,14 @@ def test_ew_nary_matches_oracle(fn_id):
         got = tt.ew_nary(fn_id, args)
         want = oracle_nary(fn_id, args)
         assert leaves_close(got, want)
+    # every dtype combination, with a 0-d scalar in each position, 0-d and
+    # zero-size
+    for dtypes in itertools.product(LEAF_DTYPES, repeat=arity):
+        for shape in SHAPES:
+            for shapes in shape_patterns(arity, shape):
+                args = [rand_leaf(rng, dtype=d, shape=s) for d, s in zip(dtypes, shapes)]
+                got = tt.ew_nary(fn_id, args)
+                assert leaves_close(got, oracle_nary(fn_id, args)), (fn_id, dtypes, shapes)
 
 
 def test_mulsub_example():
@@ -305,3 +404,20 @@ def test_arithmetic_rejects_bool_leaves_of_one_dtype():
             tt.ew_binary(fn_id, b, b)
     with pytest.raises(DtypeUnsupported):
         tt.ew_nary("mulsub", [b, b, b])
+
+
+def test_arithmetic_rejects_bool_in_every_position():
+    rng = random.Random(404)
+    for fn_id in BINARY_IDS + NARY_IDS:
+        arity = tt.leaf.fn_arity(fn_id)
+        for shape in SHAPES:
+            for shapes in shape_patterns(arity, shape):
+                for pos in range(arity):
+                    for other in LEAF_DTYPES + ("bool",):
+                        args = [rand_leaf(rng, dtype="bool" if j == pos else other, shape=s)
+                                for j, s in enumerate(shapes)]
+                        with pytest.raises(DtypeUnsupported):
+                            tt.ew_nary(fn_id, args)
+                        if arity == 2:
+                            with pytest.raises(DtypeUnsupported):
+                                tt.ew_binary(fn_id, *args)
