@@ -1,7 +1,7 @@
 """Source hygiene of the package, checked with the standard library only:
 no module imports a name it never uses (the re-exports of `__init__.py`
-excepted), and every top-level private function or class is referenced
-somewhere in the package."""
+excepted), and every top-level private function, class or module-level
+assignment is referenced somewhere in the package."""
 
 import ast
 import pathlib
@@ -65,16 +65,31 @@ def _references(node):
     return out
 
 
+def _bound_names(node):
+    """Names a top-level statement binds: a def or class name, or the
+    plain-name targets of a module-level assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_every_private_top_level_def_is_referenced():
-    """A reference from inside the def itself (recursion) does not count."""
+    """Private defs, classes and module-level assignments (`_NAME = ...`).
+    A reference from inside the statement itself (recursion) does not count."""
     statements = [(name, node) for name, tree in MODULES.items() for node in tree.body]
     refs = [(node, _references(node)) for _, node in statements]
     dead = [
-        f"{name}:{node.lineno} {node.name}"
+        f"{name}:{node.lineno} {bound}"
         for name, node in statements
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and not any(node.name in names for other, names in refs if other is not node)
+        for bound in _bound_names(node)
+        if bound.startswith("_")
+        and not bound.startswith("__")
+        and not any(bound in names for other, names in refs if other is not node)
     ]
     assert not dead, dead
