@@ -164,116 +164,90 @@ def from_array(arr: np.ndarray, device: str = "cpu") -> TensorLeaf:
 
 
 # ---------------------------------------------------------------------------
-# elementwise function registry
+# elementwise function registry and kernel
 
-_UNARY = {
-    "neg": np.negative,
-    "exp": np.exp,
-    "pow2": lambda x: np.exp2(x),
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-    "abs": np.abs,
-    "square": np.square,
-}
 
-# functions whose result is not closed over the integers
-_TRANSCENDENTAL = frozenset({"exp", "pow2", "sigmoid"})
+def _div(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Floor division on i64 (a zero divisor raises), IEEE division on floats."""
+    if x.dtype.kind == "i":
+        if np.any(y == 0):
+            raise DivisionByZero("integer division by zero")
+        return x // y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x / y
 
-_BINARY = ("add", "sub", "mul", "div")
 
-# extra n-ary elementwise functions usable through the lifted layer
-_NARY = {
+# fn_id -> (arity, numpy function); the unary ids come first, sorted
+_FNS = {
+    "abs": (1, np.abs),
+    "exp": (1, np.exp),
+    "neg": (1, np.negative),
+    "pow2": (1, np.exp2),
+    "sigmoid": (1, lambda x: 1.0 / (1.0 + np.exp(-x))),
+    "square": (1, np.square),
+    "add": (2, np.add),
+    "sub": (2, np.subtract),
+    "mul": (2, np.multiply),
+    "div": (2, _div),
     "mulsub": (3, lambda x, y, z: x * y - z),  # h(x, y, z) = x*y - z
 }
 
-UNARY_FN_IDS = tuple(sorted(_UNARY))
-BINARY_FN_IDS = _BINARY
-NARY_FN_IDS = tuple(sorted(_NARY))
+UNARY_FN_IDS = tuple(f for f, (n, _) in _FNS.items() if n == 1)
+BINARY_FN_IDS = tuple(f for f, (n, _) in _FNS.items() if n == 2)
+NARY_FN_IDS = tuple(f for f, (n, _) in _FNS.items() if n > 2)
 
 
 def fn_arity(fn_id: str) -> int:
-    if fn_id in _UNARY:
-        return 1
-    if fn_id in _BINARY:
-        return 2
-    if fn_id in _NARY:
-        return _NARY[fn_id][0]
-    raise UnknownFunction(f"unknown function {fn_id!r}")
+    try:
+        return _FNS[fn_id][0]
+    except KeyError:
+        raise UnknownFunction(f"unknown function {fn_id!r}") from None
+
+
+def ew_nary(fn_id: str, leaves: Sequence[TensorLeaf]) -> TensorLeaf:
+    """Apply a registered function element-wise to aligned leaves.
+
+    Shapes must be equal or 0-d (a 0-d leaf broadcasts); bool leaves raise
+    DtypeUnsupported; mixed dtypes promote to the widest float among them.
+    An i64 leaf gives f64 under exp, pow2 and sigmoid: numpy's own loops for
+    them take float64.
+    """
+    arity, fn = _FNS.get(fn_id, (None, None))
+    if arity != len(leaves):  # fn_arity raises first for an unknown id
+        raise UnknownFunction(f"{fn_id} takes {fn_arity(fn_id)} arguments, got {len(leaves)}")
+    dtype = leaves[0]._dtype
+    mixed = dtype == "bool"
+    if arity == 1:  # the shape rule holds trivially; skipping its loop pays
+        arrays = [leaves[0]._array]
+    else:
+        shape, arrays = (), []
+        for l in leaves:
+            a = l._array
+            s = a.shape
+            if s and s != shape:  # a 0-d leaf broadcasts
+                if shape:
+                    raise ShapeMismatchLeaf(f"shapes {shape} and {s} are incompatible")
+                shape = s
+            if l._dtype != dtype:
+                mixed = True
+            arrays.append(a)
+    if mixed:  # the uncommon case: one dtype is the traffic
+        dtypes = {l._dtype for l in leaves}
+        if "bool" in dtypes:
+            raise DtypeUnsupported(f"{fn_id} is unsupported on bool leaves")
+        np_dt = np.float64 if "f64" in dtypes else np.float32
+        arrays = [a.astype(np_dt, copy=False) for a in arrays]
+    return _new_leaf(TensorLeaf, np.asarray(fn(*arrays)), leaves[0]._device)
 
 
 def ew_unary(fn_id: str, t: TensorLeaf) -> TensorLeaf:
     """Apply a registered unary function element-wise."""
-    if fn_id not in _UNARY:
-        raise UnknownFunction(f"unknown unary function {fn_id!r}")
-    if t._dtype == "bool":
-        raise DtypeUnsupported(f"{fn_id} unsupported on bool leaves")
-    arr = t._array
-    if t._dtype == "i64" and fn_id in _TRANSCENDENTAL:
-        arr = arr.astype(np.float64)
-    out = _UNARY[fn_id](arr)
-    return _new_leaf(TensorLeaf, np.asarray(out), t._device)
-
-
-def _promote(da: str, db: str) -> str:
-    if "bool" in (da, db):
-        raise DtypeUnsupported("arithmetic on bool leaves is unsupported")
-    if da == db:
-        return da
-    floats = [d for d in (da, db) if d in ("f32", "f64")]
-    if not floats:
-        raise DtypeUnsupported(f"cannot mix dtypes {da} and {db}")
-    return "f64" if "f64" in floats else "f32"
+    return ew_nary(fn_id, (t,))
 
 
 def ew_binary(fn_id: str, a: TensorLeaf, b: TensorLeaf) -> TensorLeaf:
     """Elementwise binary op; shapes must be equal or one operand scalar."""
-    if fn_id not in _BINARY:
-        raise UnknownFunction(f"unknown binary function {fn_id!r}")
-    x, y = a._array, b._array
-    if x.shape != y.shape and x.shape != () and y.shape != ():
-        raise ShapeMismatchLeaf(f"shapes {x.shape} and {y.shape} are incompatible")
-    dtype = a._dtype
-    if dtype != b._dtype or dtype == "bool":
-        dtype = _promote(dtype, b._dtype)
-        np_dt = _NP_DTYPE[dtype]
-        x, y = x.astype(np_dt, copy=False), y.astype(np_dt, copy=False)
-    if fn_id == "add":
-        out = x + y
-    elif fn_id == "sub":
-        out = x - y
-    elif fn_id == "mul":
-        out = x * y
-    else:  # div
-        if dtype == "i64":
-            if np.any(y == 0):
-                raise DivisionByZero("integer division by zero")
-            out = x // y
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = x / y
-    return _new_leaf(TensorLeaf, np.asarray(out), a._device)
-
-
-def ew_nary(fn_id: str, leaves: Sequence[TensorLeaf]) -> TensorLeaf:
-    """Apply a registered function of any arity to aligned leaves."""
-    n = len(leaves)
-    arity = fn_arity(fn_id)
-    if arity != n:
-        raise UnknownFunction(f"{fn_id} takes {arity} arguments, got {n}")
-    if n == 1:
-        return ew_unary(fn_id, leaves[0])
-    if n == 2 and fn_id in _BINARY:
-        return ew_binary(fn_id, leaves[0], leaves[1])
-    arrs = [l._array for l in leaves]
-    shapes = {a.shape for a in arrs if a.shape != ()}
-    if len(shapes) > 1:
-        raise ShapeMismatchLeaf(f"shapes {sorted(shapes)} are incompatible")
-    dtype = leaves[0]._dtype
-    if dtype == "bool" or any(l._dtype != dtype for l in leaves):
-        for l in leaves[1:]:
-            dtype = _promote(dtype, l._dtype)
-        np_dt = _NP_DTYPE[dtype]
-        arrs = [a.astype(np_dt, copy=False) for a in arrs]
-    return _new_leaf(TensorLeaf, np.asarray(_NARY[fn_id][1](*arrs)), leaves[0]._device)
+    return ew_nary(fn_id, (a, b))
 
 
 # ---------------------------------------------------------------------------

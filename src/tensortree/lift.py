@@ -278,8 +278,7 @@ def lifted_surface() -> dict:
     are the lifted callables themselves.
     """
     surface: dict[str, dict] = {}
-    for fn_id in _lf.UNARY_FN_IDS + _lf.BINARY_FN_IDS + _lf.NARY_FN_IDS:
-        arity = _lf.fn_arity(fn_id)
+    for fn_id, (arity, _) in _lf._FNS.items():
         surface[fn_id] = {
             "kind": "unary" if arity == 1 else "elementwise",
             "arity": arity,

@@ -49,16 +49,13 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     try:
         for i, parts in enumerate(zip(*(leaves for _, leaves in flat))):
             f0 = parts[0]
-            if f0._array.ndim == 0:
-                raise TailShapeMismatch(
-                    leaf_path(trees[0].root, i), "leaves must have a length dimension"
-                )
             tail, tag, dtype = f0._array.shape[1:], f0._dtype, f0._array.dtype
             arrays, sizes = [], []
             for p in parts:
                 a = p._array
                 if not a.shape or a.shape[1:] != tail or p._dtype != tag:
-                    raise TailShapeMismatch(leaf_path(trees[0].root, i))
+                    why = None if a.shape else "leaves must have a length dimension"
+                    raise TailShapeMismatch(leaf_path(trees[0].root, i), why)
                 arrays.append(a)
                 sizes.append(a.shape[0])
             shape = (len(parts), max(sizes)) + tail
@@ -94,7 +91,13 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
     lengths_structure, lengths = flatten(g.lengths.root)
     if lengths_structure != structure:
         raise StructureMismatch("stacked and lengths trees differ in structure")
-    arrays = [leaf._array for leaf in stacked]
+    try:
+        arrays = [leaf._array for leaf in stacked]
+        counts = [(l._dtype, l._array) for l in lengths]
+    except AttributeError:
+        for i, pair in enumerate(zip(stacked, lengths)):
+            _check_tensors(leaf_path(g.stacked.root, i), pair)
+        raise
     for i, a in enumerate(arrays):
         if a.ndim < 2:
             raise CorruptLengths(
@@ -106,13 +109,13 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
         raise CorruptLengths(f"inconsistent batch sizes {sorted(ks)}")
     k = ks.pop() if ks else 0
     columns = []
-    for i, (a, leaf, l) in enumerate(zip(arrays, stacked, lengths)):
-        if l._dtype != "i64" or l._array.shape != (k,):
+    for i, (a, leaf, (tag, lens)) in enumerate(zip(arrays, stacked, counts)):
+        if tag != "i64" or lens.shape != (k,):
             raise CorruptLengths(
                 f"lengths at {'/'.join(leaf_path(g.lengths.root, i))} must be an i64 vector "
                 f"of {k} entries"
             )
-        n = l._array.tolist()
+        n = lens.tolist()
         if k and (min(n) < 0 or max(n) > a.shape[1]):
             raise CorruptLengths(
                 f"lengths at {'/'.join(leaf_path(g.lengths.root, i))} must lie in "

@@ -112,15 +112,13 @@ def get(tree: TreeTensor, path: Iterable[str]) -> Node:
 def _replace(node: TreeNode, path: Path, value: Node | None, i: int = 0) -> TreeNode:
     """Copy of `node` with `path[i:]` set to `value`, or removed when `value`
     is None, copying only the nodes on the path. PathNotFound names the
-    whole path for a removal; for a set, the parent's path, or for a
-    value-node parent its key and the target key."""
+    whole path for a removal and the parent's path for a set."""
     key = path[i]
     children = dict(node._children)
     if i + 1 < len(path):
         child = children.get(key)
         if not isinstance(child, TreeNode):
-            valued = child is not None and i + 2 == len(path)
-            raise PathNotFound(path if value is None else path[i:] if valued else path[:-1])
+            raise PathNotFound(path if value is None else path[:-1])
         children[key] = _replace(child, path, value, i + 1)
     elif value is not None:
         children[key] = value

@@ -85,6 +85,16 @@ def test_pad_errors():
         tt.group_pad([a, d], fill=0.0)
 
 
+def test_pad_rejects_a_0d_leaf_in_any_tree():
+    a = tt.build_tree({"s": np.arange(2.0), "t": np.arange(3.0)})
+    for bad in ({"s": np.arange(2.0), "t": np.array(1.0)}, {"s": np.array(1.0), "t": np.arange(3.0)}):
+        where = next(k for k, v in bad.items() if v.ndim == 0)
+        for trees in ([a, tt.build_tree(bad)], [tt.build_tree(bad), a], [a, a, tt.build_tree(bad)]):
+            with pytest.raises(TailShapeMismatch, match="length dimension") as info:
+                tt.group_pad(trees, fill=0.0)
+            assert info.value.path == (where,)
+
+
 def test_unpad_rejects_corrupt_lengths():
     a = tt.build_tree({"s": np.arange(2.0)})
     b = tt.build_tree({"s": np.arange(4.0)})

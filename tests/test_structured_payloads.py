@@ -43,6 +43,8 @@ OPS = {
     "mulsub": lambda t, u: tt.lift_multi("mulsub")(t, u, u),
     "shape": lambda t, u: tt.lifted_shape(t),
     "group_pad": lambda t, u: tt.group_pad([t, u], 0.0),
+    # the structured payload sits in the stacked tree, or in the lengths tree
+    "unpad": lambda t, u: tt.unpad(tt.PaddedGroup(t, u, 0.0)),
 }
 
 

@@ -303,8 +303,8 @@ def bad_writes(root):
             out.append(("remove", path + ("zz",), path + ("zz",)))
             out.append(("remove", path + ("zz", "y"), path + ("zz", "y")))
         else:
-            # a value-node parent; set reports its key and the target key
-            out.append(("set", path + ("y",), path[-1:] + ("y",)))
+            # a value-node parent; set reports the parent's path
+            out.append(("set", path + ("y",), path))
             out.append(("set", path + ("y", "w"), path + ("y",)))
             out.append(("remove", path + ("y",), path + ("y",)))
     return out
