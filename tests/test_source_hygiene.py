@@ -76,7 +76,8 @@ def _bound_names(node):
         targets = [node.target]
     else:
         return []
-    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
 
 
 def test_every_private_top_level_def_is_referenced():
