@@ -21,8 +21,8 @@ from .errors import (
     TensorTreeError,
 )
 from .leaf import TensorLeaf, _new_leaf, stack_axis0
-from .node import Node, Path, TreeNode, ValueNode, flatten, iter_leaves, unflatten
-from .tree import TreeTensor, structure_equal
+from .node import Path, treedef
+from .tree import TreeTensor, leaves, structure_equal
 
 
 class StackedLeaf(TensorLeaf):
@@ -86,44 +86,54 @@ def nested_map(x, f, leaf_type):
 # mask / filter / reduce
 
 
-def _filter_node(node: Node, pred, path: Path) -> Node | None:
-    if isinstance(node, ValueNode):
-        return node if pred(path, node.leaf) else None
-    had_children = len(node) > 0
-    kept = {}
-    for k, child in node.children.items():
-        out = _filter_node(child, pred, path + (k,))
-        if out is not None:
-            kept[k] = out
-    if had_children and not kept:
-        return None
-    return TreeNode(kept)
-
-
 def filter(tree: TreeTensor, predicate: Callable[[Path, TensorLeaf], bool]) -> TreeTensor:
     """Keep leaves where predicate(path, leaf) holds; prune the subtrees
     that removal empties (a subtree empty to begin with stays)."""
-    out = _filter_node(tree.root, predicate, ())
-    return TreeTensor(out if out is not None else TreeNode({}))
+    td, payloads = tree._flat()
+    return _keep(td, payloads, [predicate(p, leaf) for p, leaf in zip(td.paths, payloads)])
+
+
+def _keep(td, payloads: list, keep: list) -> TreeTensor:
+    if all(keep):
+        return TreeTensor._of(td, payloads)
+    kept = [leaf for leaf, k in zip(payloads, keep) if k]
+    return TreeTensor._of(treedef(_kept(td.key, iter(keep)) or (), len(kept)), kept)
+
+
+def _kept(key: tuple, keep) -> tuple | None:
+    """The structure key without the leaves whose next `keep` flag is false,
+    or None if that empties a subtree that had children."""
+    items = []
+    for k, s in key:
+        if s is None:
+            if next(keep):
+                items.append((k, None))
+        else:
+            sub = _kept(s, keep)
+            if sub is not None:
+                items.append((k, sub))
+    if key and not items:
+        return None
+    return tuple(items)
 
 
 def mask(tree: TreeTensor, sel: TreeTensor) -> TreeTensor:
     """Keep leaves whose scalar-bool selector is true; pruning as in filter."""
     if not structure_equal(tree, sel):
         raise StructureMismatch("mask selector structure differs from tree")
-    flags = dict(iter_leaves(sel.root))
-    for path, flag in flags.items():
+    td, flags = sel._flat()
+    for i, flag in enumerate(flags):
         if not isinstance(flag, TensorLeaf) or flag.dtype != "bool" or flag.shape != ():
             raise NonBooleanMask(
-                f"mask leaf at {'/'.join(path) or '<root>'} must be a scalar bool"
+                f"mask leaf at {'/'.join(td.paths[i]) or '<root>'} must be a scalar bool"
             )
-    return filter(tree, lambda path, _leaf: flags[path].item())
+    return _keep(*tree._flat(), [flag.item() for flag in flags])
 
 
 def reduce(tree: TreeTensor, binop: Callable, init):
     """Fold over leaves in canonical depth-first key order."""
     acc = init
-    for path, leaf in iter_leaves(tree.root):
+    for path, leaf in leaves(tree):
         try:
             acc = binop(acc, leaf)
         except TensorTreeError as exc:
@@ -149,18 +159,18 @@ def subside(outer) -> TreeTensor:
         raise NoEmbeddedTree("no tree inside the outer structure")
     if isinstance(outer, TreeTensor):
         return outer
-    flat = [flatten(t.root) for t in trees]
-    structure = flat[0][0]
-    if any(s != structure for s, _ in flat[1:]):
+    flat = [t._flat() for t in trees]
+    td = flat[0][0]
+    if any(other != td for other, _ in flat[1:]):
         raise StructureMismatch("embedded trees differ in structure")
-    lists = [leaves for _, leaves in flat]
+    lists = [payloads for _, payloads in flat]
     is_flat_seq = isinstance(outer, (list, tuple)) and all(
         isinstance(x, TreeTensor) for x in outer
     )
     if is_flat_seq:
         sunk = stack_axis0(lists, StackedLeaf)
         if sunk is not None:
-            return TreeTensor(unflatten(structure, sunk))
+            return TreeTensor._of(td, sunk)
     sunk = []
     for parts in zip(*lists):
         # a flat list with a ragged column still stacks every column that aligns
@@ -171,7 +181,7 @@ def subside(outer) -> TreeTensor:
             # nested_map visits the trees in the order it collected them
             column = iter(parts)
             sunk.append(StructuredLeaf(nested_map(outer, lambda _t: next(column), TreeTensor)))
-    return TreeTensor(unflatten(structure, sunk))
+    return TreeTensor._of(td, sunk)
 
 
 def _skeleton(leaf):
@@ -207,19 +217,19 @@ def rise(tree: TreeTensor):
 
     The component leaves are copies of the input; the k rows of one
     StackedLeaf share one read-only buffer."""
-    structure, leaves = flatten(tree.root)
-    if not leaves:
+    td, payloads = tree._flat()
+    if not payloads:
         return tree
-    skels = [_skeleton(l) for l in leaves]
+    skels = [_skeleton(l) for l in payloads]
     if any(s != skels[0] for s in skels[1:]):
         raise InconsistentInnerStructure("leaf inner structures disagree")
     spec = skels[0]
     if spec == "leaf":
         return tree
-    return _rise_build(structure, [_payload(l) for l in leaves], spec, ())
+    return _rise_build(td, [_payload(l) for l in payloads], spec, ())
 
 
-def _rise_build(structure, payloads: list, s, sigma):
+def _rise_build(td, payloads: list, s, sigma):
     """The outer structure of skeleton `s` below position `sigma`.
 
     A module-level function rather than a recursive closure: a closure that
@@ -227,7 +237,7 @@ def _rise_build(structure, payloads: list, s, sigma):
     until the next full garbage collection.
     """
     if s == "leaf":
-        return TreeTensor(unflatten(structure, [_component(p, sigma) for p in payloads]))
+        return TreeTensor._of(td, [_component(p, sigma) for p in payloads])
     if isinstance(s, list):
-        return [_rise_build(structure, payloads, sub, sigma + (i,)) for i, sub in enumerate(s)]
-    return {k: _rise_build(structure, payloads, sub, sigma + (k,)) for k, sub in s.items()}
+        return [_rise_build(td, payloads, sub, sigma + (i,)) for i, sub in enumerate(s)]
+    return {k: _rise_build(td, payloads, sub, sigma + (k,)) for k, sub in s.items()}

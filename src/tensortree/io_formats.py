@@ -114,9 +114,12 @@ def serialize_tree(tree: TreeTensor) -> str:
     return _dumps(doc)
 
 
-# the exact JSON type every element of a leaf's data must have; float
-# leaves take whatever numpy converts
-_DATA_TYPE = {"i64": int, "bool": bool}
+# the exact JSON types an element of a leaf's data may have: type(True) is
+# bool, so a bool is never an int or a float here
+_DATA_TYPES = {
+    "f32": frozenset((int, float)), "f64": frozenset((int, float)),
+    "i64": frozenset((int,)), "bool": frozenset((bool,)),
+}
 
 
 def _parse_leaf(obj: dict) -> TensorLeaf:
@@ -131,9 +134,10 @@ def _parse_leaf(obj: dict) -> TensorLeaf:
         raise ParseError(f"leaf shape must be a list of non-negative integers, got {shape!r}")
     if not isinstance(data, list):
         raise ParseError(f"leaf data must be a list, got {type(data).__name__}")
-    want = _DATA_TYPE.get(dtype)
-    if want and any(type(v) is not want for v in data):
-        raise ParseError(f"{dtype} leaf data must hold only {want.__name__} values")
+    types = _DATA_TYPES[dtype]
+    if not types.issuperset(map(type, data)):
+        names = " or ".join(sorted(t.__name__ for t in types))
+        raise ParseError(f"{dtype} leaf data must hold only {names} values")
     device = obj.get("device", "cpu")
     if not isinstance(device, str):
         raise ParseError(f"leaf device must be a string, got {device!r}")

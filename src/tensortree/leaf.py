@@ -110,10 +110,14 @@ class TensorLeaf(ValueNode):
         return hash((self._array.shape, self._dtype, self._device, arr.tobytes()))
 
     def __repr__(self):
-        return f"TensorLeaf(shape={list(self.shape)}, dtype={self.dtype}, data={self.data})"
+        flat = self._array.reshape(-1)
+        data = ", ".join(map(repr, flat[:_REPR_ELEMENTS].tolist()))
+        more = ", …" if flat.size > _REPR_ELEMENTS else ""
+        return f"TensorLeaf(shape={list(self.shape)}, dtype={self.dtype}, data=[{data}{more}])"
 
 
 _object_new = object.__new__
+_REPR_ELEMENTS = 6
 
 
 def _new_leaf(cls, array: np.ndarray, device: str) -> TensorLeaf:

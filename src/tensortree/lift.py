@@ -1,10 +1,11 @@
 """Function lifting: turn leaf-level operations into tree-level ones.
 
 A lifted function preserves structure and applies the underlying leaf
-function at each leaf position. Strict arguments with the same structure
-key (`node.flatten`) take one fast path: a pass over their leaf lists.
-Key-set disagreements between tree arguments are resolved node by node by
-a mismatch policy (strict / inner / outer / left).
+function at each leaf position. Strict tree arguments of one structure
+(equal `TreeDef`s) take one path: a pass over their leaf lists, whose
+result keeps that treedef, with no node built. Key-set disagreements
+between tree arguments, and raw leaves broadcast against trees, are
+resolved node by node by a mismatch policy (strict / inner / outer / left).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     TensorTreeError,
 )
 from .leaf import TensorLeaf
-from .node import Node, Path, TreeNode, flatten, leaf_path, unflatten
+from .node import Node, Path, TreeDef, TreeNode, flatten, treedef
 from .tree import TreeTensor
 
 POLICIES = ("strict", "inner", "outer", "left")
@@ -138,23 +139,32 @@ def _check_tensors(path: Path, payloads) -> None:
             raise LeafOpError(path, cause)
 
 
-def _lift(nodes: Sequence[Node], policy: MismatchPolicy, fn, batch=None) -> Node:
-    """The strict fast path when every argument has the same structure key:
-    fn runs over the leaf columns and the result takes that structure.
-    `batch`, if given, is tried first on the leaf lists: it returns every
-    output leaf at once, or None to leave the columns to fn. Other policies,
-    and strict arguments whose structures differ (a missing key, or a value
-    node facing a subtree), go through _apply_nodes."""
-    if policy.kind == "strict":
-        flat = [flatten(n) for n in nodes]
-        structure = flat[0][0]
-        if all(s == structure for s, _ in flat[1:]):
+def _lift(args: Sequence, policy: MismatchPolicy, fn, batch=None) -> TreeTensor:
+    """The strict path when every argument is a tree and all share one
+    structure: fn runs over the leaf columns and the result takes that
+    structure. `batch`, if given, is tried first on the leaf lists: it
+    returns every output leaf at once, or None to leave the columns to fn.
+    Other policies, raw leaves, and strict trees whose structures differ (a
+    missing key, or a value node facing a subtree), go through _apply_nodes."""
+    if policy.kind == "strict" and all(isinstance(a, (TreeTensor, TreeNode)) for a in args):
+        flat = [_flat(a) for a in args]
+        td = flat[0][0]
+        if all(other == td for other, _ in flat[1:]):
             lists = [ls for _, ls in flat]
             out = batch(lists) if batch else None
             if out is None:
-                out = _leafwise(fn, lists, partial(leaf_path, nodes[0]))
-            return unflatten(structure, out)
-    return _apply_nodes(nodes, policy, fn)
+                out = _leafwise(fn, lists, lambda i: td.paths[i])
+            return TreeTensor._of(td, out)
+    return TreeTensor(_apply_nodes([_as_node(a) for a in args], policy, fn))
+
+
+def _flat(arg) -> tuple[TreeDef, list]:
+    if isinstance(arg, TreeTensor):
+        return arg._flat()
+    if isinstance(arg, TreeNode):
+        key, leaves = flatten(arg)
+        return treedef(key, len(leaves)), leaves
+    raise TypeError(f"cannot lift over a {type(arg).__name__}")
 
 
 def _as_node(arg) -> Node:
@@ -180,7 +190,7 @@ def lift_unary(fn_id: str) -> Callable[[TreeTensor], TreeTensor]:
         if bad:
             raise ConstraintViolation(*bad)
         # strict lifting keeps the structure, so the trie still fits the root
-        return TreeTensor._make(out.root, tree.constraints)
+        return TreeTensor._of(*out._flat(), tree.constraints)
 
     return lifted
 
@@ -195,8 +205,7 @@ def lift_multi(fn_id: str, policy: MismatchPolicy = STRICT) -> Callable[..., Tre
             raise ArityMismatch(f"{fn_id} takes {arity} arguments, got {len(args)}")
         if not any(isinstance(a, (TreeTensor, TreeNode)) for a in args):
             raise ArityMismatch("at least one argument must be a tree")
-        nodes = [_as_node(a) for a in args]
-        return TreeTensor(_lift(nodes, policy, lambda ls: _lf.ew_nary(fn_id, ls)))
+        return _lift(args, policy, lambda ls: _lf.ew_nary(fn_id, ls))
 
     return lifted
 
@@ -210,7 +219,7 @@ def _joined(trees: Sequence[TreeTensor], axis: int, what: str, fn, batch=None) -
         raise EmptyInput(f"{what} of zero trees")
     if not 0 <= axis:
         raise ShapeMismatchLeaf(f"negative {what} axis {axis}")
-    return TreeTensor(_lift([_as_node(t) for t in trees], STRICT, fn, batch))
+    return _lift(trees, STRICT, fn, batch)
 
 
 def lifted_stack(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
@@ -242,9 +251,8 @@ def lifted_split(tree: TreeTensor, chunk: int, axis: int = 0) -> list[TreeTensor
     leaves, not copies."""
     if chunk < 1:
         raise InvalidChunk(f"chunk must be >= 1, got {chunk}")
-    node = _as_node(tree)
-    structure, leaves = flatten(node)
-    path_of = partial(leaf_path, node)
+    td, leaves = _flat(tree)
+    path_of = lambda i: td.paths[i]  # noqa: E731
     pieces = _leafwise(lambda ls: _lf.split(ls[0], chunk, axis), [leaves], path_of)
     counts = [len(p) for p in pieces]
     for i, n in enumerate(counts):
@@ -252,15 +260,14 @@ def lifted_split(tree: TreeTensor, chunk: int, axis: int = 0) -> list[TreeTensor
             raise LeafOpError(path_of(i), TensorTreeError(
                 f"split gives {n} pieces here but {counts[0]} at the first leaf"
             ))
-    return [TreeTensor(unflatten(structure, column)) for column in zip(*pieces)]
+    return [TreeTensor._of(td, list(column)) for column in zip(*pieces)]
 
 
 def lifted_shape(tree: TreeTensor):
     """Tree of shape descriptors as a nested plain dict."""
-    node = _as_node(tree)
-    structure, leaves = flatten(node)
-    shapes = _leafwise(lambda ls: list(ls[0].shape), [leaves], partial(leaf_path, node))
-    return _as_dict(structure, iter(shapes))
+    td, leaves = _flat(tree)
+    shapes = _leafwise(lambda ls: list(ls[0].shape), [leaves], lambda i: td.paths[i])
+    return _as_dict(td.key, iter(shapes))
 
 
 def _as_dict(structure, items):

@@ -12,14 +12,15 @@ iterate in ascending lexicographic key order.
 
 `flatten` splits a node into a structure key and its leaf payloads, and
 `unflatten` inverts it. The key is a hashable nested tuple, so two nodes
-have the same structure exactly when their keys compare equal; every
-same-structure zip, map or unzip in the package is flatten, one `==`, a
-pass over the leaf lists, and unflatten. `leaf_path` maps a position in
-the leaf list back to its path, for error messages.
+have the same structure exactly when their keys compare equal. A `TreeDef`
+wraps a key with its leaf count and, once asked for, its leaf paths; it is
+the structure half of a TreeTensor's flat form (a treedef and a leaf list),
+on which every same-structure zip, map or unzip in the package runs.
 """
 
 from __future__ import annotations
 
+import weakref
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -173,10 +174,59 @@ def _unflatten(structure: tuple, leaves: Iterator) -> TreeNode:
     return TreeNode._from_validated(children)
 
 
-def leaf_path(node: Node, i: int) -> Path:
-    """The path of the i-th leaf in flatten order; a walk, so callers look
-    it up only to report an error there."""
-    return list(iter_leaves(node))[i][0]
+class TreeDef:
+    """The structure of a node: its `flatten` key, its leaf count and, built
+    on first use and then kept, its leaf paths in flatten order and the
+    position of each. Two structures are equal when they are one object or
+    their keys compare equal; `treedef` interns them, so usually the first."""
+
+    __slots__ = ("key", "count", "_paths", "_index", "__weakref__")
+
+    def __init__(self, key: tuple, count: int):
+        self.key, self.count = key, count
+        self._paths = self._index = None
+
+    def __eq__(self, other):
+        if not isinstance(other, TreeDef):
+            return NotImplemented
+        return self is other or self.key == other.key
+
+    @property
+    def paths(self) -> tuple[Path, ...]:
+        if self._paths is None:
+            paths: list = []
+            _paths_into(self.key, (), paths)
+            self._paths = tuple(paths)
+        return self._paths
+
+    @property
+    def index(self) -> dict[Path, int]:
+        """Leaf path -> position in the leaf list."""
+        if self._index is None:
+            self._index = {p: i for i, p in enumerate(self.paths)}
+        return self._index
+
+
+def _paths_into(key: tuple, prefix: Path, out: list) -> None:
+    for k, s in key:
+        if s is None:
+            out.append(prefix + (k,))
+        else:
+            _paths_into(s, prefix + (k,), out)
+
+
+# weak, so a structure lives only as long as a tree of it does
+_TREEDEFS: "weakref.WeakValueDictionary[tuple, TreeDef]" = weakref.WeakValueDictionary()
+
+
+def treedef(key: tuple, count: int) -> TreeDef:
+    """The interned TreeDef of a tree node's structure key with `count` leaves.
+    Two threads may intern one key twice; equality then falls back to the
+    keys, which costs a comparison and nothing else."""
+    td = _TREEDEFS.get(key)
+    if td is None:
+        _TREEDEFS[key] = td = TreeDef(key, count)
+    return td
 
 
 def iter_leaves(node: Node, prefix: Path = ()) -> Iterator[tuple[Path, object]]:

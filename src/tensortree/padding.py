@@ -20,7 +20,6 @@ from .errors import (
 )
 from .leaf import TensorLeaf, _new_leaf
 from .lift import _check_tensors
-from .node import flatten, leaf_path, unflatten
 from .tree import TreeTensor
 
 
@@ -41,9 +40,9 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     """
     if not trees:
         raise EmptyInput("group_pad of zero trees")
-    flat = [flatten(t.root) for t in trees]
-    structure = flat[0][0]
-    if any(s != structure for s, _ in flat[1:]):
+    flat = [t._flat() for t in trees]
+    td = flat[0][0]
+    if any(other != td for other, _ in flat[1:]):
         raise StructureMismatch("group_pad needs structurally equal trees")
     stacked, lengths = [], []
     try:
@@ -55,7 +54,7 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
                 a = p._array
                 if not a.shape or a.shape[1:] != tail or p._dtype != tag:
                     why = None if a.shape else "leaves must have a length dimension"
-                    raise TailShapeMismatch(leaf_path(trees[0].root, i), why)
+                    raise TailShapeMismatch(td.paths[i], why)
                 arrays.append(a)
                 sizes.append(a.shape[0])
             shape = (len(parts), max(sizes)) + tail
@@ -63,7 +62,7 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
                 out = np.empty(shape, dtype)  # nothing to pad: every cell is copied below
             elif dtype.kind == "i" and not -(2**63) <= fill < 2**63:
                 # numpy would write INT64_MIN (NaN, infinities) or raise a bare error
-                raise LeafOpError(leaf_path(trees[0].root, i), DtypeUnsupported(
+                raise LeafOpError(td.paths[i], DtypeUnsupported(
                     f"fill {fill!r} does not fit an i64 leaf"
                 ))
             else:
@@ -73,11 +72,9 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
             stacked.append(_new_leaf(TensorLeaf, out, f0._device))
             lengths.append(_new_leaf(TensorLeaf, np.asarray(sizes, dtype=np.int64), "cpu"))
     except AttributeError:
-        _check_tensors(leaf_path(trees[0].root, i), parts)
+        _check_tensors(td.paths[i], parts)
         raise
-    return PaddedGroup(
-        TreeTensor(unflatten(structure, stacked)), TreeTensor(unflatten(structure, lengths)), fill
-    )
+    return PaddedGroup(TreeTensor._of(td, stacked), TreeTensor._of(td, lengths), fill)
 
 
 def unpad(g: PaddedGroup) -> list[TreeTensor]:
@@ -87,21 +84,21 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
     copy if a stacked leaf is not row-major), so one surviving leaf keeps
     its whole padded buffer alive; `leaf.copy()` or `deep_copy` detaches it.
     """
-    structure, stacked = flatten(g.stacked.root)
-    lengths_structure, lengths = flatten(g.lengths.root)
-    if lengths_structure != structure:
+    td, stacked = g.stacked._flat()
+    lengths_td, lengths = g.lengths._flat()
+    if lengths_td != td:
         raise StructureMismatch("stacked and lengths trees differ in structure")
     try:
         arrays = [leaf._array for leaf in stacked]
         counts = [(l._dtype, l._array) for l in lengths]
     except AttributeError:
         for i, pair in enumerate(zip(stacked, lengths)):
-            _check_tensors(leaf_path(g.stacked.root, i), pair)
+            _check_tensors(td.paths[i], pair)
         raise
     for i, a in enumerate(arrays):
         if a.ndim < 2:
             raise CorruptLengths(
-                f"stacked leaf at {'/'.join(leaf_path(g.stacked.root, i))} needs a batch "
+                f"stacked leaf at {'/'.join(td.paths[i])} needs a batch "
                 f"and a length dimension, got shape {list(a.shape)}"
             )
     ks = {a.shape[0] for a in arrays}
@@ -112,19 +109,17 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
     for i, (a, leaf, (tag, lens)) in enumerate(zip(arrays, stacked, counts)):
         if tag != "i64" or lens.shape != (k,):
             raise CorruptLengths(
-                f"lengths at {'/'.join(leaf_path(g.lengths.root, i))} must be an i64 vector "
+                f"lengths at {'/'.join(td.paths[i])} must be an i64 vector "
                 f"of {k} entries"
             )
         n = lens.tolist()
         if k and (min(n) < 0 or max(n) > a.shape[1]):
             raise CorruptLengths(
-                f"lengths at {'/'.join(leaf_path(g.lengths.root, i))} must lie in "
+                f"lengths at {'/'.join(td.paths[i])} must lie in "
                 f"[0, {a.shape[1]}], got {n}"
             )
         columns.append((np.ascontiguousarray(a), n, leaf._device))
     return [
-        TreeTensor(unflatten(structure, [
-            _new_leaf(TensorLeaf, a[j, : n[j]], device) for a, n, device in columns
-        ]))
+        TreeTensor._of(td, [_new_leaf(TensorLeaf, a[j, : n[j]], dev) for a, n, dev in columns])
         for j in range(k)
     ]

@@ -50,6 +50,10 @@ def leaf_document(shape, dtype, data):
         ([2], "f64", "ab"),  # data must be a list
         ([-1], "f64", []),  # once ShapeDataMismatch, CLI exit 1
         ([2, -1], "i64", []),
+        ([1], "f64", [None]),  # once read as NaN
+        ([1], "f32", ["1.5"]),  # once read as 1.5
+        ([1], "f64", [True]),  # once read as 1.0
+        ([2], "f64", [[1], [2]]),  # once reshaped to [2]
     ],
 )
 def test_malformed_leaf_data_is_a_parse_error(shape, dtype, data):
@@ -67,7 +71,10 @@ def test_well_formed_leaves_still_parse():
 
 @pytest.mark.parametrize(
     "shape, dtype, data",
-    [(["a"], "f64", [1.0]), ([1.7], "f64", [1.0]), ([1], "i64", [1.5]), ([-1], "f64", [])],
+    [
+        (["a"], "f64", [1.0]), ([1.7], "f64", [1.0]), ([1], "i64", [1.5]), ([-1], "f64", []),
+        ([1], "f64", [None]), ([1], "f32", ["1.5"]), ([1], "f64", [True]), ([2], "f64", [[1], [2]]),
+    ],
 )
 def test_cli_exits_2_on_a_malformed_leaf(tmp_path, shape, dtype, data):
     f = tmp_path / "bad.ttj"
