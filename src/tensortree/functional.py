@@ -97,7 +97,7 @@ def _keep(td, payloads: list, keep: list) -> TreeTensor:
     if all(keep):
         return TreeTensor._of(td, payloads)
     kept = [leaf for leaf, k in zip(payloads, keep) if k]
-    return TreeTensor._of(treedef(_kept(td.key, iter(keep)) or (), len(kept)), kept)
+    return TreeTensor._of(treedef(_kept(td.key, iter(keep)) or ()), kept)
 
 
 def _kept(key: tuple, keep) -> tuple | None:

@@ -28,9 +28,9 @@ from .errors import (
 )
 from .functional import StackedLeaf, StructuredLeaf, nested_map
 from .leaf import DTYPES, TensorLeaf, make_leaf
-from .node import Node, Path, TreeNode, ValueNode, path_from_string, path_to_string
+from .node import Path, ValueNode, as_dict, path_from_string, path_to_string
 from .padding import PaddedGroup
-from .tree import TreeTensor
+from .tree import TreeTensor, build_tree
 
 
 def _loads(text: str):
@@ -57,14 +57,15 @@ def _leaf_obj(leaf: TensorLeaf) -> dict:
     return obj
 
 
-def _node_obj(node: Node):
-    if isinstance(node, ValueNode):
-        leaf = node.leaf
-        if isinstance(leaf, StructuredLeaf):
-            payload = nested_map(leaf.payload, _leaf_obj, TensorLeaf)
-            return {"__structured__": True, "payload": payload}
-        return _leaf_obj(leaf)
-    return {k: _node_obj(c) for k, c in node.children.items()}
+def _payload_obj(leaf) -> dict:
+    if isinstance(leaf, StructuredLeaf):
+        return {"__structured__": True, "payload": nested_map(leaf.payload, _leaf_obj, TensorLeaf)}
+    return _leaf_obj(leaf)
+
+
+def _tree_obj(tree: TreeTensor) -> dict:
+    td, payloads = tree._flat()
+    return as_dict(td.key, map(_payload_obj, payloads))
 
 
 _ATOM_TO_OBJ = {
@@ -89,6 +90,8 @@ _ATOM_TO_OBJ = {
 def _constraint_entries(tree: TreeTensor) -> list:
     """The effective constraint of every node, in pre-order, derived by
     walking the data tree (so equal trees give equal entries)."""
+    if tree.constraints.is_trivial:
+        return []
     entries = []
     for path, _, c in _c.effective(tree.root, tree.constraints):
         by_flag: dict[bool, list] = {}
@@ -107,7 +110,7 @@ def _constraint_entries(tree: TreeTensor) -> list:
 
 def serialize_tree(tree: TreeTensor) -> str:
     """Canonical document for a tree, constraints included."""
-    doc = _node_obj(tree.root)
+    doc = _tree_obj(tree)
     placements = _constraint_entries(tree)
     if placements:
         doc["__constraints__"] = placements
@@ -161,20 +164,27 @@ def _parse_payload(obj):
 
 
 def _parse_root(obj, what: str) -> TreeTensor:
-    root = _parse_node(obj)
-    if not isinstance(root, TreeNode):
+    nested = _parse_obj(obj)
+    if not isinstance(nested, dict):
         raise ParseError(f"{what} must be a tree node")
-    return TreeTensor(root)
+    return build_tree(nested)
 
 
-def _parse_node(obj) -> Node:
+def _parse_obj(obj):
+    """The nested dicts of a tree document, a value node at each leaf."""
     if not isinstance(obj, dict):
         raise ParseError(f"expected an object, got {type(obj).__name__}")
     if obj.get("__leaf__") is True:
         return _parse_leaf(obj)  # a TensorLeaf is its own value node
     if obj.get("__structured__") is True:
-        return ValueNode(StructuredLeaf(_parse_payload(obj["payload"])))
-    return TreeNode({k: _parse_node(v) for k, v in obj.items()})
+        return ValueNode(StructuredLeaf(_parse_payload(_field(obj, "payload"))))
+    return {k: _parse_obj(v) for k, v in obj.items()}
+
+
+def _field(obj: dict, name: str):
+    if name not in obj:
+        raise ParseError(f"object missing {name!r}")
+    return obj[name]
 
 
 _ATOM_PARSERS = {
@@ -200,13 +210,16 @@ def _parse_placements(entries) -> dict[Path, _c.Constraint]:
     for entry in entries:
         if not isinstance(entry, dict) or "path" not in entry or "atoms" not in entry:
             raise ParseError(f"bad placement entry: {entry!r}")
-        raw_path = entry["path"]
+        raw_path, inh, atom_objs = entry["path"], entry.get("inherit", True), entry["atoms"]
         if not isinstance(raw_path, str):
             raise BadPath(f"placement path must be a string, got {raw_path!r}")
+        if type(inh) is not bool or not isinstance(atom_objs, list):
+            raise ParseError(f"placement inherit must be a bool and atoms a list: {entry!r}")
         path = path_from_string(raw_path)
-        inh = bool(entry.get("inherit", True))
         atoms = []
-        for aobj in entry["atoms"]:
+        for aobj in atom_objs:
+            if not isinstance(aobj, dict):
+                raise ParseError(f"bad atom {aobj!r}: not an object")
             kind = aobj.get("kind")
             if kind not in _ATOM_PARSERS:
                 raise UnknownAtomKind(f"unknown atom kind {kind!r}")
@@ -242,7 +255,7 @@ def parse_constraint_spec(text: str) -> dict[Path, _c.Constraint]:
 
 def _outer_obj(outer):
     if isinstance(outer, TreeTensor):
-        return {"kind": "tree", "value": _node_obj(outer.root)}
+        return {"kind": "tree", "value": _tree_obj(outer)}
     if isinstance(outer, (list, tuple)):
         return {"kind": "seq", "items": [_outer_obj(x) for x in outer]}
     return {"kind": "map", "entries": {k: _outer_obj(v) for k, v in outer.items()}}
@@ -258,11 +271,11 @@ def _parse_outer_obj(obj):
         raise ParseError(f"bad outer-structure element: {obj!r}")
     kind = obj["kind"]
     if kind == "tree":
-        return _parse_root(obj["value"], "embedded tree")
+        return _parse_root(_field(obj, "value"), "embedded tree")
     if kind == "seq":
-        return [_parse_outer_obj(x) for x in obj["items"]]
+        return [_parse_outer_obj(x) for x in _field(obj, "items")]
     if kind == "map":
-        return {k: _parse_outer_obj(v) for k, v in obj["entries"].items()}
+        return {k: _parse_outer_obj(v) for k, v in _field(obj, "entries").items()}
     raise ParseError(f"unknown outer kind {kind!r}")
 
 
@@ -277,8 +290,8 @@ def parse_outer(text: str):
 def serialize_padded_group(g: PaddedGroup) -> str:
     doc = {
         "__padded_group__": True,
-        "stacked": _node_obj(g.stacked.root),
-        "lengths": _node_obj(g.lengths.root),
+        "stacked": _tree_obj(g.stacked),
+        "lengths": _tree_obj(g.lengths),
         "fill": g.fill,
     }
     return _dumps(doc)
@@ -288,6 +301,6 @@ def parse_padded_group(text: str) -> PaddedGroup:
     obj = _loads(text)
     if not isinstance(obj, dict) or obj.get("__padded_group__") is not True:
         raise ParseError("not a padded-group document")
-    stacked = _parse_root(obj["stacked"], "padded-group stacked tree")
-    lengths = _parse_root(obj["lengths"], "padded-group lengths tree")
-    return PaddedGroup(stacked, lengths, obj["fill"])
+    stacked = _parse_root(_field(obj, "stacked"), "padded-group stacked tree")
+    lengths = _parse_root(_field(obj, "lengths"), "padded-group lengths tree")
+    return PaddedGroup(stacked, lengths, _field(obj, "fill"))

@@ -1,15 +1,17 @@
 """Function lifting: turn leaf-level operations into tree-level ones.
 
 A lifted function preserves structure and applies the underlying leaf
-function at each leaf position. Strict tree arguments of one structure
-(equal `TreeDef`s) take one path: a pass over their leaf lists, whose
-result keeps that treedef, with no node built. Key-set disagreements
-between tree arguments, and raw leaves broadcast against trees, are
-resolved node by node by a mismatch policy (strict / inner / outer / left).
+function at each leaf position. Tree arguments of one structure (equal
+`TreeDef`s) take one path: a pass over their leaf lists, whose result keeps
+that treedef. Key-set disagreements between tree arguments, and raw leaves
+broadcast against trees, are resolved by a mismatch policy (strict / inner
+/ outer / left) that merges the structure keys; each argument then gives a
+leaf column over the merged paths. Neither path builds a node.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -29,7 +31,7 @@ from .errors import (
     TensorTreeError,
 )
 from .leaf import TensorLeaf
-from .node import Node, Path, TreeDef, TreeNode, flatten, treedef
+from .node import Node, Path, TreeDef, TreeNode, as_dict, treedef
 from .tree import TreeTensor
 
 POLICIES = ("strict", "inner", "outer", "left")
@@ -61,56 +63,44 @@ def merge_keys(children_maps: Sequence, policy: MismatchPolicy) -> list[str]:
     if not children_maps:
         raise EmptyInput("merge_keys of zero tree nodes")
     key_sets = [set(m.keys()) for m in children_maps]
-    if policy.kind == "strict":
-        union = set().union(*key_sets)
-        inter = set.intersection(*key_sets)
-        if union != inter:
-            raise StrictKeyMismatch(union - inter)
-        keys = union
-    elif policy.kind == "inner":
-        keys = set.intersection(*key_sets)
-    elif policy.kind == "outer":
-        keys = set().union(*key_sets)
-    else:  # left
-        keys = key_sets[0]
-    return sorted(keys)
+    union, inter = set().union(*key_sets), set.intersection(*key_sets)
+    if policy.kind == "strict" and union != inter:
+        raise StrictKeyMismatch(union - inter)
+    return sorted({"inner": inter, "left": key_sets[0]}.get(policy.kind, union))
 
 
-def _apply_nodes(
-    nodes: Sequence[Node],
-    policy: MismatchPolicy,
-    fn: Callable[[Sequence[TensorLeaf]], TensorLeaf],
-    path: Path = (),
-) -> Node:
-    """The policy machinery: merges key sets node by node and broadcasts a
-    value node into every branch of a subtree it faces."""
-    tree_nodes = [n for n in nodes if isinstance(n, TreeNode)]
-    if not tree_nodes:
-        return _leafwise(fn, [[n.leaf] for n in nodes], lambda _i: path)[0]
+def _merge(keys: list, policy: MismatchPolicy, path: Path, mismatch: list):
+    """The structure key of the lifted result at `path`, given the keys of
+    the tree arguments there (None for a value node, which broadcasts, or
+    for a key missing under outer/left, which takes the default). A strict
+    key mismatch is appended to `mismatch` and leaves an empty subtree."""
+    trees = [k for k in keys if k is not None]
+    if not trees:
+        return None
+    if all(k == trees[0] for k in trees):
+        return trees[0]  # an equal subtree merges to itself
+    maps = [dict(k) for k in trees]
     try:
-        keys = merge_keys([t._children for t in tree_nodes], policy)
+        names = merge_keys(maps, policy)
     except StrictKeyMismatch as exc:
-        raise StrictKeyMismatch(exc.difference, path) from exc
-    flags = [isinstance(n, TreeNode) for n in nodes]
-    children = {}
-    for k in keys:
-        sub = []
-        for n, is_tree in zip(nodes, flags):
-            if is_tree:
-                child = n._children.get(k)
-                if child is None:
-                    if policy.default is None:
-                        raise MissingDefault(
-                            f"no child {k!r} at {'/'.join(path) or '<root>'} "
-                            "and the policy carries no default"
-                        )
-                    child = policy.default
-                sub.append(child)
-            else:
-                # value nodes and raw leaves broadcast into every branch
-                sub.append(n)
-        children[k] = _apply_nodes(sub, policy, fn, path + (k,))
-    return TreeNode._from_validated(children)
+        mismatch.append(StrictKeyMismatch(exc.difference, path))
+        return ()
+    return tuple((n, _merge([m.get(n) for m in maps], policy, path + (n,), mismatch)) for n in names)
+
+
+def _column(td: TreeDef | None, payloads, paths, default) -> list:
+    """An argument's leaf at each merged path: its own, else that of its
+    nearest value-node ancestor, else `default`. A raw leaf (td None)
+    broadcasts to every path."""
+    if td is None:
+        return [payloads] * len(paths)
+    index, out = td.index, []
+    for p in paths:
+        i, j = index.get(p), len(p) - 1
+        while i is None and j:
+            i, j = index.get(p[:j]), j - 1
+        out.append(default if i is None else payloads[i])
+    return out
 
 
 def _leafwise(fn, columns: Sequence[list], path_of: Callable[[int], Path]) -> list:
@@ -140,38 +130,38 @@ def _check_tensors(path: Path, payloads) -> None:
 
 
 def _lift(args: Sequence, policy: MismatchPolicy, fn, batch=None) -> TreeTensor:
-    """The strict path when every argument is a tree and all share one
-    structure: fn runs over the leaf columns and the result takes that
-    structure. `batch`, if given, is tried first on the leaf lists: it
-    returns every output leaf at once, or None to leave the columns to fn.
-    Other policies, raw leaves, and strict trees whose structures differ (a
-    missing key, or a value node facing a subtree), go through _apply_nodes."""
-    if policy.kind == "strict" and all(isinstance(a, (TreeTensor, TreeNode)) for a in args):
-        flat = [_flat(a) for a in args]
-        td = flat[0][0]
-        if all(other == td for other, _ in flat[1:]):
-            lists = [ls for _, ls in flat]
-            out = batch(lists) if batch else None
-            if out is None:
-                out = _leafwise(fn, lists, lambda i: td.paths[i])
-            return TreeTensor._of(td, out)
-    return TreeTensor(_apply_nodes([_as_node(a) for a in args], policy, fn))
+    """fn over the leaf columns of the arguments. Trees of one structure
+    give their leaf lists and the result takes that structure. Otherwise
+    the structures are merged under the policy and each argument gives a
+    column over the merged paths; a strict key mismatch is raised after
+    the leaf ops that precede it in key order. `batch`, if given, is tried
+    first on the columns: it returns every output leaf at once, or None to
+    leave them to fn."""
+    flat = [_flat(a) for a in args]
+    tds = [td for td, _ in flat if td is not None]
+    if not tds:
+        raise ArityMismatch("at least one argument must be a tree")
+    td, mismatch = tds[0], []
+    if not all(other == td for other in tds[1:]):
+        td = treedef(_merge([t.key for t in tds], policy, (), mismatch))
+    cut = bisect_left(td.paths, mismatch[0].path) if mismatch else None
+    columns = [ls if t == td else _column(t, ls, td.paths[:cut], policy.default) for t, ls in flat]
+    out = batch(columns) if batch and not mismatch else None
+    if out is None:
+        out = _leafwise(fn, columns, lambda i: td.paths[i])
+    if mismatch:
+        raise mismatch[0]
+    return TreeTensor._of(td, out)
 
 
-def _flat(arg) -> tuple[TreeDef, list]:
+def _flat(arg) -> tuple[TreeDef | None, list]:
+    """(treedef, leaves) of a tree; (None, payload) of a raw leaf."""
+    if isinstance(arg, TreeNode):
+        arg = TreeTensor(arg)
     if isinstance(arg, TreeTensor):
         return arg._flat()
-    if isinstance(arg, TreeNode):
-        key, leaves = flatten(arg)
-        return treedef(key, len(leaves)), leaves
-    raise TypeError(f"cannot lift over a {type(arg).__name__}")
-
-
-def _as_node(arg) -> Node:
-    if isinstance(arg, TreeTensor):
-        return arg.root
     if isinstance(arg, Node):
-        return arg  # a raw TensorLeaf is a value node already
+        return None, arg.leaf  # a raw TensorLeaf is its own value node
     raise TypeError(f"cannot lift over a {type(arg).__name__}")
 
 
@@ -203,8 +193,6 @@ def lift_multi(fn_id: str, policy: MismatchPolicy = STRICT) -> Callable[..., Tre
     def lifted(*args) -> TreeTensor:
         if len(args) != arity:
             raise ArityMismatch(f"{fn_id} takes {arity} arguments, got {len(args)}")
-        if not any(isinstance(a, (TreeTensor, TreeNode)) for a in args):
-            raise ArityMismatch("at least one argument must be a tree")
         return _lift(args, policy, lambda ls: _lf.ew_nary(fn_id, ls))
 
     return lifted
@@ -267,15 +255,7 @@ def lifted_shape(tree: TreeTensor):
     """Tree of shape descriptors as a nested plain dict."""
     td, leaves = _flat(tree)
     shapes = _leafwise(lambda ls: list(ls[0].shape), [leaves], lambda i: td.paths[i])
-    return _as_dict(td.key, iter(shapes))
-
-
-def _as_dict(structure, items):
-    """The nested plain dicts of a structure key, the next of `items` at
-    each value position."""
-    if structure is None:
-        return next(items)
-    return {k: _as_dict(s, items) for k, s in structure}
+    return as_dict(td.key, iter(shapes))
 
 
 def lifted_surface() -> dict:

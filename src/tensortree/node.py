@@ -13,9 +13,10 @@ iterate in ascending lexicographic key order.
 `flatten` splits a node into a structure key and its leaf payloads, and
 `unflatten` inverts it. The key is a hashable nested tuple, so two nodes
 have the same structure exactly when their keys compare equal. A `TreeDef`
-wraps a key with its leaf count and, once asked for, its leaf paths; it is
-the structure half of a TreeTensor's flat form (a treedef and a leaf list),
-on which every same-structure zip, map or unzip in the package runs.
+wraps a key with, once asked for, its leaf paths; it is the structure half
+of a TreeTensor's flat form (a treedef and a leaf list), on which every
+zip, map, merge or unzip of leaves in the package runs. `as_dict` turns a
+key and its leaves into nested dicts (or, wrapped, into nodes).
 """
 
 from __future__ import annotations
@@ -158,32 +159,28 @@ def _flatten_into(node: TreeNode, leaves: list) -> tuple:
 def unflatten(structure, leaves) -> Node:
     """The node with this structure key holding `leaves` in flatten order;
     a TensorLeaf goes in as itself, any other payload wrapped."""
+    return as_dict(structure, map(ValueNode, leaves), TreeNode._from_validated)
+
+
+def as_dict(structure, items: Iterator, wrap=None):
+    """The nested dicts of a structure key, the next of `items` at each
+    value position; `wrap`, if given, is applied to each dict."""
     if structure is None:
-        (leaf,) = leaves
-        return ValueNode(leaf)
-    return _unflatten(structure, iter(leaves))
-
-
-def _unflatten(structure: tuple, leaves: Iterator) -> TreeNode:
-    children = {}
-    for k, s in structure:
-        if s is None:
-            children[k] = ValueNode(next(leaves))
-        else:
-            children[k] = _unflatten(s, leaves)
-    return TreeNode._from_validated(children)
+        return next(items)
+    d = {k: as_dict(s, items, wrap) for k, s in structure}
+    return d if wrap is None else wrap(d)
 
 
 class TreeDef:
-    """The structure of a node: its `flatten` key, its leaf count and, built
-    on first use and then kept, its leaf paths in flatten order and the
-    position of each. Two structures are equal when they are one object or
-    their keys compare equal; `treedef` interns them, so usually the first."""
+    """The structure of a node: its `flatten` key and, built on first use
+    and then kept, its leaf paths in flatten order and the position of
+    each. Two structures are equal when they are one object or their keys
+    compare equal; `treedef` interns them, so usually the first."""
 
-    __slots__ = ("key", "count", "_paths", "_index", "__weakref__")
+    __slots__ = ("key", "_paths", "_index", "__weakref__")
 
-    def __init__(self, key: tuple, count: int):
-        self.key, self.count = key, count
+    def __init__(self, key: tuple):
+        self.key = key
         self._paths = self._index = None
 
     def __eq__(self, other):
@@ -198,6 +195,10 @@ class TreeDef:
             _paths_into(self.key, (), paths)
             self._paths = tuple(paths)
         return self._paths
+
+    @property
+    def count(self) -> int:
+        return len(self.paths)
 
     @property
     def index(self) -> dict[Path, int]:
@@ -219,13 +220,13 @@ def _paths_into(key: tuple, prefix: Path, out: list) -> None:
 _TREEDEFS: "weakref.WeakValueDictionary[tuple, TreeDef]" = weakref.WeakValueDictionary()
 
 
-def treedef(key: tuple, count: int) -> TreeDef:
-    """The interned TreeDef of a tree node's structure key with `count` leaves.
+def treedef(key: tuple) -> TreeDef:
+    """The interned TreeDef of a tree node's structure key.
     Two threads may intern one key twice; equality then falls back to the
     keys, which costs a comparison and nothing else."""
     td = _TREEDEFS.get(key)
     if td is None:
-        _TREEDEFS[key] = td = TreeDef(key, count)
+        _TREEDEFS[key] = td = TreeDef(key)
     return td
 
 

@@ -4,10 +4,10 @@ placements.
 
 Values are persistent: every mutator returns a new TreeTensor that shares
 all untouched leaves and subtrees with the original. The flat form is the
-canonical one: same-structure operations run on it and never build a
-`TreeNode`. `.root`, the node view that `get`, structural edits, the
-constraint checks and IO walk, is built from it on first access and kept,
-which is safe because a TreeTensor never changes. A tree made from a root
+canonical one: lifting under every policy, the other leafwise operations
+and IO run on it and never build a `TreeNode`. `.root`, the node view that
+`get`, structural edits and the constraint checks walk, is built from it on
+first access and kept, which is safe because a TreeTensor never changes. A tree made from a root
 derives its flat form with one `flatten` when an operation first needs it.
 A constrained `set`/`remove` checks only what the edit can break: the
 ancestors' node atoms and the written subtree.
@@ -26,7 +26,7 @@ from . import constraints as _c
 from .errors import BadPath, ConstraintViolation, PathNotFound
 from .leaf import from_array, make_leaf
 from .node import Node, Path, TreeDef, TreeNode, ValueNode, check_key, flatten, get_node
-from .node import iter_leaves, treedef, unflatten
+from .node import treedef, unflatten
 
 _REPR_LEAVES = 8
 
@@ -102,7 +102,7 @@ class TreeTensor:
         tree was made from a root, then kept."""
         if self._leaves is None:
             key, leaves = flatten(self._root)
-            self._treedef, self._leaves = treedef(key, len(leaves)), leaves
+            self._treedef, self._leaves = treedef(key), leaves
         return self._treedef, self._leaves
 
     def __eq__(self, other):
@@ -184,7 +184,7 @@ def build_tree(pairs: Mapping) -> TreeTensor:
     """
     leaves: list = []
     key = _flat_into(dict(pairs), leaves)
-    return TreeTensor._of(treedef(key, len(leaves)), leaves)
+    return TreeTensor._of(treedef(key), leaves)
 
 
 def _as_path(path: Iterable[str]) -> Path:
@@ -287,13 +287,9 @@ def structure_equal(a, b) -> bool:
 
 def leaves(tree) -> list[tuple[Path, object]]:
     """Depth-first, key-ascending (path, leaf) pairs: the flat form's leaves
-    beside its treedef's paths, or one walk of a tree that has only a root
-    (or of a bare node)."""
-    if isinstance(tree, TreeTensor):
-        if tree._leaves is not None:
-            return list(zip(tree._treedef.paths, tree._leaves))
-        tree = tree.root
-    return list(iter_leaves(tree))
+    beside its treedef's paths. A bare tree node is flattened first."""
+    td, payloads = (tree if isinstance(tree, TreeTensor) else TreeTensor(tree))._flat()
+    return list(zip(td.paths, payloads))
 
 
 def deep_copy(tree: TreeTensor) -> TreeTensor:
@@ -316,7 +312,7 @@ def rebuild(pairs: list[tuple[Path, object]]) -> TreeTensor:
             raise PathNotFound(path, "leaf at empty path")
         payloads[tuple(path)] = ValueNode(leaf).leaf
     paths = sorted(payloads)
-    return TreeTensor._of(treedef(_paths_key(paths, 0), len(paths)), [payloads[p] for p in paths])
+    return TreeTensor._of(treedef(_paths_key(paths, 0)), [payloads[p] for p in paths])
 
 
 def _paths_key(paths: list, depth: int) -> tuple:

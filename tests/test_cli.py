@@ -204,3 +204,23 @@ def test_bench_cset_op():
     assert r.returncode == 0
     rows = [l.split(",") for l in r.stdout.strip().splitlines()[1:]]
     assert [(row[0], row[3]) for row in rows] == [("cset", "tree"), ("cset", "naive")]
+
+
+@pytest.mark.parametrize(
+    "args, files",
+    [
+        (["--fn", "add", "--policy", "outer"], 2),  # outer needs --default
+        (["--fn", "add", "--policy", "left"], 2),
+        (["--fn", "add", "--default", "0"], 2),  # strict forbids one
+        (["--fn", "add", "--policy", "inner", "--default", "0"], 2),
+        (["--fn", "add"], 1),  # add takes two files
+        (["--fn", "pow2"], 2),
+        (["--fn", "shape"], 2),  # shape takes one
+        (["--fn", "split"], 2),
+    ],
+)
+def test_apply_usage_errors_exit_2_with_one_line(paper_file, args, files):
+    r = run("apply", *args, *[str(paper_file)] * files)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip().count("\n") == 0 and "Traceback" not in r.stderr

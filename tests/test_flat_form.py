@@ -1,7 +1,8 @@
 """The flat form of a tree: a structure object and the leaf list.
 
-- Guard: over trees from `build_tree`, the same-structure operations build
-  no `TreeNode` and call no `flatten`; only `.root` builds nodes.
+- Guard: over trees from `build_tree`, the same-structure operations, the
+  mismatch policies and IO build no `TreeNode` and call no `flatten`; only
+  `.root` builds nodes.
 - Agreement: for the output of each of those operations, the node view
   `.root` says what the flat form says (its flatten, a tree rebuilt from
   it, its leaves and its canonical document).
@@ -36,7 +37,7 @@ def nested(i):
 
 def flat_ops(trees):
     """Every operation that works on the flat form alone, over trees of one
-    structure; returns the results."""
+    structure and a tree of another; returns the results."""
     t0, t1, t2 = trees[:3]
     stacked = tt.subside(trees)
     g = tt.group_pad(trees, 0.0)
@@ -45,6 +46,8 @@ def flat_ops(trees):
         "x": {"b": tt.scalar(False, "bool"), "c": {"d": tt.scalar(True, "bool")}},
         "e": {},
     })
+    other = tt.build_tree({"a": np.ones(4), "x": 2.0, "f": np.zeros(4)})
+    policies = [tt.INNER] + [tt.MismatchPolicy(k, tt.scalar(0.0)) for k in ("outer", "left")]
     return [
         tt.lift_multi("add")(t0, t1),
         tt.lift_multi("mulsub")(t0, t1, t2),
@@ -65,6 +68,15 @@ def flat_ops(trees):
         tt.set(t0, ["x", "b"], np.zeros(2)),
         t0 == t1,
         tt.structure_equal(t0, t1),
+        # another structure: "x" a value node facing t0's subtree, "e" and
+        # "f" each missing on one side
+        *[tt.lift_multi("add", policy)(t0, other) for policy in policies],
+        tt.lift_multi("mulsub", tt.INNER)(t0, other, t2),
+        tt.lift_multi("add")(t0, tt.build_tree({"a": 1.0, "e": {}, "x": 2.0})),
+        tt.lift_multi("add")(t0, tt.scalar(1.0)),  # a raw leaf broadcasts
+        tt.parse_tree(tt.serialize_tree(t0)),
+        tt.serialize_outer([t0, {"k": t1}]),
+        tt.serialize_padded_group(g),
     ]
 
 

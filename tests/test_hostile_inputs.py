@@ -110,3 +110,59 @@ def test_a_string_device_still_parses_and_hashes():
     t = tt.parse_tree(device_document("gpu0"))
     assert t.root.get("a").device == "gpu0"
     hash(t.root)
+
+
+_LEAF = {"__leaf__": True, "shape": [1], "dtype": "f64", "data": [1.0]}
+_TREE = {"a": _LEAF}
+_LENGTHS = {"a": {"__leaf__": True, "shape": [1], "dtype": "i64", "data": [1]}}
+
+
+@pytest.mark.parametrize(
+    "parse, doc",
+    [
+        # a padded group missing a field, once a KeyError
+        ("parse_padded_group", {"__padded_group__": True, "lengths": _LENGTHS, "fill": 0}),
+        ("parse_padded_group", {"__padded_group__": True, "stacked": _TREE, "fill": 0}),
+        ("parse_padded_group", {"__padded_group__": True, "stacked": _TREE, "lengths": _LENGTHS}),
+        # an outer structure missing its contents, once a KeyError
+        ("parse_outer", {"kind": "seq"}),
+        ("parse_outer", {"kind": "map"}),
+        ("parse_outer", {"kind": "tree"}),
+        ("parse_outer", {"kind": "seq", "items": [{"kind": "tree"}]}),
+        # a structured payload without its payload, once a KeyError
+        ("parse_tree", {"a": {"__structured__": True}}),
+        # an atom that is not an object, once an AttributeError
+        ("parse_constraint_spec", [{"path": "", "atoms": [3]}]),
+        ("parse_constraint_spec", [{"path": "", "atoms": "ab"}]),
+        ("parse_constraint_spec", [{"path": "", "atoms": 3}]),
+        # an inherit flag that is not a JSON bool, "false" once read as true
+        ("parse_constraint_spec", [{"path": "", "inherit": "false", "atoms": []}]),
+        ("parse_constraint_spec", [{"path": "", "inherit": 0, "atoms": []}]),
+    ],
+)
+def test_malformed_documents_are_parse_errors(parse, doc):
+    with pytest.raises(ParseError):
+        getattr(tt, parse)(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["subside"], {"kind": "seq"}),
+        (["subside"], {"kind": "tree"}),
+        (["show"], {"a": {"__structured__": True}}),
+        (["validate", "--constraints"], [{"path": "", "atoms": [3]}]),
+        (["validate", "--constraints"], [{"path": "", "inherit": "false", "atoms": []}]),
+    ],
+)
+def test_cli_exits_2_on_a_malformed_document(tmp_path, command, doc):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    tree = tmp_path / "tree.ttj"
+    tree.write_text(json.dumps(_TREE))
+    args = [*command, str(f)] + ([str(tree)] if command[0] == "validate" else [])
+    r = subprocess.run(
+        [sys.executable, "-m", "tensortree.cli", *args], capture_output=True, text=True
+    )
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr and "parse error" in r.stderr

@@ -154,3 +154,14 @@ def test_unpad_rejects_a_stacked_leaf_without_a_length_dimension():
         )
         with pytest.raises(CorruptLengths, match="x/s"):
             tt.unpad(g)
+
+
+def test_unpad_rejects_lengths_of_another_structure_or_batch_size():
+    stacked = tt.build_tree({"x": np.zeros((2, 3)), "y": np.zeros((2, 1))})
+    lengths = tt.build_tree({"x": np.array([1, 3]), "z": np.array([1, 1])})
+    with pytest.raises(StructureMismatch):
+        tt.unpad(tt.PaddedGroup(stacked, lengths, 0.0))
+    stacked = tt.build_tree({"x": np.zeros((2, 3)), "y": np.zeros((3, 1))})
+    lengths = tt.build_tree({"x": np.array([1, 3]), "y": np.array([1, 1, 0])})
+    with pytest.raises(CorruptLengths, match="inconsistent batch sizes"):
+        tt.unpad(tt.PaddedGroup(stacked, lengths, 0.0))

@@ -174,3 +174,24 @@ def test_build_tree_accepts_any_mapping():
     assert t == tt.build_tree({"a": 1.0, "x": {"b": np.arange(2)}})
     with pytest.raises(TypeError):
         tt.build_tree({"a": "text"})
+
+
+def test_rebuild_rejects_a_leaf_below_a_leaf_and_an_empty_path():
+    from tensortree.errors import BadPath
+
+    a, b = tt.scalar(1.0), tt.scalar(2.0)
+    for pairs in ([(("x",), a), (("x", "y"), b)], [(("x", "y"), b), (("x",), a)]):
+        with pytest.raises(BadPath, match="x/y lies below the leaf at x"):
+            tt.rebuild(pairs)
+    with pytest.raises(PathNotFound):
+        tt.rebuild([(("x",), a), ((), b)])
+
+
+def test_tree_and_node_values_build_and_set_like_dicts():
+    sub = {"c": np.arange(3.0), "d": {"e": 2}}
+    want = tt.build_tree({"a": 1.0, "x": sub})
+    sub_tree = tt.build_tree(sub)
+    for value in (sub_tree, sub_tree.root, tt.TreeTensor(sub_tree.root)):
+        assert tt.build_tree({"a": 1.0, "x": value}) == want
+        assert tt.set(tt.build_tree({"a": 1.0, "x": 0.0}), ["x"], value) == want
+        assert tt.set(tt.build_tree({"a": 1.0}), ["x"], value) == want
