@@ -25,7 +25,6 @@ from .errors import ConstraintViolation
 from .leaf import from_array
 from .lift import lifted_cat, lifted_split, lifted_stack
 
-BENCH_OPS = ("get", "set", "cset", "init", "deepcopy", "stack", "cat", "split")
 BATCH = 8  # trees per stack/cat batch
 WARMUP = 5
 CSV_HEADER = "op,n_leaves,leaf_elems,impl,mean_ns,stddev_ns,reps"

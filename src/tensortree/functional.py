@@ -202,7 +202,8 @@ def _payload(leaf):
         rows = leaf._array.copy()
         rows.setflags(False)
         # rows[i, ...] is a 0-d array where rows[i] would be a numpy scalar
-        return [_new_leaf(TensorLeaf, rows[i, ...], leaf._device) for i in range(len(rows))]
+        dtype, device = leaf._dtype, leaf._device
+        return [_new_leaf(TensorLeaf, rows[i, ...], device, dtype) for i in range(len(rows))]
     return leaf.payload
 
 

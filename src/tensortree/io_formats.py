@@ -17,20 +17,28 @@ byte-identical documents.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from . import constraints as _c
-from .errors import (
-    BadPath,
-    DtypeUnknown,
-    ParseError,
-    UnknownAtomKind,
-)
+from .errors import BadKey, BadPath, DtypeUnknown, EmptyKey, ParseError, UnknownAtomKind
 from .functional import StackedLeaf, StructuredLeaf, nested_map
 from .leaf import DTYPES, TensorLeaf, make_leaf
 from .node import Path, ValueNode, as_dict, path_from_string, path_to_string
 from .padding import PaddedGroup
 from .tree import TreeTensor, build_tree
+
+
+def _document(parse):
+    """`parse` raising ParseError for a bad key and for nesting deeper than
+    the recursion limit allows, in `json` or in the walks after it."""
+    @functools.wraps(parse)
+    def wrapped(text: str):
+        try:
+            return parse(text)
+        except (BadKey, EmptyKey, RecursionError) as exc:
+            raise ParseError(str(exc)) from None
+    return wrapped
 
 
 def _loads(text: str):
@@ -232,6 +240,7 @@ def _parse_placements(entries) -> dict[Path, _c.Constraint]:
     return placements
 
 
+@_document
 def parse_tree(text: str) -> TreeTensor:
     """Parse a tree document; inverse of serialize_tree."""
     obj = _loads(text)
@@ -244,6 +253,7 @@ def parse_tree(text: str) -> TreeTensor:
     return tree
 
 
+@_document
 def parse_constraint_spec(text: str) -> dict[Path, _c.Constraint]:
     """Parse a standalone constraint spec document (.ttc)."""
     return _parse_placements(_loads(text))
@@ -279,6 +289,7 @@ def _parse_outer_obj(obj):
     raise ParseError(f"unknown outer kind {kind!r}")
 
 
+@_document
 def parse_outer(text: str):
     return _parse_outer_obj(_loads(text))
 
@@ -297,6 +308,7 @@ def serialize_padded_group(g: PaddedGroup) -> str:
     return _dumps(doc)
 
 
+@_document
 def parse_padded_group(text: str) -> PaddedGroup:
     obj = _loads(text)
     if not isinstance(obj, dict) or obj.get("__padded_group__") is not True:

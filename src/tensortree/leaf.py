@@ -120,15 +120,17 @@ _object_new = object.__new__
 _REPR_ELEMENTS = 6
 
 
-def _new_leaf(cls, array: np.ndarray, device: str) -> TensorLeaf:
+def _new_leaf(cls, array: np.ndarray, device: str, dtype: str | None = None) -> TensorLeaf:
     """The one leaf constructor: checks the dtype tag and makes `array`
-    read-only. Kernel outputs call it directly, which skips the type call
-    that `TensorLeaf(...)` pays."""
-    try:
-        dtype = _DTYPE_NAME[array.dtype]
-    except KeyError:
-        raise DtypeUnsupported(f"unsupported numpy dtype {array.dtype}") from None
-    array.setflags(False)  # write=False; positional is the cheap form
+    read-only, or skips both when the caller passes `dtype` and so vouches
+    that `array` is a view of a read-only array with that tag. Kernel
+    outputs call it directly, skipping the type call `TensorLeaf(...)` pays."""
+    if dtype is None:
+        try:
+            dtype = _DTYPE_NAME[array.dtype]
+        except KeyError:
+            raise DtypeUnsupported(f"unsupported numpy dtype {array.dtype}") from None
+        array.setflags(False)  # write=False; positional is the cheap form
     self = _object_new(cls)
     self._array = array
     self._dtype = dtype
@@ -317,7 +319,7 @@ def stack_axis0(lists: Sequence[Sequence], cls=TensorLeaf) -> list | None:
     for dtype, shape, n, device in plan:
         o = offsets[dtype]
         offsets[dtype] = o + n
-        out.append(_new_leaf(cls, buffers[dtype][o : o + n].reshape(shape), device))
+        out.append(_new_leaf(cls, buffers[dtype][o : o + n].reshape(shape), device, dtype))
     return out
 
 
@@ -331,7 +333,7 @@ def split(t: TensorLeaf, chunk: int, axis: int = 0) -> list[TensorLeaf]:
     # pieces are read-only views; immutability makes sharing safe
     prefix = (slice(None),) * axis
     return [
-        _new_leaf(TensorLeaf, arr[prefix + (slice(i, i + chunk),)], device)
+        _new_leaf(TensorLeaf, arr[prefix + (slice(i, i + chunk),)], device, t._dtype)
         for i in range(0, arr.shape[axis], chunk)
     ]
 

@@ -136,8 +136,8 @@ class TreeNode(Node):
 
 def flatten(node: Node) -> tuple[tuple | None, list]:
     """(structure, leaves): the payloads in depth-first, key-ascending order
-    (the order of `iter_leaves`) and a structure key that is None for a
-    value node and a tuple of (key, child structure) pairs for a tree node."""
+    and a structure key that is None for a value node and a tuple of (key,
+    child structure) pairs for a tree node."""
     if type(node) is not TreeNode:
         return None, [node.leaf]
     leaves: list = []
@@ -228,15 +228,6 @@ def treedef(key: tuple) -> TreeDef:
     if td is None:
         _TREEDEFS[key] = td = TreeDef(key)
     return td
-
-
-def iter_leaves(node: Node, prefix: Path = ()) -> Iterator[tuple[Path, object]]:
-    """Depth-first, key-ascending (path, payload) pairs."""
-    if isinstance(node, ValueNode):
-        yield prefix, node.leaf
-    else:
-        for k, child in node.children.items():
-            yield from iter_leaves(child, prefix + (k,))
 
 
 def get_node(node: Node, path: Path) -> Node | None:

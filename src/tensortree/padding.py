@@ -118,8 +118,11 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
                 f"lengths at {'/'.join(td.paths[i])} must lie in "
                 f"[0, {a.shape[1]}], got {n}"
             )
-        columns.append((np.ascontiguousarray(a), n, leaf._device))
+        a = np.ascontiguousarray(a)  # a itself when contiguous, else a copy
+        a.setflags(False)
+        columns.append((a, n, leaf._device, leaf._dtype))
     return [
-        TreeTensor._of(td, [_new_leaf(TensorLeaf, a[j, : n[j]], dev) for a, n, dev in columns])
+        TreeTensor._of(td, [_new_leaf(TensorLeaf, a[j, : n[j]], dev, tag)
+                            for a, n, dev, tag in columns])
         for j in range(k)
     ]

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import constraints as _c
 from .errors import BadPath, ConstraintViolation, PathNotFound
-from .leaf import from_array, make_leaf
+from .leaf import TensorLeaf, _new_leaf, from_array, make_leaf
 from .node import Node, Path, TreeDef, TreeNode, ValueNode, check_key, flatten, get_node
 from .node import treedef, unflatten
 
@@ -142,17 +142,12 @@ def _flat_into(value, leaves: list) -> tuple | None:
         leaves.append(value.leaf)  # a TensorLeaf is its own value node
     elif isinstance(value, np.ndarray):
         leaves.append(from_array(value))
-    elif isinstance(value, dict):
-        return _items_key(value, leaves)
     elif isinstance(value, TreeTensor):
         leaves.extend(value._flat()[1])
         return value._flat()[0].key
-    elif isinstance(value, bool):
-        leaves.append(make_leaf((), "bool", [value]))
-    elif isinstance(value, int):
-        leaves.append(make_leaf((), "i64", [value]))
-    elif isinstance(value, float):
-        leaves.append(make_leaf((), "f64", [value]))
+    elif isinstance(value, (int, float)):  # a bool is an int
+        tag = "bool" if isinstance(value, bool) else "i64" if isinstance(value, int) else "f64"
+        leaves.append(make_leaf((), tag, [value]))
     elif isinstance(value, Mapping):
         return _items_key(value, leaves)
     else:
@@ -161,10 +156,25 @@ def _flat_into(value, leaves: list) -> tuple | None:
 
 
 def _items_key(mapping, leaves: list) -> tuple:
-    items = sorted(mapping.items())
-    for k, _ in items:
-        check_key(k)
-    return tuple([(k, _flat_into(v, leaves)) for k, v in items])
+    """`_flat_into` of a mapping, one call per inner mapping: all keys are
+    checked before any value is built, and a dict, exact ndarray or
+    TensorLeaf value needs no call of its own."""
+    keys = sorted(mapping)
+    for k in keys:
+        if type(k) is not str or not k or k[0] == "_" or "/" in k:  # else check_key passes k
+            check_key(k)
+    structure = []
+    for k in keys:
+        v = mapping[k]
+        t = type(v)
+        if t is dict:
+            structure.append((k, _items_key(v, leaves)))
+        elif t is np.ndarray or t is TensorLeaf:  # copy() gives C order, as from_array does
+            leaves.append(v if t is TensorLeaf else _new_leaf(TensorLeaf, v.copy(), "cpu"))
+            structure.append((k, None))
+        else:
+            structure.append((k, _flat_into(v, leaves)))
+    return tuple(structure)
 
 
 def _coerce(value) -> Node:
@@ -183,7 +193,7 @@ def build_tree(pairs: Mapping) -> TreeTensor:
     scalars (which become scalar leaves).
     """
     leaves: list = []
-    key = _flat_into(dict(pairs), leaves)
+    key = _items_key(dict(pairs), leaves)
     return TreeTensor._of(treedef(key), leaves)
 
 

@@ -8,10 +8,12 @@ results with a flatten / apply-per-leaf / rebuild reference.
 import math
 import random
 import string
+from collections.abc import Mapping
 
 import numpy as np
 
 import tensortree as tt
+from tensortree.node import check_key, flatten
 
 LEAF_DTYPES = ("f32", "f64", "i64")
 KEY_ALPHABET = string.ascii_lowercase
@@ -201,6 +203,45 @@ def flat_apply_rebuild(fn, *trees) -> tt.TreeTensor:
     for i, p in enumerate(paths):
         out.append((p, fn(*[ls[i][1] for ls in all_leaves])))
     return tt.rebuild(out)
+
+
+def iter_leaves(node, prefix=()):
+    """Depth-first, key-ascending (path, payload) pairs of a node, by a
+    recursive walk over its children."""
+    if isinstance(node, tt.ValueNode):
+        yield prefix, node.leaf
+    else:
+        for k, child in node.children.items():
+            yield from iter_leaves(child, prefix + (k,))
+
+
+def build_reference(pairs):
+    """(structure key, payloads) of `build_tree(pairs)` by the plain recipe:
+    a mapping's items in key order, every key through `check_key` before any
+    of its values is built, arrays through `from_array`, nodes and trees
+    through `flatten`, python scalars as 0-d leaves."""
+    payloads = []
+
+    def walk(value):
+        if isinstance(value, tt.TreeTensor):
+            value = value.root
+        if isinstance(value, tt.Node):
+            key, found = flatten(value)
+            payloads.extend(found)
+            return key
+        if isinstance(value, np.ndarray):
+            payloads.append(tt.from_array(value))
+            return None
+        if isinstance(value, Mapping):
+            items = sorted(value.items(), key=lambda kv: kv[0])
+            for k, _ in items:
+                check_key(k)
+            return tuple((k, walk(v)) for k, v in items)
+        tag = {bool: "bool", int: "i64", float: "f64"}[type(value)]
+        payloads.append(tt.scalar(value, tag))
+        return None
+
+    return walk(dict(pairs)), payloads
 
 
 def paper_tree() -> tt.TreeTensor:

@@ -22,6 +22,7 @@ import tensortree as tt
 from tensortree import constraints, functional, io_formats, lift, node, padding, tree
 from tensortree.errors import TensorTreeError
 
+from helpers import iter_leaves
 from test_batched_join import BAD, batch, skeletons
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -142,6 +143,42 @@ def test_trees_of_one_structure_share_one_treedef():
     assert a.treedef.count == 3
 
 
+NP_DTYPES = {"f32": np.float32, "f64": np.float64, "i64": np.int64, "bool": np.bool_}
+
+
+def tensor_leaves(out):
+    """Every TensorLeaf an output holds: in trees, lists, (path, leaf)
+    pairs and StructuredLeaf payloads."""
+    if isinstance(out, tt.TensorLeaf):
+        yield out
+    elif isinstance(out, tt.TreeTensor):
+        yield from tensor_leaves([leaf for _, leaf in tt.leaves(out)])
+    elif isinstance(out, tt.StructuredLeaf):
+        yield from tensor_leaves(out.payload)
+    elif isinstance(out, (list, tuple)):
+        for x in out:
+            yield from tensor_leaves(x)
+    elif isinstance(out, dict):
+        yield from tensor_leaves(list(out.values()))
+
+
+def test_every_output_leaf_is_read_only_and_holds_the_dtype_of_its_tag():
+    given = [nested(i) for i in range(1, 4)]
+    outs = flat_ops([tt.build_tree(n) for n in given])
+    # unpad copies a stacked leaf that is not row-major before viewing it
+    strided = tt.TensorLeaf(np.arange(24.0).reshape(2, 12)[:, ::2])
+    lengths = tt.build_tree({"s": np.array([3, 6])})
+    outs.append(tt.unpad(tt.PaddedGroup(tt.build_tree({"s": strided}), lengths, 0.0)))
+    found = list(tensor_leaves(outs))
+    assert len(found) > 50
+    for leaf in found:
+        assert not leaf.array.flags.writeable
+        assert leaf.array.dtype == NP_DTYPES[leaf.dtype]
+    # build_tree copies the arrays it is given and leaves them writeable
+    for n in given:
+        assert all(a.flags.writeable for a in (n["a"], n["x"]["b"], n["x"]["c"]["d"]))
+
+
 # ---------------------------------------------------------------------------
 # agreement of the node view with the flat form
 
@@ -161,7 +198,7 @@ def agrees(out):
     assert len(view_payloads) == len(payloads)
     assert all(a is b for a, b in zip(view_payloads, payloads))
     assert tt.TreeTensor(out.root) == out
-    assert tt.leaves(out) == list(node.iter_leaves(out.root))
+    assert tt.leaves(out) == list(iter_leaves(out.root))
     # a StructuredLeaf nested in another has no document; both sides say so
     assert document(out) == document(tt.TreeTensor(out.root))
 

@@ -18,7 +18,9 @@ import tensortree as tt
 from tensortree.constraints import _local_ok, distribute, mirror, place
 from tensortree.errors import ConstraintViolation
 from tensortree.io_formats import _ATOM_TO_OBJ
-from tensortree.node import TreeNode, get_node, iter_leaves, path_to_string
+from tensortree.node import TreeNode, get_node, path_to_string
+
+from helpers import iter_leaves
 
 KEYS = ("a", "b", "c")
 DTYPES = ("f32", "f64", "i64")
