@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import tensortree as tt
+from tensortree import bench, cli
 
 CLI = [sys.executable, "-m", "tensortree.cli"]
 
@@ -180,6 +181,23 @@ def test_bench_csv_header():
     assert len(lines) == 3
     impls = {l.split(",")[3] for l in lines[1:]}
     assert impls == {"tree", "naive"}
+
+
+def test_only_the_bench_command_imports_bench(paper_file):
+    code = ("import sys\nfrom tensortree import cli\nrc = cli.main(sys.argv[1:])\n"
+            "print('tensortree.bench' in sys.modules, file=sys.stderr)\nsys.exit(rc)")
+    r = subprocess.run([sys.executable, "-c", code, "show", str(paper_file)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0 and r.stderr.strip() == "False"
+    r = subprocess.run([sys.executable, "-c", code, "bench", "--op", "get", "--leaves", "4",
+                        "--elems", "8", "--reps", "3"], capture_output=True, text=True)
+    assert r.returncode == 0 and r.stderr.strip() == "True"
+
+
+@pytest.mark.parametrize("op", cli.BENCH_OPS)
+def test_every_bench_choice_is_a_bench_op(op):
+    tree_fn, naive_fn = bench._op_closures(op, 4, 8)
+    tree_fn(), naive_fn()
 
 
 def test_usage_errors_exit_2():

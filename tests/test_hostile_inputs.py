@@ -166,3 +166,67 @@ def test_cli_exits_2_on_a_malformed_document(tmp_path, command, doc):
     )
     assert r.returncode == 2
     assert "Traceback" not in r.stderr and "parse error" in r.stderr
+
+
+def nested_document(depth: int) -> str:
+    """A tree document holding one leaf `depth` objects down, written as
+    text: `json.dumps` itself recurses too deep for 5000."""
+    return '{"k":' * depth + json.dumps(_LEAF) + "}" * depth
+
+
+def show(tmp_path, text):
+    f = tmp_path / "doc.ttj"
+    f.write_text(text)
+    return subprocess.run(
+        [sys.executable, "-m", "tensortree.cli", "show", str(f)], capture_output=True, text=True
+    )
+
+
+def test_a_document_100_deep_parses():
+    text = nested_document(100)
+    t = tt.parse_tree(text)
+    assert tt.leaves(t)[0][0] == ("k",) * 100
+    assert tt.parse_tree(tt.serialize_tree(t)) == t
+
+
+@pytest.mark.parametrize("depth", [5000, 700])
+def test_a_document_nested_too_deep_is_a_parse_error(depth):
+    # 5000 is too deep for `json` itself, 700 for the walks after it
+    with pytest.raises(ParseError):
+        tt.parse_tree(nested_document(depth))
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        ("parse_outer", '{"kind":"seq","items":[' * 5000 + "]}" * 5000),
+        ("parse_outer", '{"kind":"seq","items":[' * 700 + "]}" * 700),
+        ("parse_constraint_spec", "[" * 5000 + "]" * 5000),
+        ("parse_padded_group", '{"__padded_group__":true,"stacked":' + nested_document(5000)
+         + ',"lengths":{},"fill":0}'),
+    ],
+    ids=["outer-5000", "outer-700", "spec-5000", "padded-5000"],
+)
+def test_every_document_parser_turns_deep_nesting_into_a_parse_error(parse, text):
+    with pytest.raises(ParseError):
+        getattr(tt, parse)(text)
+
+
+@pytest.mark.parametrize("depth, code", [(100, 0), (5000, 2)])
+def test_cli_show_of_a_deep_document(tmp_path, depth, code):
+    r = show(tmp_path, nested_document(depth))
+    assert r.returncode == code
+    assert "Traceback" not in r.stderr
+    if code:
+        assert "parse error" in r.stderr
+
+
+@pytest.mark.parametrize("key", ["__x", "", "a/b"])
+def test_a_bad_key_in_a_document_is_a_parse_error(tmp_path, key):
+    # build_tree itself still raises BadKey or EmptyKey (tests/test_tree.py)
+    text = json.dumps({"a": {key: _LEAF}})
+    with pytest.raises(ParseError, match="key"):
+        tt.parse_tree(text)
+    r = show(tmp_path, text)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr and "parse error" in r.stderr
