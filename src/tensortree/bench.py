@@ -1,9 +1,9 @@
 """Microbenchmark harness comparing the tree container against a naive
 flat path->array mapping baseline.
 
-Each record reports mean/stddev of per-iteration wall time (monotonic
-clock) after 5 warm-up iterations. Cheap operations are timed over an
-auto-calibrated inner loop and normalized back to per-call nanoseconds.
+Each record reports mean/stddev of per-call process CPU time, which other
+processes on the host do not inflate, after 5 warm-up calls; each sample
+times an inner loop of at least SAMPLE_NS and divides by its length.
 The `set` benchmark measures the persistent (copy-on-path) set; `cset`
 measures the same set on a tree carrying a root constraint (inherited
 dtype f64 plus the leaf count), against a dict copy plus a dtype check.
@@ -27,6 +27,7 @@ from .lift import lifted_cat, lifted_split, lifted_stack
 
 BATCH = 8  # trees per stack/cat batch
 WARMUP = 5
+SAMPLE_NS = 100_000  # 200x what a process_time_ns call costs on Linux (about 0.5 us)
 CSV_HEADER = "op,n_leaves,leaf_elems,impl,mean_ns,stddev_ns,reps"
 
 
@@ -83,6 +84,14 @@ def _first_leaf_path(tree: _t.TreeTensor):
     return _t.leaves(tree)[0][0]
 
 
+def _sample(fn, inner: int) -> int:
+    """CPU ns of `inner` calls of fn."""
+    t0 = time.process_time_ns()
+    for _ in range(inner):
+        fn()
+    return time.process_time_ns() - t0
+
+
 def _time(fn, reps: int) -> tuple[float, float]:
     """Mean/stddev in ns per call, over `reps` samples after warm-up.
 
@@ -91,20 +100,13 @@ def _time(fn, reps: int) -> tuple[float, float]:
     """
     for _ in range(WARMUP):
         fn()
-    # calibrate an inner loop so each sample spans >= ~2 microseconds
-    t0 = time.perf_counter_ns()
-    fn()
-    est = max(time.perf_counter_ns() - t0, 1)
-    inner = max(1, math.ceil(2000 / est))
-    samples = []
+    inner = 1
+    while _sample(fn, inner) < SAMPLE_NS:
+        inner *= 2
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(reps):
-            t0 = time.perf_counter_ns()
-            for _ in range(inner):
-                fn()
-            samples.append((time.perf_counter_ns() - t0) / inner)
+        samples = [_sample(fn, inner) / inner for _ in range(reps)]
     finally:
         if was_enabled:
             gc.enable()

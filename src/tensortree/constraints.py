@@ -244,9 +244,9 @@ class ConstraintTree:
     builds are sparse: they hold only the positions on paths to placements,
     each position stores only the entries its parent does not already pass
     down, and empty positions are pruned, so two trees with the same
-    effective constraints have equal tries. The dense form built by the
-    reference helpers `mirror`/`place`/`distribute` is accepted wherever a
-    trie is, because deriving an effective constraint again is idempotent.
+    effective constraints have equal tries. A dense trie (the test suite's
+    reference builds one) is accepted wherever a sparse one is, because
+    deriving an effective constraint again is idempotent.
     """
 
     __slots__ = ("constraint", "children", "_trivial")
@@ -280,40 +280,6 @@ class ConstraintTree:
 
 #: shared all-empty tree used as the default for unconstrained TreeTensors
 TRIVIAL = ConstraintTree()
-
-
-def mirror(node: Node, constraint: Constraint = EMPTY) -> ConstraintTree:
-    """Reference oracle: all-`constraint` tree with the same shape as `node`."""
-    if isinstance(node, ValueNode):
-        return ConstraintTree(constraint)
-    return ConstraintTree(
-        constraint, {k: mirror(c, constraint) for k, c in node.children.items()}
-    )
-
-
-def distribute(ct: ConstraintTree) -> ConstraintTree:
-    """Reference oracle: one top-down pass, child <- child + inherit(parent).
-
-    A single pass reaches the fixpoint because the inherit map is idempotent.
-    """
-    inherited = inherit(ct.constraint)
-    children = {
-        k: distribute(ConstraintTree(c_sum([child.constraint, inherited]), child.children))
-        for k, child in ct.children.items()
-    }
-    return ConstraintTree(ct.constraint, children)
-
-
-def place(ct: ConstraintTree, path: Path, constraint: Constraint) -> ConstraintTree:
-    """Reference oracle: add `constraint` at an existing position of a mirror."""
-    if not path:
-        return ConstraintTree(c_sum([ct.constraint, constraint]), ct.children)
-    head, rest = path[0], path[1:]
-    if head not in ct.children:
-        raise PathNotFound(path)
-    children = dict(ct.children)
-    children[head] = place(children[head], rest, constraint)
-    return ConstraintTree(ct.constraint, children)
 
 
 def effective(node: Node, ct: ConstraintTree, prefix: Path = (), inherited: Constraint = EMPTY):

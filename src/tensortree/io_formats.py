@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import reprlib
 
 from . import constraints as _c
 from .errors import BadKey, BadPath, DtypeUnknown, EmptyKey, ParseError, UnknownAtomKind
@@ -39,6 +40,15 @@ def _document(parse):
         except (BadKey, EmptyKey, RecursionError) as exc:
             raise ParseError(str(exc)) from None
     return wrapped
+
+
+_SHOWN = 200  # the most characters of a document value a parse error quotes
+_REPR = reprlib.Repr()  # abbreviates containers: a large value is never repr'd whole
+_REPR.maxstring = _REPR.maxother = _SHOWN
+
+
+def _shown(obj) -> str:
+    return _REPR.repr(obj)[:_SHOWN]
 
 
 def _loads(text: str):
@@ -139,10 +149,10 @@ def _parse_leaf(obj: dict) -> TensorLeaf:
             raise ParseError(f"leaf object missing {field!r}")
     shape, dtype, data = obj["shape"], obj["dtype"], obj["data"]
     if dtype not in DTYPES:
-        raise DtypeUnknown(f"unknown dtype {dtype!r}")
+        raise DtypeUnknown(f"unknown dtype {_shown(dtype)}")
     # type(True) is bool, so the exact checks reject bools as shapes or i64 data
     if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
-        raise ParseError(f"leaf shape must be a list of non-negative integers, got {shape!r}")
+        raise ParseError(f"leaf shape must be a list of non-negative integers, got {_shown(shape)}")
     if not isinstance(data, list):
         raise ParseError(f"leaf data must be a list, got {type(data).__name__}")
     types = _DATA_TYPES[dtype]
@@ -151,7 +161,7 @@ def _parse_leaf(obj: dict) -> TensorLeaf:
         raise ParseError(f"{dtype} leaf data must hold only {names} values")
     device = obj.get("device", "cpu")
     if not isinstance(device, str):
-        raise ParseError(f"leaf device must be a string, got {device!r}")
+        raise ParseError(f"leaf device must be a string, got {_shown(device)}")
     try:
         leaf = make_leaf(shape, dtype, data, device)
     except (TypeError, ValueError, OverflowError) as exc:  # numpy's conversion
@@ -161,14 +171,14 @@ def _parse_leaf(obj: dict) -> TensorLeaf:
     return leaf
 
 
-def _parse_payload(obj):
+def _parse_payload(obj, path: str = "payload"):
     if isinstance(obj, list):
-        return [_parse_payload(p) for p in obj]
+        return [_parse_payload(p, f"{path}/{i}") for i, p in enumerate(obj)]
     if isinstance(obj, dict):
         if obj.get("__leaf__") is True:
             return _parse_leaf(obj)
-        return {k: _parse_payload(v) for k, v in obj.items()}
-    raise ParseError(f"bad structured payload element: {obj!r}")
+        return {k: _parse_payload(v, f"{path}/{k}") for k, v in obj.items()}
+    raise ParseError(f"bad structured payload element at {path}: {_shown(obj)}")
 
 
 def _parse_root(obj, what: str) -> TreeTensor:
@@ -215,26 +225,27 @@ def _parse_placements(entries) -> dict[Path, _c.Constraint]:
     if not isinstance(entries, list):
         raise ParseError("constraint spec must be a list of placements")
     placements: dict[Path, _c.Constraint] = {}
-    for entry in entries:
+    for n, entry in enumerate(entries):
         if not isinstance(entry, dict) or "path" not in entry or "atoms" not in entry:
-            raise ParseError(f"bad placement entry: {entry!r}")
+            raise ParseError(f"bad placement entry {n}: {_shown(entry)}")
         raw_path, inh, atom_objs = entry["path"], entry.get("inherit", True), entry["atoms"]
         if not isinstance(raw_path, str):
-            raise BadPath(f"placement path must be a string, got {raw_path!r}")
+            raise BadPath(f"placement path must be a string, got {_shown(raw_path)}")
+        where = f"placement {_shown(raw_path)}"
         if type(inh) is not bool or not isinstance(atom_objs, list):
-            raise ParseError(f"placement inherit must be a bool and atoms a list: {entry!r}")
+            raise ParseError(f"{where}: inherit must be a bool and atoms a list")
         path = path_from_string(raw_path)
         atoms = []
         for aobj in atom_objs:
             if not isinstance(aobj, dict):
-                raise ParseError(f"bad atom {aobj!r}: not an object")
+                raise ParseError(f"bad atom {_shown(aobj)} at {where}: not an object")
             kind = aobj.get("kind")
             if kind not in _ATOM_PARSERS:
-                raise UnknownAtomKind(f"unknown atom kind {kind!r}")
+                raise UnknownAtomKind(f"unknown atom kind {_shown(kind)}")
             try:
                 atoms.append(_ATOM_PARSERS[kind](aobj))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad atom {aobj!r}: {exc}") from exc
+                raise ParseError(f"bad atom {_shown(aobj)} at {where}: {exc}") from exc
         c = _c.Constraint([(inh, a) for a in atoms])
         placements[path] = _c.c_sum([placements.get(path, _c.EMPTY), c])
     return placements
@@ -276,17 +287,17 @@ def serialize_outer(outer) -> str:
     return _dumps(_outer_obj(outer))
 
 
-def _parse_outer_obj(obj):
+def _parse_outer_obj(obj, path: str = ""):  # path: item indices and entry keys, '/'-joined
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"bad outer-structure element: {obj!r}")
+        raise ParseError(f"bad outer-structure element at /{path}: {_shown(obj)}")
     kind = obj["kind"]
     if kind == "tree":
         return _parse_root(_field(obj, "value"), "embedded tree")
     if kind == "seq":
-        return [_parse_outer_obj(x) for x in _field(obj, "items")]
+        return [_parse_outer_obj(x, f"{path}{i}/") for i, x in enumerate(_field(obj, "items"))]
     if kind == "map":
-        return {k: _parse_outer_obj(v) for k, v in _field(obj, "entries").items()}
-    raise ParseError(f"unknown outer kind {kind!r}")
+        return {k: _parse_outer_obj(v, f"{path}{k}/") for k, v in _field(obj, "entries").items()}
+    raise ParseError(f"unknown outer kind {_shown(kind)}")
 
 
 @_document

@@ -7,6 +7,8 @@ Only scalar broadcasting is supported at this level.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import is_
 from typing import Sequence
 
 import numpy as np
@@ -100,13 +102,13 @@ class TensorLeaf(ValueNode):
             self._dtype == other._dtype
             and self._device == other._device
             and self._array.shape == other._array.shape
-            and np.array_equal(self._array, other._array)
+            and np.array_equal(self._array, other._array, self._dtype in ("f32", "f64"))
         )
 
     def __hash__(self):
         arr = self._array
-        if self._dtype in ("f32", "f64"):
-            arr = arr + 0.0  # -0.0 + 0.0 is 0.0, so leaves that compare equal hash equal
+        if self._dtype in ("f32", "f64"):  # leaves that compare equal hash equal:
+            arr = np.where(np.isnan(arr), np.nan, arr + 0.0)  # one NaN; -0.0 + 0.0 is 0.0
         return hash((self._array.shape, self._dtype, self._device, arr.tobytes()))
 
     def __repr__(self):
@@ -288,39 +290,95 @@ def cat(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
 
 def stack_axis0(lists: Sequence[Sequence], cls=TensorLeaf) -> list | None:
     """Stack along a new axis 0 each column of the aligned leaf lists, one
-    list per tree, copying each dtype once: the outputs, in column order,
+    list per tree, copying each leaf once: the outputs, in column order,
     are read-only C-contiguous views into one `np.concatenate` buffer per
-    dtype, so one surviving output keeps its dtype's whole buffer alive.
+    dtype and leaf shape, which one surviving output keeps alive.
 
     None, with nothing copied, unless every payload is a TensorLeaf and each
     column has one dtype and one shape; callers then stack column by column,
     which raises at the column at fault.
     """
     k = len(lists)
-    parts: dict[str, list] = {}
-    plan = []  # per column: dtype, output shape, element count, device
+    groups: dict[tuple, tuple] = {}  # (dtype, leaf shape) -> its arrays and devices
+    order = []
     for column in zip(*lists):
         first = column[0]
         if not isinstance(first, TensorLeaf):
             return None
-        dtype, shape = first._dtype, first._array.shape
-        arrays = parts.setdefault(dtype, [])
+        dtype, shape = group = first._dtype, first._array.shape
+        arrays, devices = groups.setdefault(group, ([], []))
         for p in column:
             if not isinstance(p, TensorLeaf) or p._dtype != dtype or p._array.shape != shape:
                 return None
             arrays.append(p._array)
-        plan.append((dtype, (k,) + shape, k * first._array.size, first._device))
-    buffers = {}
-    for dtype, arrays in parts.items():
-        buffers[dtype] = buf = np.concatenate(arrays, axis=None)
-        buf.setflags(False)
-    offsets = dict.fromkeys(parts, 0)
+        devices.append(first._device)
+        order.append(group)
+    views = {g: iter(_views(cls, np.concatenate(arrays, axis=None), (k,) + g[1], devices, g[0]))
+             for g, (arrays, devices) in groups.items()}
+    return [next(views[g]) for g in order]
+
+
+def _views(cls, buf: np.ndarray, shape: tuple, devices: list, dtype: str) -> list:
+    """Leaves tagged `dtype`, one per device, viewing consecutive pieces of
+    `shape` (ndim >= 1) of `buf`, which is made read-only."""
+    buf.setflags(False)
     out = []
-    for dtype, shape, n, device in plan:
-        o = offsets[dtype]
-        offsets[dtype] = o + n
-        out.append(_new_leaf(cls, buffers[dtype][o : o + n].reshape(shape), device, dtype))
+    for p, d in zip(buf.reshape((len(devices),) + shape), devices):  # _new_leaf, inlined
+        leaf = _object_new(cls)
+        leaf._array, leaf._dtype, leaf._device = p, dtype, d
+        out.append(leaf)
     return out
+
+
+BATCH_MAX_ELEMENTS = 64  # larger leaves cost more to pack than their calls cost
+
+
+def ew_columns(fn_id: str, columns: Sequence[list]) -> list | None:
+    """ew_nary over the rows of aligned leaf columns, one per argument, in
+    one call: a column is packed by one `np.concatenate` (one leaf repeated,
+    a raw leaf, goes in as it is) and the outputs are read-only row views of
+    one buffer. None, having computed nothing, unless the leaves are all
+    TensorLeafs of one dtype (not bool) and device, and each row has one
+    shape of ndim >= 1 and at most BATCH_MAX_ELEMENTS elements (0-d leaves
+    broadcast); None too if the function raises."""
+    probe = columns[0][0] if columns[0] else None
+    if type(probe) is not TensorLeaf or probe._dtype == "bool":
+        return None
+    dtype, device, shape, n = probe._dtype, probe._device, None, len(columns[0])
+    packs, scalar_rows = [], None  # scalar_rows: the rows 0-d in every column so far
+    for column in columns:
+        f = column[0]
+        if f is column[-1] and all(map(is_, column, repeat(f))):
+            column = (f,)
+        arrays, zero_d = [], []
+        for p in column:
+            if type(p) is not TensorLeaf or p._dtype != dtype or p._device != device:
+                return None
+            a = p._array
+            if a.shape != shape:
+                if not a.shape:
+                    zero_d.append(len(arrays))
+                elif shape is not None or a.size > BATCH_MAX_ELEMENTS:
+                    return None
+                else:
+                    shape = a.shape
+            arrays.append(a)
+        if len(arrays) == n or not zero_d:  # else each row is 0-d here
+            scalar_rows = set(zero_d) if scalar_rows is None else scalar_rows.intersection(zero_d)
+        packs.append((arrays, zero_d))
+    if shape is None or scalar_rows:
+        return None
+    for j, (arrays, zero_d) in enumerate(packs):
+        for i in zero_d:
+            arrays[i] = np.broadcast_to(arrays[i], shape)
+        packs[j] = np.concatenate(arrays, axis=None).reshape((len(arrays),) + shape)
+    try:
+        out = _FNS[fn_id][1](*packs)
+    except Exception:  # the caller's per-leaf pass raises it again, at its row
+        return None
+    out.setflags(False)  # raw leaves alone give one row, which broadcasting repeats
+    out = np.broadcast_to(out, (n,) + shape)
+    return _views(TensorLeaf, out, shape, [device] * n, _DTYPE_NAME[out.dtype])
 
 
 def split(t: TensorLeaf, chunk: int, axis: int = 0) -> list[TensorLeaf]:

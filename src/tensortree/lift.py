@@ -11,6 +11,7 @@ leaf column over the merged paths. Neither path builds a node.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
@@ -88,19 +89,34 @@ def _merge(keys: list, policy: MismatchPolicy, path: Path, mismatch: list):
     return tuple((n, _merge([m.get(n) for m in maps], policy, path + (n,), mismatch)) for n in names)
 
 
-def _column(td: TreeDef | None, payloads, paths, default) -> list:
-    """An argument's leaf at each merged path: its own, else that of its
-    nearest value-node ancestor, else `default`. A raw leaf (td None)
-    broadcasts to every path."""
-    if td is None:
-        return [payloads] * len(paths)
-    index, out = td.index, []
-    for p in paths:
-        i, j = index.get(p), len(p) - 1
-        while i is None and j:
-            i, j = index.get(p[:j]), j - 1
-        out.append(default if i is None else payloads[i])
-    return out
+def _gather(td: TreeDef, paths) -> list[int]:
+    """The position in `td`'s leaf list of an argument's leaf at each merged
+    path: its own, else that of its nearest value-node ancestor, else
+    `td.count`, where the caller puts the default."""
+    index, default = td.index, td.count
+    return [index[p] if p in index else next(
+        (index[p[:j]] for j in range(len(p) - 1, 0, -1) if p[:j] in index), default) for p in paths]
+
+
+def _merged(tds: list[TreeDef], policy: MismatchPolicy) -> tuple[TreeDef, list, list]:
+    """(merged treedef, gather list of each structure, None for the merged
+    one, strict mismatches). A merge without mismatches is memoised on the
+    first treedef, keyed by the policy kind and the others' serials (never
+    reused), and holds the merged treedef weakly."""
+    memo, key = tds[0]._merges, (policy.kind, *[t.serial for t in tds[1:]])
+    hit = memo.get(key)
+    td = hit and hit[0]()
+    if td is not None:
+        return td, hit[1], []
+    mismatch: list = []
+    td = treedef(_merge([t.key for t in tds], policy, (), mismatch))
+    cut = bisect_left(td.paths, mismatch[0].path) if mismatch else None
+    gathers = [None if t == td else _gather(t, td.paths[:cut]) for t in tds]
+    if not mismatch:
+        if len(memo) >= 16:  # a bound: entries for dead treedefs are never hit
+            memo.clear()
+        memo[key] = (weakref.ref(td), gathers)
+    return td, gathers, mismatch
 
 
 def _leafwise(fn, columns: Sequence[list], path_of: Callable[[int], Path]) -> list:
@@ -141,11 +157,13 @@ def _lift(args: Sequence, policy: MismatchPolicy, fn, batch=None) -> TreeTensor:
     tds = [td for td, _ in flat if td is not None]
     if not tds:
         raise ArityMismatch("at least one argument must be a tree")
-    td, mismatch = tds[0], []
+    td, gathers, mismatch = tds[0], [None] * len(tds), []
     if not all(other == td for other in tds[1:]):
-        td = treedef(_merge([t.key for t in tds], policy, (), mismatch))
-    cut = bisect_left(td.paths, mismatch[0].path) if mismatch else None
-    columns = [ls if t == td else _column(t, ls, td.paths[:cut], policy.default) for t, ls in flat]
+        td, gathers, mismatch = _merged(tds, policy)
+    n = bisect_left(td.paths, mismatch[0].path) if mismatch else td.count
+    gathers = iter(gathers)  # a raw leaf repeats; a tree gives its leaves or a gather of them
+    columns = [[ls] * n if t is None else ls if (g := next(gathers)) is None
+               else list(map([*ls, policy.default].__getitem__, g)) for t, ls in flat]
     out = batch(columns) if batch and not mismatch else None
     if out is None:
         out = _leafwise(fn, columns, lambda i: td.paths[i])
@@ -189,11 +207,12 @@ def lift_multi(fn_id: str, policy: MismatchPolicy = STRICT) -> Callable[..., Tre
     """Lift a registered function of any arity; arguments may be trees or
     raw leaves (raw leaves broadcast like value nodes)."""
     arity = _lf.fn_arity(fn_id)
+    batch = partial(_lf.ew_columns, fn_id)
 
     def lifted(*args) -> TreeTensor:
         if len(args) != arity:
             raise ArityMismatch(f"{fn_id} takes {arity} arguments, got {len(args)}")
-        return _lift(args, policy, lambda ls: _lf.ew_nary(fn_id, ls))
+        return _lift(args, policy, lambda ls: _lf.ew_nary(fn_id, ls), batch)
 
     return lifted
 

@@ -21,6 +21,7 @@ key and its leaves into nested dicts (or, wrapped, into nodes).
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -177,10 +178,10 @@ class TreeDef:
     each. Two structures are equal when they are one object or their keys
     compare equal; `treedef` interns them, so usually the first."""
 
-    __slots__ = ("key", "_paths", "_index", "__weakref__")
+    __slots__ = ("key", "serial", "_paths", "_index", "_merges", "__weakref__")
 
     def __init__(self, key: tuple):
-        self.key = key
+        self.key, self.serial, self._merges = key, next(_SERIALS), {}  # _merges: lift's memo
         self._paths = self._index = None
 
     def __eq__(self, other):
@@ -192,8 +193,10 @@ class TreeDef:
     def paths(self) -> tuple[Path, ...]:
         if self._paths is None:
             paths: list = []
-            _paths_into(self.key, (), paths)
+            full = _paths_into(self.key, (), paths)
             self._paths = tuple(paths)
+            if full:  # else another structure has these paths too
+                _BY_PATHS[self._paths] = self
         return self._paths
 
     @property
@@ -208,16 +211,22 @@ class TreeDef:
         return self._index
 
 
-def _paths_into(key: tuple, prefix: Path, out: list) -> None:
+def _paths_into(key: tuple, prefix: Path, out: list) -> bool:
+    """Appends the leaf paths of `key`; False if it is or has an empty subtree."""
+    full = bool(key)
     for k, s in key:
         if s is None:
             out.append(prefix + (k,))
         else:
-            _paths_into(s, prefix + (k,), out)
+            full = _paths_into(s, prefix + (k,), out) and full
+    return full
 
 
+_SERIALS = itertools.count()  # TreeDef.serial: never reused, unlike id()
 # weak, so a structure lives only as long as a tree of it does
 _TREEDEFS: "weakref.WeakValueDictionary[tuple, TreeDef]" = weakref.WeakValueDictionary()
+# leaf paths -> the one structure without empty subtrees that has them
+_BY_PATHS: "weakref.WeakValueDictionary[tuple, TreeDef]" = weakref.WeakValueDictionary()
 
 
 def treedef(key: tuple) -> TreeDef:

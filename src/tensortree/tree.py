@@ -26,7 +26,7 @@ from . import constraints as _c
 from .errors import BadPath, ConstraintViolation, PathNotFound
 from .leaf import TensorLeaf, _new_leaf, from_array, make_leaf
 from .node import Node, Path, TreeDef, TreeNode, ValueNode, check_key, flatten, get_node
-from .node import treedef, unflatten
+from .node import _BY_PATHS, treedef, unflatten
 
 _REPR_LEAVES = 8
 
@@ -316,13 +316,15 @@ def validate_full(tree: TreeTensor) -> list[tuple[Path, _c.Constraint]]:
 def rebuild(pairs: list[tuple[Path, object]]) -> TreeTensor:
     """Build a tree from (path, leaf) pairs (inverse of leaves()); of two
     pairs with one path the later wins."""
-    payloads = {}
-    for path, leaf in pairs:
-        if not path:
-            raise PathNotFound(path, "leaf at empty path")
-        payloads[tuple(path)] = ValueNode(leaf).leaf
+    payloads = {tuple(path): leaf for path, leaf in pairs}
+    if () in payloads:
+        raise PathNotFound((), "leaf at empty path")
     paths = sorted(payloads)
-    return TreeTensor._of(treedef(_paths_key(paths, 0)), [payloads[p] for p in paths])
+    td = _BY_PATHS.get(tuple(paths)) or treedef(_paths_key(paths, 0))
+    out = [payloads[p] for p in paths]
+    if {*map(type, out)} - {TensorLeaf}:  # unwrap a value node around a payload
+        out = [ValueNode(p).leaf for p in out]
+    return TreeTensor._of(td, out)
 
 
 def _paths_key(paths: list, depth: int) -> tuple:

@@ -13,7 +13,9 @@ from collections.abc import Mapping
 import numpy as np
 
 import tensortree as tt
-from tensortree.node import check_key, flatten
+from tensortree.constraints import EMPTY, Constraint, ConstraintTree, c_sum, inherit
+from tensortree.errors import PathNotFound
+from tensortree.node import Node, Path, ValueNode, check_key, flatten
 
 LEAF_DTYPES = ("f32", "f64", "i64")
 KEY_ALPHABET = string.ascii_lowercase
@@ -246,3 +248,41 @@ def build_reference(pairs):
 
 def paper_tree() -> tt.TreeTensor:
     return tt.build_tree({"a": 2, "b": 3, "x": {"c": 5, "d": 7}})
+
+
+# ---------------------------------------------------------------------------
+# the dense constraint-tree reference: a trie position for every node
+
+
+def mirror(node: Node, constraint: Constraint = EMPTY) -> ConstraintTree:
+    """Reference oracle: all-`constraint` tree with the same shape as `node`."""
+    if isinstance(node, ValueNode):
+        return ConstraintTree(constraint)
+    return ConstraintTree(
+        constraint, {k: mirror(c, constraint) for k, c in node.children.items()}
+    )
+
+
+def distribute(ct: ConstraintTree) -> ConstraintTree:
+    """Reference oracle: one top-down pass, child <- child + inherit(parent).
+
+    A single pass reaches the fixpoint because the inherit map is idempotent.
+    """
+    inherited = inherit(ct.constraint)
+    children = {
+        k: distribute(ConstraintTree(c_sum([child.constraint, inherited]), child.children))
+        for k, child in ct.children.items()
+    }
+    return ConstraintTree(ct.constraint, children)
+
+
+def place(ct: ConstraintTree, path: Path, constraint: Constraint) -> ConstraintTree:
+    """Reference oracle: add `constraint` at an existing position of a mirror."""
+    if not path:
+        return ConstraintTree(c_sum([ct.constraint, constraint]), ct.children)
+    head, rest = path[0], path[1:]
+    if head not in ct.children:
+        raise PathNotFound(path)
+    children = dict(ct.children)
+    children[head] = place(children[head], rest, constraint)
+    return ConstraintTree(ct.constraint, children)

@@ -161,7 +161,7 @@ def test_criterion_04_constraint_algebra():
         if not ok:
             break
     # distribution fixpoint on random placements
-    from tensortree.constraints import distribute, mirror, place
+    from helpers import distribute, mirror, place
     for _ in range(100):
         t = rand_tree(rng, max_depth=3, max_leaves=6)
         ct = mirror(t.root)

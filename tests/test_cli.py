@@ -2,10 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tensortree as tt
-from tensortree import bench, cli
+from tensortree import bench, cli, io_formats
 
 CLI = [sys.executable, "-m", "tensortree.cli"]
 
@@ -242,3 +243,16 @@ def test_apply_usage_errors_exit_2_with_one_line(paper_file, args, files):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.strip().count("\n") == 0 and "Traceback" not in r.stderr
+
+
+def test_a_large_misplaced_document_gives_one_bounded_error_line(tmp_path):
+    # a tree document where subside wants an outer structure: the message
+    # once quoted the whole 1.44 MB document
+    t = tt.build_tree({f"k{i}": {"x": np.arange(1024.0)} for i in range(64)})
+    f = tmp_path / "a.ttj"
+    f.write_text(tt.serialize_tree(t))
+    r = run("subside", str(f))
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and "at /:" in lines[0]
+    assert len(lines[0]) < io_formats._SHOWN + 100

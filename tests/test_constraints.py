@@ -8,14 +8,11 @@ from tensortree.constraints import (
     EMPTY,
     Constraint,
     ConstraintTree,
-    distribute,
-    mirror,
-    place,
     violations,
 )
 from tensortree.errors import ConstraintViolation
 
-from helpers import paper_tree, rand_leaf, rand_tree
+from helpers import distribute, mirror, paper_tree, place, rand_leaf, rand_tree
 
 
 def inh(atom):

@@ -1,5 +1,6 @@
-"""Equality agrees with hashing, and malformed leaf documents are parse
-errors (CLI exit 2) rather than silent truncations or tracebacks."""
+"""Equality agrees with hashing, NaN included, and malformed documents are
+parse errors (CLI exit 2) with bounded text rather than silent truncations
+or tracebacks."""
 
 import json
 import subprocess
@@ -7,9 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tensortree as tt
-from tensortree.errors import ParseError
+from tensortree import io_formats
+from tensortree.errors import ParseError, TensorTreeError
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -230,3 +234,61 @@ def test_a_bad_key_in_a_document_is_a_parse_error(tmp_path, key):
     r = show(tmp_path, text)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr and "parse error" in r.stderr
+
+
+# NaNs that differ in sign or payload, -0.0 and 0.0: the leaves of these
+# compare equal exactly when they hold the same numbers, NaN counting as one
+_SPECIAL = {
+    "f64": np.array([np.nan, -np.nan, 0.0, -0.0, 1.0]
+                    + [np.array(0x7FF8000000000001, np.uint64).view(np.float64)]),
+    "f32": np.array([np.nan, -np.nan, 0.0, -0.0, 1.0]
+                    + [np.array(0x7FC00001, np.uint32).view(np.float32)], dtype=np.float32),
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(["f32", "f64"]), st.lists(st.integers(0, 5), max_size=4),
+       st.lists(st.integers(0, 5), max_size=4))
+def test_nan_and_signed_zero_leaves_compare_equal_exactly_when_they_hash_equal(dtype, i, j):
+    pool = _SPECIAL[dtype]
+    a, b = tt.TensorLeaf(pool[i]), tt.TensorLeaf(pool[j])
+    numbers = lambda x: [None if np.isnan(v) else v for v in x.array.tolist()]  # noqa: E731
+    assert (a == b) == (numbers(a) == numbers(b)) == (hash(a) == hash(b))
+    assert (tt.build_tree({"x": a}) == tt.build_tree({"x": b})) == (a == b)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_a_tree_holding_nan_survives_a_round_trip(dtype):
+    pool = _SPECIAL[dtype]
+    t = tt.build_tree({"a": tt.TensorLeaf(pool), "b": {"c": tt.TensorLeaf(pool[:1].reshape(()))}})
+    back = tt.parse_tree(tt.serialize_tree(t))
+    assert back == t and hash(back.root) == hash(t.root)
+    assert tt.get(back, ["a"]) != tt.get(tt.lift_unary("neg")(back), ["a"])
+
+
+_HUGE = {f"k{i}": {"x": {**_LEAF, "shape": [2000], "data": [1.0] * 2000}} for i in range(50)}
+
+
+@pytest.mark.parametrize(
+    "parse, doc, where",
+    [
+        ("parse_outer", _HUGE, "at /:"),
+        ("parse_outer", {"kind": "seq", "items": [{"kind": "map", "entries": {"m": _HUGE}}]},
+         "at /0/m/:"),
+        ("parse_tree", {"a": {"__structured__": True, "payload": [{"b": "x" * 10**6}]}},
+         "at payload/0/b:"),
+        ("parse_constraint_spec", [{"path": "", "atoms": []}, _HUGE], "entry 1:"),
+        ("parse_constraint_spec", [{"path": "p", "inherit": "no", "atoms": [_HUGE]}], "'p'"),
+        ("parse_constraint_spec", [{"path": "p", "atoms": [[_HUGE]]}], "placement 'p'"),
+        ("parse_constraint_spec", [{"path": "p", "atoms": [{"kind": "dtype", **_HUGE}]}],
+         "placement 'p'"),
+        ("parse_constraint_spec", [{"path": "x" * 10**6, "atoms": 3}], "xxx...xxx"),
+        ("parse_tree", {"a": {**_LEAF, "dtype": "x" * 10**6}}, "unknown dtype"),
+        ("parse_tree", {"a": {**_LEAF, "shape": ["s"] * 10**6}}, "shape"),
+    ],
+)
+def test_parse_errors_quote_a_bounded_repr_and_name_where(parse, doc, where):
+    with pytest.raises(TensorTreeError) as e:
+        getattr(tt, parse)(json.dumps(doc))
+    assert where in str(e.value)
+    assert len(str(e.value)) < io_formats._SHOWN + 100

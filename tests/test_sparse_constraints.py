@@ -15,12 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tensortree as tt
-from tensortree.constraints import _local_ok, distribute, mirror, place
+from tensortree.constraints import _local_ok
 from tensortree.errors import ConstraintViolation
 from tensortree.io_formats import _ATOM_TO_OBJ
 from tensortree.node import TreeNode, get_node, path_to_string
 
-from helpers import iter_leaves
+from helpers import distribute, iter_leaves, mirror, place
 
 KEYS = ("a", "b", "c")
 DTYPES = ("f32", "f64", "i64")
