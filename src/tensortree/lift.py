@@ -5,8 +5,10 @@ function at each leaf position. Tree arguments of one structure (equal
 `TreeDef`s) take one path: a pass over their leaf lists, whose result keeps
 that treedef. Key-set disagreements between tree arguments, and raw leaves
 broadcast against trees, are resolved by a mismatch policy (strict / inner
-/ outer / left) that merges the structure keys; each argument then gives a
-leaf column over the merged paths. Neither path builds a node.
+/ outer / left) that merges the structure keys, memoised per structures
+and policy kind; each argument then gives a leaf column over the merged
+paths. Neither path builds a node. Elementwise lifts try one batched call
+over the columns (`leaf.ew_columns`) before the per-leaf pass.
 """
 
 from __future__ import annotations
@@ -205,7 +207,13 @@ def lift_unary(fn_id: str) -> Callable[[TreeTensor], TreeTensor]:
 
 def lift_multi(fn_id: str, policy: MismatchPolicy = STRICT) -> Callable[..., TreeTensor]:
     """Lift a registered function of any arity; arguments may be trees or
-    raw leaves (raw leaves broadcast like value nodes)."""
+    raw leaves (raw leaves broadcast like value nodes).
+
+    When `leaf.ew_columns` takes a call (one dtype, leaves of at most
+    BATCH_MAX_ELEMENTS elements) the output leaves are read-only rows of
+    one buffer, so a single surviving leaf keeps the call's whole buffer
+    alive; `leaf.copy()` or `deep_copy` detaches it.
+    """
     arity = _lf.fn_arity(fn_id)
     batch = partial(_lf.ew_columns, fn_id)
 

@@ -256,3 +256,22 @@ def test_a_large_misplaced_document_gives_one_bounded_error_line(tmp_path):
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and "at /:" in lines[0]
     assert len(lines[0]) < io_formats._SHOWN + 100
+
+
+def test_bench_samples_cpu_time_over_at_least_sample_ns(monkeypatch):
+    # each sample must be long enough that the two process_time_ns reads
+    # bounding it stay under 1% of what it measures
+    samples = []
+    real = bench._sample
+
+    def spy(fn, inner):
+        ns = real(fn, inner)
+        samples.append((inner, ns))
+        return ns
+
+    monkeypatch.setattr(bench, "_sample", spy)
+    bench._time(lambda: None, reps=3)
+    *calibration, (inner, ns) = samples[:-3]
+    assert ns >= bench.SAMPLE_NS and inner > 1
+    assert all(ns < bench.SAMPLE_NS for _, ns in calibration)
+    assert [i for i, _ in samples[-3:]] == [inner] * 3

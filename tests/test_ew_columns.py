@@ -222,8 +222,12 @@ def test_merge_memo_and_paths_table_keep_no_treedef_alive():
     assert left.treedef is a.treedef
     rebuilt = tt.rebuild(tt.leaves(out))
     assert rebuilt.treedef is out.treedef and rebuilt == out
-    refs = [weakref.ref(t.treedef) for t in (a, b, out, left, rebuilt)]
-    del a, b, out, again, left, rebuilt
+    merged = weakref.ref(out.treedef)
+    del out, again, rebuilt
+    gc.collect()
+    assert merged() is None  # the memo on a's treedef holds it weakly
+    refs = [weakref.ref(t.treedef) for t in (a, b, left)]
+    del a, b, left
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
 
