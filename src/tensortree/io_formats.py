@@ -178,7 +178,7 @@ def _parse_payload(obj, path: str = "payload"):
         if obj.get("__leaf__") is True:
             return _parse_leaf(obj)
         return {k: _parse_payload(v, f"{path}/{k}") for k, v in obj.items()}
-    raise ParseError(f"bad structured payload element at {path}: {_shown(obj)}")
+    raise ParseError(f"bad structured payload element at {path[:_SHOWN]}: {_shown(obj)}")
 
 
 def _parse_root(obj, what: str) -> TreeTensor:
@@ -289,7 +289,7 @@ def serialize_outer(outer) -> str:
 
 def _parse_outer_obj(obj, path: str = ""):  # path: item indices and entry keys, '/'-joined
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"bad outer-structure element at /{path}: {_shown(obj)}")
+        raise ParseError(f"bad outer-structure element at /{path[:_SHOWN]}: {_shown(obj)}")
     kind = obj["kind"]
     if kind == "tree":
         return _parse_root(_field(obj, "value"), "embedded tree")

@@ -291,8 +291,8 @@ def cat(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
 def stack_axis0(lists: Sequence[Sequence], cls=TensorLeaf) -> list | None:
     """Stack along a new axis 0 each column of the aligned leaf lists, one
     list per tree, copying each leaf once: the outputs, in column order,
-    are read-only C-contiguous views into one `np.concatenate` buffer per
-    dtype and leaf shape, which one surviving output keeps alive.
+    are read-only C-contiguous views into one buffer (`_pack`) per dtype
+    and leaf shape, which one surviving output keeps alive.
 
     None, with nothing copied, unless every payload is a TensorLeaf and each
     column has one dtype and one shape; callers then stack column by column,
@@ -313,7 +313,7 @@ def stack_axis0(lists: Sequence[Sequence], cls=TensorLeaf) -> list | None:
             arrays.append(p._array)
         devices.append(first._device)
         order.append(group)
-    views = {g: iter(_views(cls, np.concatenate(arrays, axis=None), (k,) + g[1], devices, g[0]))
+    views = {g: iter(_views(cls, _pack(arrays), (k,) + g[1], devices, g[0]))
              for g, (arrays, devices) in groups.items()}
     return [next(views[g]) for g in order]
 
@@ -323,7 +323,8 @@ def _views(cls, buf: np.ndarray, shape: tuple, devices: list, dtype: str) -> lis
     `shape` (ndim >= 1) of `buf`, which is made read-only."""
     buf.setflags(False)
     out = []
-    for p, d in zip(buf.reshape((len(devices),) + shape), devices):  # _new_leaf, inlined
+    # _new_leaf with a known tag, inlined: the call costs more than these stores
+    for p, d in zip(buf.reshape((len(devices),) + shape), devices):
         leaf = _object_new(cls)
         leaf._array, leaf._dtype, leaf._device = p, dtype, d
         out.append(leaf)
@@ -333,14 +334,28 @@ def _views(cls, buf: np.ndarray, shape: tuple, devices: list, dtype: str) -> lis
 BATCH_MAX_ELEMENTS = 64  # larger leaves cost more to pack than their calls cost
 
 
+def _pack(arrays: list) -> np.ndarray:
+    """The elements of arrays of one dtype and shape, copied into one flat
+    array: small arrays by joining their buffers, about 3x faster than
+    `np.concatenate`, which is faster on large ones (a subside of eight
+    trees of 65536-element leaves: 15 against 28 ms)."""
+    if arrays[0].size <= BATCH_MAX_ELEMENTS:
+        try:
+            return np.frombuffer(b"".join(arrays), arrays[0].dtype)
+        except TypeError:  # an array that is not C-contiguous exports no plain buffer
+            pass
+    return np.concatenate(arrays, axis=None)
+
+
 def ew_columns(fn_id: str, columns: Sequence[list]) -> list | None:
     """ew_nary over the rows of aligned leaf columns, one per argument, in
-    one call: a column is packed by one `np.concatenate` (one leaf repeated,
+    one call: `_pack` copies each column into one array (one leaf repeated,
     a raw leaf, goes in as it is) and the outputs are read-only row views of
     one buffer. None, having computed nothing, unless the leaves are all
     TensorLeafs of one dtype (not bool) and device, and each row has one
-    shape of ndim >= 1 and at most BATCH_MAX_ELEMENTS elements (0-d leaves
-    broadcast); None too if the function raises."""
+    shape of ndim >= 1 and 1 to BATCH_MAX_ELEMENTS elements (0-d leaves
+    broadcast; onto a zero-size shape a 0-d zero divisor of i64 `div` would
+    vanish); None too if the function raises."""
     probe = columns[0][0] if columns[0] else None
     if type(probe) is not TensorLeaf or probe._dtype == "bool":
         return None
@@ -358,7 +373,7 @@ def ew_columns(fn_id: str, columns: Sequence[list]) -> list | None:
             if a.shape != shape:
                 if not a.shape:
                     zero_d.append(len(arrays))
-                elif shape is not None or a.size > BATCH_MAX_ELEMENTS:
+                elif shape is not None or not 0 < a.size <= BATCH_MAX_ELEMENTS:
                     return None
                 else:
                     shape = a.shape
@@ -371,7 +386,7 @@ def ew_columns(fn_id: str, columns: Sequence[list]) -> list | None:
     for j, (arrays, zero_d) in enumerate(packs):
         for i in zero_d:
             arrays[i] = np.broadcast_to(arrays[i], shape)
-        packs[j] = np.concatenate(arrays, axis=None).reshape((len(arrays),) + shape)
+        packs[j] = _pack(arrays).reshape((len(arrays),) + shape)
     try:
         out = _FNS[fn_id][1](*packs)
     except Exception:  # the caller's per-leaf pass raises it again, at its row

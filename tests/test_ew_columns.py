@@ -39,8 +39,9 @@ FLOATS = np.array([0.0, -0.0, 1.5, -2.0, 0.5, np.nan, -np.nan, np.inf, -np.inf, 
 INTS = np.array([0, 1, -1, 7, -3, 2**62, 2**63 - 1, -(2**63)], dtype=np.int64)
 BIG = lf.BATCH_MAX_ELEMENTS
 SHAPES = [(4,), (2, 3), (0,), (3, 0), (2, BIG // 2), (BIG + 1,)]
-# how a column's leaves differ from the common dtype/shape/device/type
-ODD = ["dtype", "bool", "shape", "device", "stacked", "structured"]
+# how a column's leaves differ from the common dtype/shape/device/type;
+# a strided leaf differs only in layout and still batches
+ODD = ["dtype", "bool", "shape", "device", "stacked", "structured", "strided"]
 
 
 def values(rng, dtype, shape):
@@ -60,6 +61,8 @@ def odd_leaf(rng, odd, dtype, shape):
         return tt.TensorLeaf(values(rng, dtype, (5,)))
     if odd == "device":
         return tt.TensorLeaf(values(rng, dtype, shape), "gpu0")
+    if odd == "strided":  # not C-contiguous once it has two or more elements
+        return tt.TensorLeaf(values(rng, dtype, shape + (2,))[..., 0])
     if odd == "stacked":
         return StackedLeaf(values(rng, dtype, shape), "cpu")
     return StructuredLeaf({"x": tt.TensorLeaf(values(rng, dtype, shape))})
@@ -84,7 +87,7 @@ def columns(seed, arity, n, dtype, shape, p_scalar, raw, odd):
 
 def should_batch(cols) -> bool:
     """The rule ew_columns states: exact TensorLeafs of one dtype (not
-    bool) and one device, one shape of ndim >= 1 and at most
+    bool) and one device, one shape of ndim >= 1 and 1 to
     BATCH_MAX_ELEMENTS elements, and no row of 0-d leaves only."""
     leaves = [p for c in cols for p in c]
     if any(type(p) is not tt.TensorLeaf for p in leaves):
@@ -94,7 +97,7 @@ def should_batch(cols) -> bool:
         return False
     if len({p.device for p in leaves}) != 1 or len(shapes) != 1:
         return False
-    return np.prod(next(iter(shapes))) <= BIG and not any(
+    return 0 < np.prod(next(iter(shapes))) <= BIG and not any(
         all(p.shape == () for p in row) for row in zip(*cols))
 
 
@@ -209,6 +212,11 @@ def test_i64_div_by_zero_names_the_first_failing_path():
     with pytest.raises(LeafOpError) as e:
         tt.lift_multi("div")(a, tt.scalar(0, "i64"))
     assert e.value.path == ("a",) and isinstance(e.value.cause, DivisionByZero)
+    # a 0-d zero divisor broadcast onto zero-size leaves must still raise
+    empty = tt.build_tree({"a": np.ones(0, dtype=np.int64), "b": np.ones(0, dtype=np.int64)})
+    with pytest.raises(LeafOpError) as e:
+        tt.lift_multi("div")(empty, tt.build_tree({"a": 1, "b": 0}))
+    assert e.value.path == ("b",) and isinstance(e.value.cause, DivisionByZero)
 
 
 def test_merge_memo_and_paths_table_keep_no_treedef_alive():

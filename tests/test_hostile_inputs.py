@@ -283,6 +283,10 @@ _HUGE = {f"k{i}": {"x": {**_LEAF, "shape": [2000], "data": [1.0] * 2000}} for i 
         ("parse_constraint_spec", [{"path": "p", "atoms": [{"kind": "dtype", **_HUGE}]}],
          "placement 'p'"),
         ("parse_constraint_spec", [{"path": "x" * 10**6, "atoms": 3}], "xxx...xxx"),
+        # a huge key on the way to the bad element
+        ("parse_outer", {"kind": "map", "entries": {"k" * 10**6: 3}}, "at /kkk"),
+        ("parse_tree", {"a": {"__structured__": True, "payload": {"k" * 10**6: 3}}},
+         "at payload/kkk"),
         ("parse_tree", {"a": {**_LEAF, "dtype": "x" * 10**6}}, "unknown dtype"),
         ("parse_tree", {"a": {**_LEAF, "shape": ["s"] * 10**6}}, "shape"),
     ],
