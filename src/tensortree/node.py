@@ -196,7 +196,7 @@ class TreeDef:
             full = _paths_into(self.key, (), paths)
             self._paths = tuple(paths)
             if full:  # else another structure has these paths too
-                _BY_PATHS[self._paths] = self
+                _BY_PATHS[len(paths), paths[-1]] = self
         return self._paths
 
     @property
@@ -225,7 +225,9 @@ def _paths_into(key: tuple, prefix: Path, out: list) -> bool:
 _SERIALS = itertools.count()  # TreeDef.serial: never reused, unlike id()
 # weak, so a structure lives only as long as a tree of it does
 _TREEDEFS: "weakref.WeakValueDictionary[tuple, TreeDef]" = weakref.WeakValueDictionary()
-# leaf paths -> the one structure without empty subtrees that has them
+# (leaf count, last leaf path) -> the latest structure without empty
+# subtrees to have them; a lookup compares its paths. Hashing every path
+# would add a fifth to computing them.
 _BY_PATHS: "weakref.WeakValueDictionary[tuple, TreeDef]" = weakref.WeakValueDictionary()
 
 

@@ -320,7 +320,9 @@ def rebuild(pairs: list[tuple[Path, object]]) -> TreeTensor:
     if () in payloads:
         raise PathNotFound((), "leaf at empty path")
     paths = sorted(payloads)
-    td = _BY_PATHS.get(tuple(paths)) or treedef(_paths_key(paths, 0))
+    td = _BY_PATHS.get((len(paths), paths[-1])) if paths else None
+    if td is None or td.paths != tuple(paths):
+        td = treedef(_paths_key(paths, 0))
     out = [payloads[p] for p in paths]
     if {*map(type, out)} - {TensorLeaf}:  # unwrap a value node around a payload
         out = [ValueNode(p).leaf for p in out]

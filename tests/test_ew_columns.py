@@ -253,6 +253,17 @@ def test_rebuild_drops_an_empty_subtree():
     assert tt.leaves(with_empty)[0][0] == ("a",) and len(with_empty.root) == 2
 
 
+def test_rebuild_checks_the_paths_of_the_structure_it_looks_up():
+    # the table is keyed by leaf count and last path, which these share
+    x = tt.from_array(np.ones(2))
+    ac = tt.build_tree({"a": x, "c": x})
+    tt.leaves(ac)
+    bc = tt.rebuild([(("b",), x), (("c",), x)])
+    assert bc.treedef.key == (("b", None), ("c", None)) and bc.treedef is not ac.treedef
+    assert tt.rebuild(tt.leaves(ac)).treedef is ac.treedef
+    assert tt.rebuild([]).treedef.key == ()
+
+
 def test_many_small_elementwise_lifts_take_the_batched_path(monkeypatch):
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
