@@ -15,7 +15,7 @@ import numpy as np
 import tensortree as tt
 from tensortree.constraints import EMPTY, Constraint, ConstraintTree, c_sum, inherit
 from tensortree.errors import PathNotFound
-from tensortree.node import Node, Path, ValueNode, check_key, flatten
+from tensortree.node import Node, Path, TreeNode, ValueNode, check_key, flatten
 
 LEAF_DTYPES = ("f32", "f64", "i64")
 KEY_ALPHABET = string.ascii_lowercase
@@ -215,6 +215,37 @@ def iter_leaves(node, prefix=()):
     else:
         for k, child in node.children.items():
             yield from iter_leaves(child, prefix + (k,))
+
+
+def get_node(node: Node, path: Path) -> Node | None:
+    """Follow a path through the nodes; None if it does not exist."""
+    cur = node
+    for key in path:
+        if not isinstance(cur, TreeNode):
+            return None
+        cur = cur.get(key)
+        if cur is None:
+            return None
+    return cur
+
+
+def replace_node(node: TreeNode, path: Path, value: Node | None, i: int = 0) -> TreeNode:
+    """Reference path copy: `node` with `path[i:]` set to `value`, or
+    removed when `value` is None, copying only the nodes on the path.
+    PathNotFound names the whole path for a removal and the parent's path
+    for a set."""
+    key = path[i]
+    children = dict(node.children)
+    if i + 1 < len(path):
+        child = children.get(key)
+        if not isinstance(child, TreeNode):
+            raise PathNotFound(path if value is None else path[:-1])
+        children[key] = replace_node(child, path, value, i + 1)
+    elif value is not None:
+        children[key] = value
+    elif children.pop(key, None) is None:
+        raise PathNotFound(path)
+    return TreeNode(children)
 
 
 def build_reference(pairs):

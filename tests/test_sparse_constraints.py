@@ -18,9 +18,9 @@ import tensortree as tt
 from tensortree.constraints import _local_ok
 from tensortree.errors import ConstraintViolation
 from tensortree.io_formats import _ATOM_TO_OBJ
-from tensortree.node import TreeNode, get_node, path_to_string
+from tensortree.node import TreeNode, path_to_string
 
-from helpers import distribute, iter_leaves, mirror, place
+from helpers import distribute, get_node, iter_leaves, mirror, place
 
 KEYS = ("a", "b", "c")
 DTYPES = ("f32", "f64", "i64")
