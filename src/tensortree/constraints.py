@@ -4,16 +4,22 @@ A constraint is a canonical conjunction (``Sum``) of atoms, each flagged as
 inheriting or non-inheriting. Inheriting atoms hold for a tree node iff they
 hold on all descendants; non-inheriting atoms are pinned to a single node
 and their inherited form is the empty constraint.
+
+The checks walk a tree's flat form (structure key, leaves, sorted leaf
+paths) beside the trie of placements. A subtree's leaves are one range, so
+`LeafCountIs` is its length and a `ShapesEqual` or `SharedPrefix` target is
+found by bisecting the paths. A node argument is flattened once on entry.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from .errors import ConstraintViolation, PathNotFound
+from .errors import ConstraintViolation
 from .leaf import TensorLeaf
-from .node import Node, Path, TreeNode, ValueNode, flatten, get_node
+from .node import Node, Path, flatten, leaf_range, subkey, treedef
 
 # ---------------------------------------------------------------------------
 # atoms
@@ -95,15 +101,17 @@ def _leaf_atom_holds(atom, leaf: TensorLeaf) -> bool:
     raise TypeError(f"not a leaf atom: {atom!r}")
 
 
-def _node_atom_holds(atom, node: Node) -> bool:
+def _node_atom_holds(atom, leaves: list, paths, path: Path) -> bool:
     if isinstance(atom, LeafCountIs):
-        return len(flatten(node)[1]) == atom.n
+        lo, hi = leaf_range(paths, path)
+        return hi - lo == atom.n
     shapes = []
     for p in atom.paths:
-        target = get_node(node, p)
-        if not isinstance(target, TensorLeaf):
+        target = path + p
+        i = bisect_left(paths, target)
+        if i == len(paths) or paths[i] != target or not isinstance(leaves[i], TensorLeaf):
             return False
-        shapes.append(target.shape)
+        shapes.append(leaves[i].shape)
     if isinstance(atom, ShapesEqual):
         return all(s == shapes[0] for s in shapes)
     if isinstance(atom, SharedPrefix):
@@ -210,24 +218,39 @@ def satisfies(c: Constraint, n: Node) -> bool:
     return first_violation(n, ConstraintTree(c)) is None
 
 
-def _local_ok(c: Constraint, n: Node) -> bool:
-    """Non-recursive check of a node against its effective constraint.
+def _flat(n) -> tuple:
+    """(structure key, leaves, leaf paths) of a tree in flat form: a
+    TreeTensor's own, or a node's by one flatten."""
+    if isinstance(n, tuple):
+        return n
+    if isinstance(n, Node):
+        key, leaves = flatten(n)
+        return key, leaves, ((),) if key is None else treedef(key).paths
+    td, leaves = n._flat()
+    return td.key, leaves, td.paths
 
-    Inheriting atoms are checked only at value nodes: every descendant's
+
+def _local_ok(c: Constraint, n, path: Path = (), lo: int = 0) -> bool:
+    """Non-recursive check of the position at `path`, whose first leaf is
+    `lo`, in `n` (a node or a tree in flat form) against its effective
+    constraint.
+
+    Inheriting atoms are checked only at value positions: every descendant's
     effective constraint carries them, so the local check is complete and
-    each failure is reported once, at the most specific path. A TensorLeaf
-    is its own value node; any other value node fails every leaf atom.
+    each failure is reported once, at the most specific path. A payload
+    that is not a TensorLeaf fails every leaf atom.
     """
-    tensor = isinstance(n, TensorLeaf)
-    value = tensor or isinstance(n, ValueNode)
+    _, leaves, paths = _flat(n)
+    value = lo < len(paths) and paths[lo] == path
+    tensor = value and isinstance(leaves[lo], TensorLeaf)
     for inh, atom in c.entries:
         if inh:
-            if value and not (tensor and _leaf_atom_holds(atom, n)):
+            if value and not (tensor and _leaf_atom_holds(atom, leaves[lo])):
                 return False
         elif isinstance(atom, _NODE_ATOMS):
-            if not _node_atom_holds(atom, n):
+            if not _node_atom_holds(atom, leaves, paths, path):
                 return False
-        elif not (tensor and _leaf_atom_holds(atom, n)):
+        elif not (tensor and _leaf_atom_holds(atom, leaves[lo])):
             return False
     return True
 
@@ -282,70 +305,74 @@ class ConstraintTree:
 TRIVIAL = ConstraintTree()
 
 
-def effective(node: Node, ct: ConstraintTree, prefix: Path = (), inherited: Constraint = EMPTY):
-    """Pre-order (path, node, effective constraint) of every node under
-    `node` whose effective constraint is not empty.
-
-    `inherited` is what the parent passes down. Below the last trie
-    position it is already closed under `inherit` and passes on unchanged.
-    """
-    own = ct.constraint
-    eff = c_sum([own, inherited]) if own else inherited
-    if eff:
-        yield prefix, node, eff
-    if not isinstance(node, TreeNode):
-        return
-    down = inherit(eff) if own else inherited
-    if ct.children:
-        for k, child in node.children.items():
-            yield from effective(child, ct.child(k), prefix + (k,), down)
-    elif down:
-        yield from _passed_down(node, prefix, down)
+def effective(n, ct: ConstraintTree):
+    """Pre-order (path, first leaf index, effective constraint) of every
+    position of `n` (a node or a TreeTensor) whose effective constraint is
+    not empty."""
+    return _positions(_flat(n), ct, True)
 
 
-def _passed_down(node: TreeNode, prefix: Path, inherited: Constraint):
-    # `effective` below the last trie position, where every node's effective
-    # constraint is `inherited`; unlike `effective` it makes no generator per
-    # value node, which most nodes are
-    for k, child in node.children.items():
-        path = prefix + (k,)
-        yield path, child, inherited
-        if isinstance(child, TreeNode):
-            yield from _passed_down(child, path, inherited)
+def _positions(f: tuple, ct: ConstraintTree, every: bool, focus: Path = ()):
+    """`effective` of the flat tree `f`; with a `focus` path, only the
+    positions on it and under it. Unless `every`, below the last trie
+    position only value positions: all that passes down there is
+    inheriting atoms, which no tree position fails."""
+    paths = f[2]
+
+    def walk(key, ct, path, lo, inherited):
+        own = ct.constraint
+        eff = c_sum([own, inherited]) if own else inherited
+        if eff:
+            yield path, lo, eff
+        down = inherit(eff) if own else inherited
+        if not key or not (down or ct.children):
+            return
+        on = len(path) < len(focus)
+        if ct.children or every or on:
+            for k, sub in key:
+                if not on or k == focus[len(path)]:
+                    p = path + (k,)
+                    yield from walk(sub, ct.child(k), p, bisect_left(paths, p, lo), down)
+        else:
+            for i in range(lo, leaf_range(paths, path)[1]):
+                yield paths[i], i, down
+
+    return walk(f[0], ct, (), 0, EMPTY)
 
 
-def _violating(node: Node, ct: ConstraintTree, prefix: Path = (), inherited: Constraint = EMPTY):
-    for path, n, eff in effective(node, ct, prefix, inherited):
-        if not _local_ok(eff, n):
+def _violating(f: tuple, ct: ConstraintTree, focus: Path = ()):
+    for path, lo, eff in _positions(f, ct, False, focus):
+        if not _local_ok(eff, f, path, lo):
             yield path, eff
 
 
 def violations(node: Node, ct: ConstraintTree, prefix: Path = ()) -> list[tuple[Path, Constraint]]:
     """All (path, effective constraint) pairs failing the local check, in
-    pre-order."""
-    return list(_violating(node, ct, prefix))
+    pre-order; each path follows `prefix`."""
+    return [(prefix + p, c) for p, c in _violating(_flat(node), ct)]
 
 
 def first_violation(node: Node, ct: ConstraintTree) -> tuple[Path, Constraint] | None:
     """The first entry of `violations(node, ct)`, or None; stops there."""
-    return next(_violating(node, ct), None)
+    return next(_violating(_flat(node), ct), None)
 
 
-def sparse(ct: ConstraintTree, node: Node, inherited: Constraint = EMPTY) -> ConstraintTree:
-    """The sparse trie with the same effective constraints as `ct` on `node`.
+def sparse(ct: ConstraintTree, key, inherited: Constraint = EMPTY) -> ConstraintTree:
+    """The sparse trie with the same effective constraints as `ct` on a tree
+    of structure `key`.
 
     Each position keeps its entries minus what its parent passes down;
-    positions that are empty, or absent from `node`, are dropped.
+    positions that are empty, or absent from the structure, are dropped.
     """
     own = ct.constraint
     kept = [e for e in own.entries if e not in inherited.entries]
     children = {}
-    if ct.children and isinstance(node, TreeNode):
+    if ct.children and key:
         down = inherit(c_sum([own, inherited])) if own else inherited
+        subs = dict(key)
         for k, child in ct.children.items():
-            sub = node.get(k)
-            if sub is not None:
-                child = sparse(child, sub, down)
+            if k in subs:
+                child = sparse(child, subs[k], down)
                 if not child.is_trivial:
                     children[k] = child
     if not kept and not children:
@@ -364,17 +391,18 @@ def _trie(placements: dict[Path, Constraint]) -> ConstraintTree:
 
 
 def build_constraint_tree(node: Node, placements: dict[Path, Constraint]) -> ConstraintTree:
-    """Sparse trie of the placements over `node`, validated in one pass.
+    """Sparse trie of the placements over `node` (or a TreeTensor),
+    validated in one pass.
 
     Raises PathNotFound for a placement outside `node`, then
     ConstraintViolation on the first violating position.
     """
+    f = _flat(node)
     placements = {tuple(p): c for p, c in placements.items()}
     for path in placements:
-        if path and get_node(node, path) is None:
-            raise PathNotFound(path)
-    ct = sparse(_trie(placements), node)
-    bad = first_violation(node, ct)
+        subkey(f[0], path)
+    ct = sparse(_trie(placements), f[0])
+    bad = next(_violating(f, ct), None)
     if bad:
         raise ConstraintViolation(*bad)
     return ct
@@ -391,57 +419,14 @@ def edit(ct: ConstraintTree, path: Path, replaced: bool) -> ConstraintTree:
     child = ct.children.get(path[0])
     if child is None:
         return ct
-    children = dict(ct.children)
-    child = edit(child, path[1:], replaced)
-    if child.is_trivial:
-        del children[path[0]]
-    else:
-        children[path[0]] = child
-    if not ct.constraint and not children:
-        return TRIVIAL
-    return ConstraintTree(ct.constraint, children)
+    children = {**ct.children, path[0]: edit(child, path[1:], replaced)}
+    children = {k: c for k, c in children.items() if not c.is_trivial}
+    return ConstraintTree(ct.constraint, children) if ct.constraint or children else TRIVIAL
 
 
-def write_violation(
-    new_root: TreeNode, ct: ConstraintTree, path: Path, old: Node | None, new: Node | None
-) -> tuple[Path, Constraint] | None:
-    """First violation that an edit at `path` causes in a valid tree, or None.
-
-    `ct` is the trie before the edit, `new_root` the root after it, `old`
-    and `new` the node at `path` before and after (None when absent or
-    removed). Only what the edit can break is checked, in pre-order: the
-    ancestors' node atoms, then the written subtree against what its parent
-    passes down plus the written position's own entries.
-    """
-    inherited = EMPTY
-    delta = None
-    for i, key in enumerate(path):
-        own = ct.constraint
-        eff = c_sum([own, inherited]) if own else inherited
-        for inh, atom in own.entries:
-            if inh or not isinstance(atom, _NODE_ATOMS):
-                continue  # leaf atoms of a tree node cannot change here
-            if isinstance(atom, LeafCountIs):
-                if delta is None:
-                    delta = (len(flatten(new)[1]) if new is not None else 0) - (
-                        len(flatten(old)[1]) if old is not None else 0
-                    )
-                ok = delta == 0  # the count held before the edit
-            else:
-                # only targets at or below the written position can change: a
-                # target above it is a tree node, which no valid atom names
-                rel = path[i:]
-                ok = not any(p[: len(rel)] == rel for p in atom.paths) or (
-                    _node_atom_holds(atom, get_node(new_root, path[:i]))
-                )
-            if not ok:
-                return path[:i], eff
-        if own:
-            inherited = inherit(eff)
-        ct = ct.children.get(key)
-        if ct is None:
-            break  # no placement below: what is inherited passes on unchanged
-    if new is None:
-        return None
-    own = ct.constraint if ct is not None else EMPTY
-    return next(_violating(new, ConstraintTree(own), path, inherited), None)
+def write_violation(tree, ct: ConstraintTree, path: Path) -> tuple[Path, Constraint] | None:
+    """The first violation in `tree`, under the trie `ct` after an edit at
+    `path` to a tree that was valid, or None. Only what the edit can break
+    is checked, in pre-order: the positions on `path` and the written
+    subtree."""
+    return next(_violating(_flat(tree), ct, path), None)

@@ -1,5 +1,16 @@
 """Exception hierarchy shared by all tensortree modules."""
 
+_SHOWN = 200  # the most characters of a path, key list or document value a message quotes
+
+
+def _shown(text: str) -> str:
+    return text if len(text) <= _SHOWN else text[: _SHOWN - 1] + "…"
+
+
+def _where(path) -> str:
+    """A path as a message names it; the error's `.path` stays whole."""
+    return _shown("/".join(path) or "<root>")
+
 
 class TensorTreeError(Exception):
     """Base class for every domain error raised by this package."""
@@ -48,7 +59,7 @@ class BadKey(TensorTreeError):
 class PathNotFound(TensorTreeError):
     def __init__(self, path, msg=None):
         self.path = tuple(path)
-        super().__init__(msg or f"path not found: {'/'.join(self.path) or '<root>'}")
+        super().__init__(msg or f"path not found: {_where(self.path)}")
 
 
 # ---- treelize -------------------------------------------------------------
@@ -57,10 +68,9 @@ class StrictKeyMismatch(TensorTreeError):
     def __init__(self, difference, path=()):
         self.difference = frozenset(difference)
         self.path = tuple(path)
-        where = "/".join(self.path) or "<root>"
         super().__init__(
-            f"strict policy: key sets differ at {where}: "
-            f"{sorted(self.difference)}"
+            f"strict policy: key sets differ at {_where(self.path)}: "
+            f"{_shown(str(sorted(self.difference)))}"
         )
 
 
@@ -78,7 +88,7 @@ class LeafOpError(TensorTreeError):
     def __init__(self, path, cause):
         self.path = tuple(path)
         self.cause = cause
-        super().__init__(f"at {'/'.join(self.path) or '<root>'}: {cause}")
+        super().__init__(f"at {_where(self.path)}: {cause}")
 
 
 # ---- functional utils -----------------------------------------------------
@@ -105,8 +115,7 @@ class ConstraintViolation(TensorTreeError):
     def __init__(self, path, constraint, msg=None):
         self.path = tuple(path)
         self.constraint = constraint
-        where = "/".join(self.path) or "<root>"
-        super().__init__(msg or f"constraint violated at {where}: {constraint}")
+        super().__init__(msg or f"constraint violated at {_where(self.path)}: {constraint}")
 
 
 class UnknownAtomKind(TensorTreeError):
@@ -122,7 +131,7 @@ class BadPath(TensorTreeError):
 class TailShapeMismatch(TensorTreeError):
     def __init__(self, path, msg=None):
         self.path = tuple(path)
-        super().__init__(msg or f"tail shapes differ at {'/'.join(self.path)}")
+        super().__init__(msg or f"tail shapes differ at {_where(self.path)}")
 
 
 class CorruptLengths(TensorTreeError):

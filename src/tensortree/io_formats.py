@@ -22,7 +22,7 @@ import json
 import reprlib
 
 from . import constraints as _c
-from .errors import BadKey, BadPath, DtypeUnknown, EmptyKey, ParseError, UnknownAtomKind
+from .errors import _SHOWN, BadKey, BadPath, DtypeUnknown, EmptyKey, ParseError, UnknownAtomKind
 from .functional import StackedLeaf, StructuredLeaf, nested_map
 from .leaf import DTYPES, TensorLeaf, make_leaf
 from .node import Path, ValueNode, as_dict, path_from_string, path_to_string
@@ -42,7 +42,6 @@ def _document(parse):
     return wrapped
 
 
-_SHOWN = 200  # the most characters of a document value a parse error quotes
 _REPR = reprlib.Repr()  # abbreviates containers: a large value is never repr'd whole
 _REPR.maxstring = _REPR.maxother = _SHOWN
 
@@ -111,18 +110,11 @@ def _constraint_entries(tree: TreeTensor) -> list:
     if tree.constraints.is_trivial:
         return []
     entries = []
-    for path, _, c in _c.effective(tree.root, tree.constraints):
-        by_flag: dict[bool, list] = {}
-        for inh, atom in c.entries:
-            by_flag.setdefault(inh, []).append(atom)
-        for inh in sorted(by_flag):
-            entries.append(
-                {
-                    "path": path_to_string(path),
-                    "inherit": inh,
-                    "atoms": [_ATOM_TO_OBJ[type(a)](a) for a in by_flag[inh]],
-                }
-            )
+    for path, _, c in _c.effective(tree, tree.constraints):
+        for inh in (False, True):
+            atoms = [_ATOM_TO_OBJ[type(a)](a) for flag, a in c.entries if flag == inh]
+            if atoms:
+                entries.append({"path": path_to_string(path), "inherit": inh, "atoms": atoms})
     return entries
 
 

@@ -196,7 +196,7 @@ def lift_unary(fn_id: str) -> Callable[[TreeTensor], TreeTensor]:
         out = apply(tree)
         if not (carry_constraints and isinstance(tree, TreeTensor)):
             return out
-        bad = first_violation(out.root, tree.constraints)
+        bad = first_violation(out, tree.constraints)
         if bad:
             raise ConstraintViolation(*bad)
         # strict lifting keeps the structure, so the trie still fits the root

@@ -7,26 +7,27 @@ wraps only the payloads that are not tensors (a `StructuredLeaf` from
 subside); `ValueNode(tensor_leaf)` returns the leaf.
 
 Nodes never reference their parents, so a node may be shared by any number
-of trees; all mutation elsewhere in the package is copy-on-path. Children
-iterate in ascending lexicographic key order.
+of trees. Children iterate in ascending lexicographic key order.
 
 `flatten` splits a node into a structure key and its leaf payloads, and
 `unflatten` inverts it. The key is a hashable nested tuple, so two nodes
 have the same structure exactly when their keys compare equal. A `TreeDef`
-wraps a key with, once asked for, its leaf paths; it is the structure half
-of a TreeTensor's flat form (a treedef and a leaf list), on which every
-zip, map, merge or unzip of leaves in the package runs. `as_dict` turns a
-key and its leaves into nested dicts (or, wrapped, into nodes).
+wraps a key with, once asked for, its sorted leaf paths; it is the
+structure half of a TreeTensor's flat form (a treedef and a leaf list), on
+which every operation in the package runs; nodes are only its view. A
+subtree's leaves are contiguous, and `leaf_range` bisects the paths for
+them. `as_dict` turns a key and its leaves into nested dicts or nodes.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
+from bisect import bisect_left
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import BadKey, EmptyKey
+from .errors import BadKey, EmptyKey, PathNotFound
 
 PATH_SEP = "/"
 _RESERVED_PREFIX = "__"
@@ -189,6 +190,9 @@ class TreeDef:
             return NotImplemented
         return self is other or self.key == other.key
 
+    def __reduce__(self):  # unpickles interned
+        return treedef, (self.key,)
+
     @property
     def paths(self) -> tuple[Path, ...]:
         if self._paths is None:
@@ -241,13 +245,20 @@ def treedef(key: tuple) -> TreeDef:
     return td
 
 
-def get_node(node: Node, path: Path) -> Node | None:
-    """Follow a path; None if it does not exist."""
-    cur = node
-    for key in path:
-        if not isinstance(cur, TreeNode):
-            return None
-        cur = cur.get(key)
-        if cur is None:
-            return None
-    return cur
+def leaf_range(paths, path: Path) -> tuple[int, int]:
+    """(lo, hi): where in sorted leaf `paths` the leaves under `path` lie.
+    They are contiguous, and `s + "\\0"` is the least string after `s`."""
+    if not path:
+        return 0, len(paths)
+    return bisect_left(paths, path), bisect_left(paths, path[:-1] + (path[-1] + "\0",))
+
+
+def subkey(key, path: Path):
+    """The structure key at `path` under `key` (None for a value position);
+    PathNotFound if there is no such position."""
+    try:
+        for k in path:
+            key = dict(key)[k]  # a value position's None has no children either
+    except (KeyError, TypeError):
+        raise PathNotFound(path) from None
+    return key

@@ -3,19 +3,21 @@ leaf payloads in flatten order) paired with a sparse trie of constraint
 placements.
 
 Values are persistent: every mutator returns a new TreeTensor that shares
-all untouched leaves and subtrees with the original. The flat form is the
-canonical one: lifting under every policy, the other leafwise operations
-and IO run on it and never build a `TreeNode`. `.root`, the node view that
-`get`, structural edits and the constraint checks walk, is built from it on
-first access and kept, which is safe because a TreeTensor never changes. A tree made from a root
-derives its flat form with one `flatten` when an operation first needs it.
-A constrained `set`/`remove` checks only what the edit can break: the
-ancestors' node atoms and the written subtree.
+all untouched leaves with the original. The flat form is the only form a
+TreeTensor holds, and every operation runs on it: lifting, the other
+leafwise operations, IO, `get`, `set`/`remove` and the constraint checks.
+In depth-first key order each subtree is a contiguous range of the leaf
+list, found by bisecting the treedef's sorted leaf paths, so an edit
+splices that range, the paths and the structure key along the path.
+`TreeTensor(root)` flattens its root once. `.root` is a node view, built on
+first access and then kept. A constrained `set`/`remove` checks only what
+the edit can break: the ancestors' node atoms and the written subtree.
 """
 
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -25,15 +27,14 @@ import numpy as np
 from . import constraints as _c
 from .errors import BadPath, ConstraintViolation, PathNotFound
 from .leaf import TensorLeaf, _new_leaf, from_array, make_leaf
-from .node import Node, Path, TreeDef, TreeNode, ValueNode, check_key, flatten, get_node
-from .node import _BY_PATHS, treedef, unflatten
+from .node import Node, Path, TreeDef, TreeNode, ValueNode, check_key, flatten, leaf_range
+from .node import _BY_PATHS, _paths_into, subkey, treedef, unflatten
 
 _REPR_LEAVES = 8
 
 
 class TreeTensor:
-    """A tree in flat form, or a tree-node root until an operation needs the
-    flat form, and the constraints it carries.
+    """A tree in flat form and the constraints it carries.
 
     A constrained tree built here with a constraint tree is normalized to
     the sparse trie, but its validity is not checked: its first constrained
@@ -46,18 +47,13 @@ class TreeTensor:
     def __init__(self, root: TreeNode, constraints: _c.ConstraintTree | None = None):
         if not isinstance(root, TreeNode):
             raise TypeError("TreeTensor root must be a tree node")
-        self._root, self._treedef, self._leaves, self._base = root, None, None, None
+        key, self._leaves = flatten(root)
+        self._root, self._treedef, self._base = root, treedef(key), None
+        self._treedef.paths  # the rest of the flat form: what a get or an edit bisects
         if constraints is None or constraints.is_trivial:
             self.constraints, self._checked = _c.TRIVIAL, True
         else:
-            self.constraints, self._checked = _c.sparse(constraints, root), False
-
-    @classmethod
-    def _make(cls, root: TreeNode, constraints: _c.ConstraintTree, checked: bool = True):
-        """Internal: `constraints` is already a sparse trie over `root`."""
-        tree = cls._of(None, None, constraints, checked)
-        tree._root = root
-        return tree
+            self.constraints, self._checked = _c.sparse(constraints, key), False
 
     @classmethod
     def _of(cls, td: TreeDef, leaves: list, constraints=_c.TRIVIAL, checked: bool = True,
@@ -90,26 +86,21 @@ class TreeTensor:
                 self._root, self._base = root, None
         return self._root
 
-    def __reduce__(self):  # a weak `_base` does not pickle; the node view does
-        return TreeTensor._make, (self.root, self.constraints, self._checked)
+    def __reduce__(self):  # a weak `_base` does not pickle
+        return TreeTensor._of, (self._treedef, self._leaves, self.constraints, self._checked)
 
     @property
     def treedef(self) -> TreeDef:
-        return self._flat()[0]
+        return self._treedef
 
     def _flat(self) -> tuple[TreeDef, list]:
-        """(treedef, leaves): derived from the root by one flatten when the
-        tree was made from a root, then kept."""
-        if self._leaves is None:
-            key, leaves = flatten(self._root)
-            self._treedef, self._leaves = treedef(key), leaves
         return self._treedef, self._leaves
 
     def __eq__(self, other):
         if not isinstance(other, TreeTensor):
             return NotImplemented
-        (td, ls), (other_td, other_ls) = self._flat(), other._flat()
-        return td == other_td and ls == other_ls and self.constraints == other.constraints
+        return (self._treedef == other._treedef and self._leaves == other._leaves
+                and self.constraints == other.constraints)
 
     def __repr__(self):
         pairs = leaves(self)
@@ -120,7 +111,8 @@ class TreeTensor:
 
     def with_constraints(self, placements: Mapping[Path, _c.Constraint]) -> "TreeTensor":
         """Attach constraints built from placements; validates in full."""
-        return TreeTensor._make(self.root, _c.build_constraint_tree(self.root, dict(placements)))
+        ct = _c.build_constraint_tree(self, dict(placements))
+        return TreeTensor._of(self._treedef, self._leaves, ct)
 
 
 def _summary(payload) -> str:
@@ -177,15 +169,6 @@ def _items_key(mapping, leaves: list) -> tuple:
     return tuple(structure)
 
 
-def _coerce(value) -> Node:
-    if isinstance(value, Node):
-        return value
-    if isinstance(value, TreeTensor):
-        return value.root
-    leaves: list = []
-    return unflatten(_flat_into(value, leaves), leaves)
-
-
 def build_tree(pairs: Mapping) -> TreeTensor:
     """Build a TreeTensor (empty constraints) from a nested mapping.
 
@@ -207,74 +190,93 @@ def _as_path(path: Iterable[str]) -> Path:
 
 
 def get(tree: TreeTensor, path: Iterable[str]) -> Node:
-    """Return the node at path (shared with the tree, not copied)."""
+    """Return the node at path, shared with the tree: a leaf's value node,
+    or an inner node of the node view `.root`."""
     path = _as_path(path)
-    node = get_node(tree.root, path)
-    if node is None:
-        raise PathNotFound(path)
+    td, payloads = tree._flat()
+    i = bisect_left(td.paths, path)
+    if i < len(payloads) and td.paths[i] == path:
+        return ValueNode(payloads[i])
+    subkey(td.key, path)  # PathNotFound unless an inner node is there
+    node = tree.root
+    for key in path:
+        node = node.get(key)
     return node
 
 
-def _replace(node: TreeNode, path: Path, value: Node | None, i: int = 0) -> TreeNode:
-    """Copy of `node` with `path[i:]` set to `value`, or removed when `value`
-    is None, copying only the nodes on the path. PathNotFound names the
-    whole path for a removal and the parent's path for a set."""
-    key = path[i]
+def _replace(node: TreeNode, path: Path, value: Node, i: int = 0) -> TreeNode:
+    """Copy of `node` with the existing position at `path[i:]` set to
+    `value`, copying only the nodes on the path: `.root`'s lending copy."""
     children = dict(node._children)
+    key = path[i]
+    children[key] = value if i + 1 == len(path) else _replace(children[key], path, value, i + 1)
+    return TreeNode._from_validated(children)
+
+
+_GONE = object()  # the structure of a removed or absent position
+
+
+def _splice(key: tuple, path: Path, new, i: int = 0) -> tuple:
+    """`key` with the position at `path[i:]` holding the structure `new`,
+    or removed when `new` is _GONE, copying only the tuples on the path.
+    PathNotFound names the whole path for a removal and the parent's path
+    for a set; a new key must pass `check_key`."""
+    k = path[i]
+    held = dict(key).get(k, _GONE)
     if i + 1 < len(path):
-        child = children.get(key)
-        if not isinstance(child, TreeNode):
-            raise PathNotFound(path if value is None else path[:-1])
-        children[key] = _replace(child, path, value, i + 1)
-    elif value is not None:
-        children[key] = value
-    elif children.pop(key, None) is None:
-        raise PathNotFound(path)
-    return TreeNode(children)
+        if held is None or held is _GONE:
+            raise PathNotFound(path if new is _GONE else path[:-1])
+        new = _splice(held, path, new, i + 1)
+    elif held is _GONE:
+        if new is _GONE:
+            raise PathNotFound(path)
+        check_key(k)
+    j = bisect_left(key, (k,))  # (k,) sorts just before (k, child)
+    return key[:j] + (() if new is _GONE else ((k, new),)) + key[j + (held is not _GONE):]
 
 
-def _edited(tree: TreeTensor, new_root: TreeNode, path: Path, new: Node | None) -> TreeTensor:
-    """The tree after the edit at path (new is None for a removal); raises
-    ConstraintViolation, leaving `tree` untouched, if the edit breaks one."""
+def _write(tree: TreeTensor, path: Path, sub, payloads: list) -> TreeTensor:
+    """The tree after the position at `path` gets the structure `sub` and
+    `payloads`, or is removed when `sub` is _GONE: a splice of the leaves
+    under `path`. Raises ConstraintViolation, leaving `tree` untouched, if
+    the edit breaks one. A leaf over a leaf keeps the treedef, and its
+    result lends its root from the nearest living tree up its chain of such
+    writes that has a root or no lender, so no earlier tree is kept alive."""
+    td, leaves = tree._flat()
+    paths = td.paths
+    lo, hi = leaf_range(paths, path)
+    if sub is None and hi == lo + 1 and paths[lo] == path:
+        new = list(leaves)
+        new[lo] = payloads[0]
+        base = tree._root is None and tree._base and tree._base()
+        out = TreeTensor._of(td, new, base=weakref.ref(base or tree))
+    else:
+        added = [path] if sub is None else []
+        if sub is not None and sub is not _GONE:
+            _paths_into(sub, path, added)
+        # the edited structure is not interned: hashing the whole key costs more than the edit
+        new_td = TreeDef(_splice(td.key, path, sub) if path else sub)
+        new_td._paths = paths[:lo] + tuple(added) + paths[hi:]
+        out = TreeTensor._of(new_td, leaves[:lo] + payloads + leaves[hi:])
     ct = tree.constraints
     if ct.is_trivial:
-        return TreeTensor(new_root)
-    edited = _c.edit(ct, path, new is not None)
-    if tree._checked:
-        old = get_node(tree.root, path)
-        bad = _c.write_violation(new_root, ct, path, old, new)
-    else:
-        bad = _c.first_violation(new_root, edited)
+        return out
+    edited = _c.edit(ct, path, sub is not _GONE)
+    bad = _c.write_violation(out, edited, path if tree._checked else ())
     if bad:
         raise ConstraintViolation(*bad)
-    return TreeTensor._make(new_root, edited)
+    out.constraints = edited
+    return out
 
 
 def set(tree: TreeTensor, path: Iterable[str], value) -> TreeTensor:
-    """Persistent set; validates what the write can break and fails atomically.
-
-    A value written over an existing leaf of an unconstrained tree in flat
-    form copies the leaf list and keeps the structure; any other write
-    copies the nodes on the path. The result of the first kind holds a weak
-    reference to the nearest living tree up its chain of such writes that
-    has a root or no such reference itself, and builds its root from that
-    tree's root, so a loop of writes keeps no earlier tree alive."""
+    """Persistent set; validates what the write can break and fails atomically."""
     path = _as_path(path)
-    node = _coerce(value)
-    if tree._leaves is not None and tree.constraints.is_trivial and not isinstance(node, TreeNode):
-        i = tree._treedef.index.get(path)
-        if i is not None:
-            payloads = list(tree._leaves)
-            payloads[i] = node.leaf
-            base = tree._root is None and tree._base and tree._base()
-            return TreeTensor._of(tree._treedef, payloads, base=weakref.ref(base or tree))
-    if not path:
-        if not isinstance(node, TreeNode):
-            raise PathNotFound(path, "cannot replace the root with a value node")
-        new_root = node
-    else:
-        new_root = _replace(tree.root, path, node)
-    return _edited(tree, new_root, path, node)
+    payloads: list = []
+    sub = _flat_into(value, payloads)
+    if not path and sub is None:
+        raise PathNotFound(path, "cannot replace the root with a value node")
+    return _write(tree, path, sub, payloads)
 
 
 def remove(tree: TreeTensor, path: Iterable[str]) -> TreeTensor:
@@ -282,7 +284,7 @@ def remove(tree: TreeTensor, path: Iterable[str]) -> TreeTensor:
     path = _as_path(path)
     if not path:
         raise PathNotFound(path, "cannot remove the root")
-    return _edited(tree, _replace(tree.root, path, None), path, None)
+    return _write(tree, path, _GONE, [])
 
 
 def _key(x):
@@ -310,7 +312,7 @@ def deep_copy(tree: TreeTensor) -> TreeTensor:
 
 def validate_full(tree: TreeTensor) -> list[tuple[Path, _c.Constraint]]:
     """All constraint violations; empty list means ok."""
-    return _c.violations(tree.root, tree.constraints)
+    return _c.violations(tree, tree.constraints)
 
 
 def rebuild(pairs: list[tuple[Path, object]]) -> TreeTensor:

@@ -2,11 +2,12 @@
 
 Random sequences of edits (a leaf over a leaf, a new leaf, a mapping,
 TreeTensor or TreeNode value, a write over or into an empty subtree, a
-removal, and the writes that must fail) run on a tree from `build_tree` and
-on a node oracle edited by `helpers.replace_node`. Each result must agree
-with the oracle: its node view, its structure key, its leaf paths against
-paths recomputed from the key, the object every leaf `get` returns, and the
-`.path` of every `PathNotFound`.
+removal, and the writes that must fail, a bad new key among them) run on a
+tree from `build_tree` and on a node oracle edited by
+`helpers.replace_node`. Each result must agree with the oracle: its node
+view, its structure key, its leaf paths against paths recomputed from the
+key, the object every leaf `get` returns, and the error every failing edit
+raises, with its `.path`.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tensortree as tt
-from tensortree.errors import PathNotFound
+from tensortree.errors import PathNotFound, TensorTreeError
 from tensortree.node import flatten
 
 from helpers import get_node, replace_node
@@ -69,7 +70,8 @@ def edits(draw, oracle):
     empty = [p for p, n in where if isinstance(n, tt.TreeNode) and len(n) == 0 and p]
     kind = draw(st.sampled_from(
         ("leaf_over_leaf", "new_leaf", "mapping", "tree", "node", "over_empty", "into_empty",
-         "remove", "missing_parent", "value_parent", "remove_missing", "root_value")))
+         "remove", "missing_parent", "value_parent", "remove_missing", "root_value",
+         "bad_key")))
     leaf = draw(tensor_leaves)
     if kind == "leaf_over_leaf" and leaves:
         return "set", draw(st.sampled_from(leaves)), leaf, leaf
@@ -95,6 +97,9 @@ def edits(draw, oracle):
         return op, draw(st.sampled_from(leaves)) + ("a",), leaf, leaf
     if kind == "remove_missing":
         return "remove", draw(st.sampled_from(inner)) + ("zz",), None, None
+    if kind == "bad_key":
+        key = draw(st.sampled_from(("", "a/b", "__x")))
+        return "set", draw(st.sampled_from(inner)) + (key,), leaf, leaf
     if kind == "root_value":
         return draw(st.sampled_from((("set", (), leaf, leaf), ("remove", (), None, None))))
     return "set", ("a",), leaf, leaf
@@ -127,10 +132,10 @@ def test_edits_agree_with_the_node_oracle(start, eager, data):
         op, path, value, node = data.draw(edits(oracle))
         try:
             want = oracle_edit(oracle, op, path, node)
-        except PathNotFound as exc:
-            with pytest.raises(PathNotFound) as got:
+        except TensorTreeError as exc:
+            with pytest.raises(type(exc)) as got:
                 tt.remove(tree, path) if op == "remove" else tt.set(tree, path, value)
-            assert got.value.path == exc.path, (op, path)
+            assert getattr(got.value, "path", None) == getattr(exc, "path", None), (op, path)
             continue
         out = tt.remove(tree, path) if op == "remove" else tt.set(tree, path, value)
         check(out, want)

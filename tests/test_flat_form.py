@@ -78,6 +78,42 @@ def flat_ops(trees):
         tt.parse_tree(tt.serialize_tree(t0)),
         tt.serialize_outer([t0, {"k": t1}]),
         tt.serialize_padded_group(g),
+        *edits(t0),
+    ]
+
+
+def rejected(write):
+    try:
+        return write()
+    except tt.errors.ConstraintViolation as exc:
+        return exc.path
+
+
+def edits(t):
+    """get, structural and constrained edits and the constraint checks of a
+    tree of `nested`'s structure."""
+    inh, non = tt.inherit_atom, tt.noninherit_atom
+    c = t.with_constraints({
+        (): inh(tt.DtypeIs("f64")),
+        ("x",): tt.c_sum([non(tt.LeafCountIs(2)), non(tt.SharedPrefix((("b",), ("c", "d")), 1))]),
+    })
+    return [
+        tt.get(t, ["x", "b"]),
+        tt.set(t, ["x", "n"], np.ones(2)),
+        tt.set(t, ["e"], {"f": np.ones(1)}),
+        tt.set(t, ["x", "c"], np.ones(3)),
+        tt.remove(t, ["x", "c"]),
+        c,
+        tt.set(c, ["a"], np.ones(2)),
+        tt.set(c, ["e", "f"], np.ones(2)),
+        tt.set(c, ["x", "c", "d"], np.ones(4)),
+        tt.remove(c, ["a"]),
+        rejected(lambda: tt.set(c, ["a"], np.ones(2, np.float32))),
+        rejected(lambda: tt.remove(c, ["x", "b"])),
+        rejected(lambda: tt.set(c, ["x", "c", "d"], np.ones(3))),
+        tt.validate_full(c),
+        tt.lift_unary("neg")(c, carry_constraints=True),
+        tt.parse_tree(tt.serialize_tree(c)),
     ]
 
 

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 import tensortree as tt
 from tensortree import io_formats
-from tensortree.errors import ParseError, TensorTreeError
+from tensortree.errors import (
+    ConstraintViolation,
+    LeafOpError,
+    ParseError,
+    PathNotFound,
+    StrictKeyMismatch,
+    TensorTreeError,
+)
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -296,3 +303,60 @@ def test_parse_errors_quote_a_bounded_repr_and_name_where(parse, doc, where):
         getattr(tt, parse)(json.dumps(doc))
     assert where in str(e.value)
     assert len(str(e.value)) < io_formats._SHOWN + 100
+
+
+# ---------------------------------------------------------------------------
+# error messages quote a bounded path
+
+
+LONG = "k" * 100000
+BOUND = 300  # the message around a path and a key list of at most 200 characters each
+
+
+def bounded(exc, path):
+    assert exc.path == path  # the attribute stays whole
+    assert len(str(exc)) < BOUND
+
+
+def test_path_errors_quote_a_bounded_path():
+    t = tt.build_tree({"a": np.zeros(2), "x": {"b": np.zeros(2)}})
+    long_path = ("x", LONG)
+    for fail in (lambda: t.with_constraints({long_path: tt.inherit_atom(tt.DtypeIs("f64"))}),
+                 lambda: tt.get(t, long_path), lambda: tt.remove(t, long_path)):
+        with pytest.raises(PathNotFound) as info:
+            fail()
+        bounded(info.value, long_path)
+
+
+def test_strict_key_mismatch_quotes_a_bounded_path_and_key_list():
+    t = tt.build_tree({"a": np.zeros(2), "x": {"b": np.zeros(2)}})
+    with pytest.raises(StrictKeyMismatch) as info:
+        tt.lift_multi("add")(t, tt.build_tree({"a": np.zeros(2), LONG: np.zeros(2)}))
+    assert LONG in info.value.difference
+    bounded(info.value, ())
+    inner = tt.build_tree({LONG: {"a": np.zeros(2)}})
+    with pytest.raises(StrictKeyMismatch) as info:
+        tt.lift_multi("add")(inner, tt.build_tree({LONG: {"b": np.zeros(2)}}))
+    bounded(info.value, (LONG,))
+
+
+def test_leaf_op_errors_and_violations_quote_a_bounded_path():
+    t = tt.build_tree({LONG: tt.make_leaf([1], "i64", [1])})
+    with pytest.raises(LeafOpError) as info:
+        tt.lift_multi("div")(t, tt.build_tree({LONG: tt.make_leaf([1], "i64", [0])}))
+    bounded(info.value, (LONG,))
+    with pytest.raises(ConstraintViolation) as info:
+        t.with_constraints({(LONG,): tt.inherit_atom(tt.DtypeIs("f64"))})
+    bounded(info.value, (LONG,))
+
+
+def test_cli_validate_of_a_long_missing_path_exits_1_with_one_bounded_line(tmp_path):
+    doc, spec = tmp_path / "t.ttj", tmp_path / "c.ttc"
+    doc.write_text(tt.serialize_tree(tt.build_tree({"x": {"b": np.zeros(2)}})))
+    spec.write_text(json.dumps([{"path": "x/" + LONG, "inherit": True,
+                                 "atoms": [{"kind": "dtype", "value": "f64"}]}]))
+    r = subprocess.run([sys.executable, "-m", "tensortree.cli", "validate", "--constraints",
+                        str(spec), str(doc)], capture_output=True, text=True)
+    assert r.returncode == 1
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and len(lines[0]) < BOUND

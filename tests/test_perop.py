@@ -31,3 +31,23 @@ def test_perop_rejects_an_unknown_workload():
     r = subprocess.run([sys.executable, str(ROOT / "tools" / "perop.py"), "nope"],
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 2
+
+
+EDIT_OPS = ("get", "remove", "leaves", "replace", "insert", "validate_full", "with_constraints")
+
+
+def test_perop_runs_a_constrained_edit_step():
+    r = subprocess.run([sys.executable, str(ROOT / "tools" / "perop.py"), "constrained-edit",
+                        "--seed", "1", "--steps", "1"], capture_output=True, text=True,
+                       timeout=300)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.strip().splitlines()
+    assert lines[0] == "constrained-edit seed 1, 1 steps, medians"
+    rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines[2:]}
+    assert tuple(rows) == EDIT_OPS + ("step",)
+    for tree, naive, ratio, excess in rows.values():
+        assert tree > 0
+        assert abs(excess - (tree - naive)) < 0.002
+        if naive >= 0.01:  # printed to 0.001 ms: a ratio checks only where that is precise
+            assert abs(ratio - tree / naive) < 0.1 * ratio + 0.01
+    assert rows["step"][2] > 0
