@@ -232,8 +232,7 @@ def _flat(n) -> tuple:
 
 def _local_ok(c: Constraint, n, path: Path = (), lo: int = 0) -> bool:
     """Non-recursive check of the position at `path`, whose first leaf is
-    `lo`, in `n` (a node or a tree in flat form) against its effective
-    constraint.
+    `lo`, in `n` (a node or a flat tree) against its effective constraint.
 
     Inheriting atoms are checked only at value positions: every descendant's
     effective constraint carries them, so the local check is complete and
@@ -314,15 +313,15 @@ def effective(n, ct: ConstraintTree):
 
 def _positions(f: tuple, ct: ConstraintTree, every: bool, focus: Path = ()):
     """`effective` of the flat tree `f`; with a `focus` path, only the
-    positions on it and under it. Unless `every`, below the last trie
-    position only value positions: all that passes down there is
-    inheriting atoms, which no tree position fails."""
+    positions on it and under it. Unless `every`, only the positions that
+    can fail a local check: a tree position without entries of its own
+    gets only inheriting atoms, which no tree position fails."""
     paths = f[2]
 
     def walk(key, ct, path, lo, inherited):
         own = ct.constraint
         eff = c_sum([own, inherited]) if own else inherited
-        if eff:
+        if eff and (own or every or key is None):
             yield path, lo, eff
         down = inherit(eff) if own else inherited
         if not key or not (down or ct.children):

@@ -69,11 +69,10 @@ class TreeTensor:
 
     @property
     def root(self) -> TreeNode:
-        """The node view, built on first access and then kept: a walk that
-        makes every inner node or, for a tree that `set` wrote leaves into
-        while the tree it wrote into lives, a copy of that tree's root along
-        the paths of the leaves that differ, so the two share every
-        untouched subtree."""
+        """The node view, built on first access and then kept: every inner
+        node made anew or, for a tree that `set` wrote leaves into while the
+        tree it wrote into lives, that tree's root copied along the paths of
+        the leaves that differ, so the two share every untouched subtree."""
         if self._root is None:
             base = self._base and self._base()
             if base is None:
@@ -245,9 +244,9 @@ def _write(tree: TreeTensor, path: Path, sub, payloads: list) -> TreeTensor:
     td, leaves = tree._flat()
     paths = td.paths
     lo, hi = leaf_range(paths, path)
+    new = list(leaves)  # copied and assigned: a third of the cost of two slices and a join
+    new[lo:hi] = payloads
     if sub is None and hi == lo + 1 and paths[lo] == path:
-        new = list(leaves)
-        new[lo] = payloads[0]
         base = tree._root is None and tree._base and tree._base()
         out = TreeTensor._of(td, new, base=weakref.ref(base or tree))
     else:
@@ -256,8 +255,10 @@ def _write(tree: TreeTensor, path: Path, sub, payloads: list) -> TreeTensor:
             _paths_into(sub, path, added)
         # the edited structure is not interned: hashing the whole key costs more than the edit
         new_td = TreeDef(_splice(td.key, path, sub) if path else sub)
-        new_td._paths = paths[:lo] + tuple(added) + paths[hi:]
-        out = TreeTensor._of(new_td, leaves[:lo] + payloads + leaves[hi:])
+        new_paths = list(paths)
+        new_paths[lo:hi] = added
+        new_td._paths = tuple(new_paths)
+        out = TreeTensor._of(new_td, new)
     ct = tree.constraints
     if ct.is_trivial:
         return out
