@@ -106,7 +106,7 @@ _ATOM_TO_OBJ = {
 
 def _constraint_entries(tree: TreeTensor) -> list:
     """The effective constraint of every node, in pre-order, derived by
-    walking the data tree (so equal trees give equal entries)."""
+    walking the tree's structure (so equal trees give equal entries)."""
     if tree.constraints.is_trivial:
         return []
     entries = []

@@ -199,7 +199,7 @@ def lift_unary(fn_id: str) -> Callable[[TreeTensor], TreeTensor]:
         bad = first_violation(out, tree.constraints)
         if bad:
             raise ConstraintViolation(*bad)
-        # strict lifting keeps the structure, so the trie still fits the root
+        # strict lifting keeps the structure, so the trie still fits it
         return TreeTensor._of(*out._flat(), tree.constraints)
 
     return lifted
