@@ -254,8 +254,7 @@ def leaf_range(paths, path: Path) -> tuple[int, int]:
 
 
 def subkey(key, path: Path):
-    """The structure key at `path` under `key` (None for a value position);
-    PathNotFound if there is no such position."""
+    """The structure key at `path` under `key`; PathNotFound if none is."""
     try:
         for k in path:
             key = dict(key)[k]  # a value position's None has no children either

@@ -192,11 +192,12 @@ def get(tree: TreeTensor, path: Iterable[str]) -> Node:
     """Return the node at path, shared with the tree: a leaf's value node,
     or an inner node of the node view `.root`."""
     path = _as_path(path)
-    td, payloads = tree._flat()
-    i = bisect_left(td.paths, path)
-    if i < len(payloads) and td.paths[i] == path:
-        return ValueNode(payloads[i])
-    subkey(td.key, path)  # PathNotFound unless an inner node is there
+    paths, payloads = tree.treedef.paths, tree._leaves
+    i = bisect_left(paths, path)
+    if i < len(paths) and paths[i] == path:
+        leaf = payloads[i]  # a TensorLeaf is its own value node, without ValueNode's call
+        return leaf if isinstance(leaf, Node) else ValueNode(leaf)
+    subkey(tree.treedef.key, path)  # PathNotFound unless an inner node is there
     node = tree.root
     for key in path:
         node = node.get(key)
