@@ -7,7 +7,9 @@
 - Batched outputs are read-only, tagged with the output dtype, and view
   one buffer; `copy()` detaches a leaf from it.
 - The merge memo and `rebuild`'s paths -> treedef table keep no treedef
-  alive, and `rebuild` still drops an empty subtree.
+  alive, and `rebuild` still drops an empty subtree. A second `rebuild` of
+  one structure finds its treedef without building its key, and
+  `lift._gather` agrees with a brute-force ancestor search.
 - Guard: many-small's neg/add/mulsub/add_outer take the batched path.
 """
 
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tensortree as tt
@@ -262,6 +264,55 @@ def test_rebuild_checks_the_paths_of_the_structure_it_looks_up():
     assert bc.treedef.key == (("b", None), ("c", None)) and bc.treedef is not ac.treedef
     assert tt.rebuild(tt.leaves(ac)).treedef is ac.treedef
     assert tt.rebuild([]).treedef.key == ()
+
+
+def test_a_second_rebuild_of_one_structure_does_not_rebuild_its_key(monkeypatch):
+    from tensortree import tree
+
+    built = []
+    real = tree._paths_key
+    monkeypatch.setattr(tree, "_paths_key", lambda paths, depth: built.append(depth) or real(paths, depth))
+    x = tt.from_array(np.ones(2))
+    t = tt.build_tree({"rb_a": x, "rb_b": {"c": x, "d": x}})
+    r1 = tt.rebuild(tt.leaves(t))
+    n = len(built)
+    r2 = tt.rebuild(tt.leaves(t))
+    assert len(built) == n and r1.treedef is r2.treedef is t.treedef
+    with_empty = tt.build_tree({"rb_a": x, "rb_e": {}})
+    r1 = tt.rebuild(tt.leaves(with_empty))
+    assert tt.leaves(r1) == tt.leaves(with_empty)
+    n = len(built)
+    r2 = tt.rebuild(tt.leaves(with_empty))
+    assert len(built) == n and r2.treedef is r1.treedef and r2.treedef.key == (("rb_a", None),)
+
+
+def brute_gather(paths, merged_paths):
+    """Each merged path's own position in `paths`, else that of its nearest
+    ancestor in `paths` (a value node), else len(paths)."""
+    def one(p):
+        return next((paths.index(p[:j]) for j in range(len(p), 0, -1) if p[:j] in paths),
+                    len(paths))
+    return [one(p) for p in merged_paths]
+
+
+_X = np.ones(1)
+# nested dicts over three keys: leaves, subtrees and empty subtrees at any depth
+structures = st.dictionaries(st.sampled_from("abc"), st.recursive(
+    st.just(_X), lambda s: st.dictionaries(st.sampled_from("abc"), s, max_size=3), max_leaves=6),
+    max_size=3)
+
+
+@SETTINGS
+@given(structures, structures, st.sampled_from(["inner", "outer", "left"]))
+# an own leaf (a), a value-node ancestor (b over b/c), an empty subtree (c over c/d), the default (e)
+@example({"a": _X, "b": _X, "c": {}}, {"a": _X, "b": {"c": _X}, "c": {"d": _X}, "e": _X}, "outer")
+def test_gather_finds_the_own_leaf_or_the_value_node_ancestor(x, y, kind):
+    default = tt.scalar(0.0) if kind != "inner" else None
+    tds = [tt.build_tree(x).treedef, tt.build_tree(y).treedef]
+    merged, _, mismatch = lift._merged(tds, tt.MismatchPolicy(kind, default=default))
+    assert not mismatch
+    for td in tds:
+        assert lift._gather(td, merged.paths) == brute_gather(list(td.paths), merged.paths)
 
 
 def test_many_small_elementwise_lifts_take_the_batched_path(monkeypatch):
