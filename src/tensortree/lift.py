@@ -14,7 +14,7 @@ over the columns (`leaf.ew_columns`) before the per-leaf pass.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -93,11 +93,14 @@ def _merge(keys: list, policy: MismatchPolicy, path: Path, mismatch: list):
 
 def _gather(td: TreeDef, paths) -> list[int]:
     """The position in `td`'s leaf list of an argument's leaf at each merged
-    path: its own, else that of its nearest value-node ancestor, else
-    `td.count`, where the caller puts the default."""
-    index, default = td.index, td.count
-    return [index[p] if p in index else next(
-        (index[p[:j]] for j in range(len(p) - 1, 0, -1) if p[:j] in index), default) for p in paths]
+    path: its own, else that of its value-node ancestor, else `td.count`,
+    where the caller puts the default. No path sorts between a leaf's and
+    one below it, so the ancestor, if any, is the last path not after it."""
+    own, out = td.paths, []
+    for p in paths:
+        i = bisect_right(own, p) - 1
+        out.append(i if i >= 0 and own[i] == p[:len(own[i])] else td.count)
+    return out
 
 
 def _merged(tds: list[TreeDef], policy: MismatchPolicy) -> tuple[TreeDef, list, list]:

@@ -175,15 +175,15 @@ def as_dict(structure, items: Iterator, wrap=None):
 
 class TreeDef:
     """The structure of a node: its `flatten` key and, built on first use
-    and then kept, its leaf paths in flatten order and the position of
-    each. Two structures are equal when they are one object or their keys
-    compare equal; `treedef` interns them, so usually the first."""
+    and then kept, its leaf paths in flatten order. Two structures are
+    equal when they are one object or their keys compare equal; `treedef`
+    interns them, so usually the first."""
 
-    __slots__ = ("key", "serial", "_paths", "_index", "_merges", "__weakref__")
+    __slots__ = ("key", "serial", "_paths", "_merges", "__weakref__")
 
     def __init__(self, key: tuple):
         self.key, self.serial, self._merges = key, next(_SERIALS), {}  # _merges: lift's memo
-        self._paths = self._index = None
+        self._paths = None
 
     def __eq__(self, other):
         if not isinstance(other, TreeDef):
@@ -197,42 +197,27 @@ class TreeDef:
     def paths(self) -> tuple[Path, ...]:
         if self._paths is None:
             paths: list = []
-            full = _paths_into(self.key, (), paths)
+            _paths_into(self.key, (), paths)
             self._paths = tuple(paths)
-            if full:  # else another structure has these paths too
-                _BY_PATHS[len(paths), paths[-1]] = self
         return self._paths
 
     @property
     def count(self) -> int:
         return len(self.paths)
 
-    @property
-    def index(self) -> dict[Path, int]:
-        """Leaf path -> position in the leaf list."""
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.paths)}
-        return self._index
 
-
-def _paths_into(key: tuple, prefix: Path, out: list) -> bool:
-    """Appends the leaf paths of `key`; False if it is or has an empty subtree."""
-    full = bool(key)
+def _paths_into(key: tuple, prefix: Path, out: list) -> None:
+    """Appends the leaf paths of `key`."""
     for k, s in key:
         if s is None:
             out.append(prefix + (k,))
         else:
-            full = _paths_into(s, prefix + (k,), out) and full
-    return full
+            _paths_into(s, prefix + (k,), out)
 
 
 _SERIALS = itertools.count()  # TreeDef.serial: never reused, unlike id()
 # weak, so a structure lives only as long as a tree of it does
 _TREEDEFS: "weakref.WeakValueDictionary[tuple, TreeDef]" = weakref.WeakValueDictionary()
-# (leaf count, last leaf path) -> the latest structure without empty
-# subtrees to have them; a lookup compares its paths. Hashing every path
-# would add a fifth to computing them.
-_BY_PATHS: "weakref.WeakValueDictionary[tuple, TreeDef]" = weakref.WeakValueDictionary()
 
 
 def treedef(key: tuple) -> TreeDef:

@@ -28,7 +28,7 @@ from . import constraints as _c
 from .errors import BadPath, ConstraintViolation, PathNotFound
 from .leaf import TensorLeaf, _new_leaf, from_array, make_leaf
 from .node import Node, Path, TreeDef, TreeNode, ValueNode, check_key, flatten, leaf_range
-from .node import _BY_PATHS, _paths_into, subkey, treedef, unflatten
+from .node import _paths_into, subkey, treedef, unflatten
 
 _REPR_LEAVES = 8
 
@@ -317,6 +317,12 @@ def validate_full(tree: TreeTensor) -> list[tuple[Path, _c.Constraint]]:
     return _c.violations(tree, tree.constraints)
 
 
+# (leaf count, last leaf path) -> the structure `rebuild` last made of such
+# paths; a lookup compares its paths. Hashing every path would add a fifth
+# to computing them. Weak, so a structure lives only as long as a tree of it does.
+_BY_PATHS: "weakref.WeakValueDictionary[tuple, TreeDef]" = weakref.WeakValueDictionary()
+
+
 def rebuild(pairs: list[tuple[Path, object]]) -> TreeTensor:
     """Build a tree from (path, leaf) pairs (inverse of leaves()); of two
     pairs with one path the later wins."""
@@ -324,9 +330,10 @@ def rebuild(pairs: list[tuple[Path, object]]) -> TreeTensor:
     if () in payloads:
         raise PathNotFound((), "leaf at empty path")
     paths = sorted(payloads)
-    td = _BY_PATHS.get((len(paths), paths[-1])) if paths else None
+    seen = (len(paths), *paths[-1:])
+    td = _BY_PATHS.get(seen)
     if td is None or td.paths != tuple(paths):
-        td = treedef(_paths_key(paths, 0))
+        _BY_PATHS[seen] = td = treedef(_paths_key(paths, 0))
     out = [payloads[p] for p in paths]
     if {*map(type, out)} - {TensorLeaf}:  # unwrap a value node around a payload
         out = [ValueNode(p).leaf for p in out]
