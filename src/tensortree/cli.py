@@ -7,7 +7,6 @@ shape error), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import functional as _fn
@@ -17,6 +16,7 @@ from . import padding as _pad
 from .errors import (
     BadPath,
     DtypeUnknown,
+    MissingDefault,
     ParseError,
     TensorTreeError,
     UnknownAtomKind,
@@ -45,13 +45,13 @@ def cmd_show(args) -> int:
 
 
 def _make_policy(args) -> _lift.MismatchPolicy:
-    if args.policy in ("outer", "left"):
-        if args.default is None:
-            raise ParseError(f"--default is required for policy {args.policy}")
-        return _lift.MismatchPolicy(args.policy, scalar(args.default))
-    if args.default is not None:
-        raise ParseError(f"--default is not allowed for policy {args.policy}")
-    return _lift.MismatchPolicy(args.policy)
+    """The policy that --policy and --default name; MismatchPolicy decides
+    which policies take a default."""
+    default = None if args.default is None else scalar(args.default)
+    try:
+        return _lift.MismatchPolicy(args.policy, default)
+    except (MissingDefault, ValueError) as exc:
+        raise ParseError(f"--default: {exc}") from None
 
 
 def cmd_apply(args) -> int:
@@ -77,7 +77,7 @@ def cmd_apply(args) -> int:
         # canonical documents joined by "," are the canonical list of them
         print(f"[{','.join(_io.serialize_tree(p) for p in pieces)}]")
     else:  # shape
-        print(json.dumps(entry["fn"](trees[0]), sort_keys=True, separators=(",", ":")))
+        print(_io._dumps(entry["fn"](trees[0])))
     return 0
 
 

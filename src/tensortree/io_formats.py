@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import reprlib
+from dataclasses import fields
 
 from . import constraints as _c
 from .errors import _SHOWN, BadKey, BadPath, DtypeUnknown, EmptyKey, ParseError, UnknownAtomKind
@@ -85,23 +86,43 @@ def _tree_obj(tree: TreeTensor) -> dict:
     return as_dict(td.key, map(_payload_obj, payloads))
 
 
-_ATOM_TO_OBJ = {
-    _c.DtypeIs: lambda a: {"kind": "dtype", "value": a.dtype},
-    _c.NdimIs: lambda a: {"kind": "ndim", "value": a.n},
-    _c.DimEquals: lambda a: {"kind": "dim_equals", "axis": a.axis, "value": a.size},
-    _c.DimAtLeast: lambda a: {"kind": "dim_at_least", "axis": a.axis, "value": a.size},
-    _c.DeviceIs: lambda a: {"kind": "device", "value": a.tag},
-    _c.LeafCountIs: lambda a: {"kind": "leaf_count", "value": a.n},
-    _c.ShapesEqual: lambda a: {
-        "kind": "shapes_equal",
-        "paths": [path_to_string(p) for p in a.paths],
-    },
-    _c.SharedPrefix: lambda a: {
-        "kind": "shared_prefix",
-        "paths": [path_to_string(p) for p in a.paths],
-        "k": a.k,
-    },
+# kind -> (atom class, its fields' names in a document, in field order)
+_ATOMS = {
+    "dtype": (_c.DtypeIs, ("value",)),
+    "ndim": (_c.NdimIs, ("value",)),
+    "dim_equals": (_c.DimEquals, ("axis", "value")),
+    "dim_at_least": (_c.DimAtLeast, ("axis", "value")),
+    "device": (_c.DeviceIs, ("value",)),
+    "leaf_count": (_c.LeafCountIs, ("value",)),
+    "shapes_equal": (_c.ShapesEqual, ("paths",)),
+    "shared_prefix": (_c.SharedPrefix, ("paths", "k")),
 }
+_KINDS = {cls: kind for kind, (cls, _) in _ATOMS.items()}
+
+
+def _atom_obj(atom) -> dict:
+    """The document object of an atom."""
+    kind = _KINDS[type(atom)]
+    obj = {"kind": kind}
+    for name, value in zip(_ATOMS[kind][1], vars(atom).values()):
+        obj[name] = [path_to_string(p) for p in value] if isinstance(value, tuple) else value
+    return obj
+
+
+def _parse_atom(obj, where: str):
+    """The atom of a document object."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"bad atom {_shown(obj)} at {where}: not an object")
+    kind = obj.get("kind")
+    if kind not in _ATOMS:
+        raise UnknownAtomKind(f"unknown atom kind {_shown(kind)}")
+    cls, names = _ATOMS[kind]
+    try:
+        values = [obj[name] for name in names]
+        return cls(*[tuple(map(path_from_string, v)) if name == "paths" else int(v) if f.type == "int"
+                     else v for name, v, f in zip(names, values, fields(cls))])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad atom {_shown(obj)} at {where}: {exc}") from exc
 
 
 def _constraint_entries(tree: TreeTensor) -> list:
@@ -112,7 +133,7 @@ def _constraint_entries(tree: TreeTensor) -> list:
     entries = []
     for path, _, c in _c.effective(tree, tree.constraints):
         for inh in (False, True):
-            atoms = [_ATOM_TO_OBJ[type(a)](a) for flag, a in c.entries if flag == inh]
+            atoms = [_atom_obj(a) for flag, a in c.entries if flag == inh]
             if atoms:
                 entries.append({"path": path_to_string(path), "inherit": inh, "atoms": atoms})
     return entries
@@ -197,22 +218,6 @@ def _field(obj: dict, name: str):
     return obj[name]
 
 
-_ATOM_PARSERS = {
-    "dtype": lambda o: _c.DtypeIs(o["value"]),
-    "ndim": lambda o: _c.NdimIs(int(o["value"])),
-    "dim_equals": lambda o: _c.DimEquals(int(o["axis"]), int(o["value"])),
-    "dim_at_least": lambda o: _c.DimAtLeast(int(o["axis"]), int(o["value"])),
-    "device": lambda o: _c.DeviceIs(o["value"]),
-    "leaf_count": lambda o: _c.LeafCountIs(int(o["value"])),
-    "shapes_equal": lambda o: _c.ShapesEqual(
-        tuple(path_from_string(p) for p in o["paths"])
-    ),
-    "shared_prefix": lambda o: _c.SharedPrefix(
-        tuple(path_from_string(p) for p in o["paths"]), int(o["k"])
-    ),
-}
-
-
 def _parse_placements(entries) -> dict[Path, _c.Constraint]:
     if not isinstance(entries, list):
         raise ParseError("constraint spec must be a list of placements")
@@ -227,18 +232,7 @@ def _parse_placements(entries) -> dict[Path, _c.Constraint]:
         if type(inh) is not bool or not isinstance(atom_objs, list):
             raise ParseError(f"{where}: inherit must be a bool and atoms a list")
         path = path_from_string(raw_path)
-        atoms = []
-        for aobj in atom_objs:
-            if not isinstance(aobj, dict):
-                raise ParseError(f"bad atom {_shown(aobj)} at {where}: not an object")
-            kind = aobj.get("kind")
-            if kind not in _ATOM_PARSERS:
-                raise UnknownAtomKind(f"unknown atom kind {_shown(kind)}")
-            try:
-                atoms.append(_ATOM_PARSERS[kind](aobj))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad atom {_shown(aobj)} at {where}: {exc}") from exc
-        c = _c.Constraint([(inh, a) for a in atoms])
+        c = _c.Constraint([(inh, _parse_atom(a, where)) for a in atom_objs])
         placements[path] = _c.c_sum([placements.get(path, _c.EMPTY), c])
     return placements
 

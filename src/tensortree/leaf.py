@@ -24,14 +24,13 @@ from .errors import (
 )
 from .node import ValueNode
 
-DTYPES = ("f32", "f64", "i64", "bool")
-
 _NP_DTYPE = {
     "f32": np.float32,
     "f64": np.float64,
     "i64": np.int64,
     "bool": np.bool_,
 }
+DTYPES = tuple(_NP_DTYPE)
 _DTYPE_NAME = {np.dtype(v): k for k, v in _NP_DTYPE.items()}
 
 

@@ -122,6 +122,32 @@ def test_constraint_spec_parsing():
     assert tt.validate_full(t) == []
 
 
+def test_every_atom_kind_parses_to_its_atom_and_serializes_back():
+    spec = [
+        {"path": "", "inherit": True, "atoms": [
+            {"kind": "device", "value": "cpu"}, {"kind": "dim_at_least", "axis": 0, "value": 1},
+            {"kind": "dtype", "value": "f64"}, {"kind": "ndim", "value": 1}]},
+        {"path": "x", "inherit": False, "atoms": [
+            {"kind": "leaf_count", "value": 1}, {"kind": "shapes_equal", "paths": ["c"]},
+            {"kind": "shared_prefix", "paths": ["c"], "k": 1}]},
+        {"path": "x/c", "inherit": False, "atoms": [{"kind": "dim_equals", "axis": 0, "value": 3}]},
+    ]
+    placements = tt.parse_constraint_spec(json.dumps(spec))
+    assert placements == {
+        (): tt.Constraint([(True, tt.DeviceIs("cpu")), (True, tt.DimAtLeast(0, 1)),
+                           (True, tt.DtypeIs("f64")), (True, tt.NdimIs(1))]),
+        ("x",): tt.Constraint([(False, tt.LeafCountIs(1)), (False, tt.ShapesEqual((("c",),))),
+                               (False, tt.SharedPrefix((("c",),), 1))]),
+        ("x", "c"): tt.Constraint([(False, tt.DimEquals(0, 3))]),
+    }
+    t = tt.build_tree({"a": np.zeros(2), "x": {"c": np.zeros(3)}}).with_constraints(placements)
+    text = tt.serialize_tree(t)
+    entries = {(e["path"], e["inherit"]): e["atoms"] for e in json.loads(text)["__constraints__"]}
+    for placement in spec:
+        assert entries[placement["path"], placement["inherit"]] == placement["atoms"]
+    assert tt.parse_tree(text) == t
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         tt.parse_tree("{not json")

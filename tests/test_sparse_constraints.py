@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import tensortree as tt
 from tensortree.constraints import _local_ok
 from tensortree.errors import ConstraintViolation
-from tensortree.io_formats import _ATOM_TO_OBJ
+from tensortree.io_formats import _atom_obj
 from tensortree.node import TreeNode, path_to_string
 
 from helpers import distribute, get_node, iter_leaves, mirror, place
@@ -62,7 +62,7 @@ def ref_bytes(root, ct):
             by_flag.setdefault(inh, []).append(atom)
         for inh in sorted(by_flag):
             entries.append({"path": path_to_string(prefix), "inherit": inh,
-                            "atoms": [_ATOM_TO_OBJ[type(a)](a) for a in by_flag[inh]]})
+                            "atoms": [_atom_obj(a) for a in by_flag[inh]]})
         for k, child in ct.children.items():
             walk(child, prefix + (k,))
 
