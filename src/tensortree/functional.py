@@ -19,6 +19,7 @@ from .errors import (
     NonBooleanMask,
     StructureMismatch,
     TensorTreeError,
+    _where,
 )
 from .leaf import TensorLeaf, _new_leaf, stack_axis0
 from .node import Path, treedef
@@ -125,7 +126,7 @@ def mask(tree: TreeTensor, sel: TreeTensor) -> TreeTensor:
     for i, flag in enumerate(flags):
         if not isinstance(flag, TensorLeaf) or flag.dtype != "bool" or flag.shape != ():
             raise NonBooleanMask(
-                f"mask leaf at {'/'.join(td.paths[i]) or '<root>'} must be a scalar bool"
+                f"mask leaf at {_where(td.paths[i])} must be a scalar bool"
             )
     return _keep(*tree._flat(), [flag.item() for flag in flags])
 

@@ -98,6 +98,9 @@ _ATOMS = {
     "shared_prefix": (_c.SharedPrefix, ("paths", "k")),
 }
 _KINDS = {cls: kind for kind, (cls, _) in _ATOMS.items()}
+# an atom field's annotation -> the JSON type of its document value (type(True) is bool)
+_JSON = {"int": (int, "an integer"), "str": (str, "a string"),
+         "tuple[Path, ...]": (list, "a list of strings")}
 
 
 def _atom_obj(atom) -> dict:
@@ -110,18 +113,22 @@ def _atom_obj(atom) -> dict:
 
 
 def _parse_atom(obj, where: str):
-    """The atom of a document object."""
+    """The atom of a document object; ParseError unless each field has its
+    annotation's JSON type and the atom accepts its value."""
     if not isinstance(obj, dict):
         raise ParseError(f"bad atom {_shown(obj)} at {where}: not an object")
     kind = obj.get("kind")
-    if kind not in _ATOMS:
+    if type(kind) is not str or kind not in _ATOMS:
         raise UnknownAtomKind(f"unknown atom kind {_shown(kind)}")
     cls, names = _ATOMS[kind]
+    values = [obj.get(name) for name in names]
+    for name, value, f in zip(names, values, fields(cls)):
+        t, what = _JSON[f.type]
+        if type(value) is not t or t is list and not all(type(p) is str for p in value):
+            raise ParseError(f"bad atom {_shown(obj)} at {where}: {name!r} must be {what}")
     try:
-        values = [obj[name] for name in names]
-        return cls(*[tuple(map(path_from_string, v)) if name == "paths" else int(v) if f.type == "int"
-                     else v for name, v, f in zip(names, values, fields(cls))])
-    except (KeyError, TypeError, ValueError) as exc:
+        return cls(*[tuple(map(path_from_string, v)) if type(v) is list else v for v in values])
+    except ValueError as exc:  # a negative int field
         raise ParseError(f"bad atom {_shown(obj)} at {where}: {exc}") from exc
 
 
@@ -232,7 +239,10 @@ def _parse_placements(entries) -> dict[Path, _c.Constraint]:
         if type(inh) is not bool or not isinstance(atom_objs, list):
             raise ParseError(f"{where}: inherit must be a bool and atoms a list")
         path = path_from_string(raw_path)
-        c = _c.Constraint([(inh, _parse_atom(a, where)) for a in atom_objs])
+        try:
+            c = _c.Constraint([(inh, _parse_atom(a, where)) for a in atom_objs])
+        except ValueError as exc:  # a node atom placed as inheriting
+            raise ParseError(f"{where}: {exc}") from exc
         placements[path] = _c.c_sum([placements.get(path, _c.EMPTY), c])
     return placements
 

@@ -232,11 +232,16 @@ def lift_multi(fn_id: str, policy: MismatchPolicy = STRICT) -> Callable[..., Tre
 # structural lifted ops
 
 
+def _check_axis(axis: int, what: str) -> None:
+    """Negative axes are rejected, even on a tree without leaves."""
+    if axis < 0:
+        raise ShapeMismatchLeaf(f"negative {what} axis {axis}")
+
+
 def _joined(trees: Sequence[TreeTensor], axis: int, what: str, fn, batch=None) -> TreeTensor:
     if not trees:
         raise EmptyInput(f"{what} of zero trees")
-    if not 0 <= axis:
-        raise ShapeMismatchLeaf(f"negative {what} axis {axis}")
+    _check_axis(axis, what)
     return _lift(trees, STRICT, fn, batch)
 
 
@@ -269,6 +274,7 @@ def lifted_split(tree: TreeTensor, chunk: int, axis: int = 0) -> list[TreeTensor
     leaves, not copies."""
     if chunk < 1:
         raise InvalidChunk(f"chunk must be >= 1, got {chunk}")
+    _check_axis(axis, "split")
     td, leaves = _flat(tree)
     path_of = lambda i: td.paths[i]  # noqa: E731
     pieces = _leafwise(lambda ls: _lf.split(ls[0], chunk, axis), [leaves], path_of)

@@ -17,6 +17,7 @@ from .errors import (
     LeafOpError,
     StructureMismatch,
     TailShapeMismatch,
+    _where,
 )
 from .leaf import TensorLeaf, _new_leaf
 from .lift import _check_tensors
@@ -98,7 +99,7 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
     for i, a in enumerate(arrays):
         if a.ndim < 2:
             raise CorruptLengths(
-                f"stacked leaf at {'/'.join(td.paths[i])} needs a batch "
+                f"stacked leaf at {_where(td.paths[i])} needs a batch "
                 f"and a length dimension, got shape {list(a.shape)}"
             )
     ks = {a.shape[0] for a in arrays}
@@ -109,13 +110,13 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
     for i, (a, leaf, (tag, lens)) in enumerate(zip(arrays, stacked, counts)):
         if tag != "i64" or lens.shape != (k,):
             raise CorruptLengths(
-                f"lengths at {'/'.join(td.paths[i])} must be an i64 vector "
+                f"lengths at {_where(td.paths[i])} must be an i64 vector "
                 f"of {k} entries"
             )
         n = lens.tolist()
         if k and (min(n) < 0 or max(n) > a.shape[1]):
             raise CorruptLengths(
-                f"lengths at {'/'.join(td.paths[i])} must lie in "
+                f"lengths at {_where(td.paths[i])} must lie in "
                 f"[0, {a.shape[1]}], got {n}"
             )
         a = np.ascontiguousarray(a)  # a itself when contiguous, else a copy

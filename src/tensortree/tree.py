@@ -330,10 +330,10 @@ def rebuild(pairs: list[tuple[Path, object]]) -> TreeTensor:
     if () in payloads:
         raise PathNotFound((), "leaf at empty path")
     paths = sorted(payloads)
-    seen = (len(paths), *paths[-1:])
-    td = _BY_PATHS.get(seen)
+    slot = (len(paths), *paths[-1:])  # (0,) without paths
+    td = _BY_PATHS.get(slot)
     if td is None or td.paths != tuple(paths):
-        _BY_PATHS[seen] = td = treedef(_paths_key(paths, 0))
+        _BY_PATHS[slot] = td = treedef(_paths_key(paths, 0))
     out = [payloads[p] for p in paths]
     if {*map(type, out)} - {TensorLeaf}:  # unwrap a value node around a payload
         out = [ValueNode(p).leaf for p in out]

@@ -15,11 +15,14 @@ import tensortree as tt
 from tensortree import io_formats
 from tensortree.errors import (
     ConstraintViolation,
+    CorruptLengths,
     LeafOpError,
+    NonBooleanMask,
     ParseError,
     PathNotFound,
     StrictKeyMismatch,
     TensorTreeError,
+    UnknownAtomKind,
 )
 
 
@@ -149,6 +152,15 @@ _LENGTHS = {"a": {"__leaf__": True, "shape": [1], "dtype": "i64", "data": [1]}}
         # an inherit flag that is not a JSON bool, "false" once read as true
         ("parse_constraint_spec", [{"path": "", "inherit": "false", "atoms": []}]),
         ("parse_constraint_spec", [{"path": "", "inherit": 0, "atoms": []}]),
+        # a path that is not a string, once an AttributeError
+        ("parse_constraint_spec", [{"path": "", "atoms": [{"kind": "shapes_equal", "paths": [3]}]}]),
+        # a node atom inheriting by default, once a ValueError
+        ("parse_constraint_spec", [{"path": "", "atoms": [{"kind": "leaf_count", "value": 1}]}]),
+        # values of two JSON types for one field, once a TypeError in the canonical sort
+        ("parse_constraint_spec", [{"path": "", "atoms": [{"kind": "dtype", "value": 3},
+                                                          {"kind": "dtype", "value": "f64"}]}]),
+        # a float where an integer belongs, once truncated
+        ("parse_constraint_spec", [{"path": "", "atoms": [{"kind": "ndim", "value": 1.9}]}]),
     ],
 )
 def test_malformed_documents_are_parse_errors(parse, doc):
@@ -164,6 +176,12 @@ def test_malformed_documents_are_parse_errors(parse, doc):
         (["show"], {"a": {"__structured__": True}}),
         (["validate", "--constraints"], [{"path": "", "atoms": [3]}]),
         (["validate", "--constraints"], [{"path": "", "inherit": "false", "atoms": []}]),
+        (["validate", "--constraints"],
+         [{"path": "", "atoms": [{"kind": "shapes_equal", "paths": [3]}]}]),
+        (["validate", "--constraints"], [{"path": "", "atoms": [{"kind": "leaf_count", "value": 1}]}]),
+        (["validate", "--constraints"], [{"path": "", "atoms": [{"kind": "dtype", "value": 3},
+                                                                {"kind": "dtype", "value": "f64"}]}]),
+        (["validate", "--constraints"], [{"path": "", "atoms": [{"kind": "ndim", "value": 1.9}]}]),
     ],
 )
 def test_cli_exits_2_on_a_malformed_document(tmp_path, command, doc):
@@ -177,6 +195,20 @@ def test_cli_exits_2_on_a_malformed_document(tmp_path, command, doc):
     )
     assert r.returncode == 2
     assert "Traceback" not in r.stderr and "parse error" in r.stderr
+
+
+@pytest.mark.parametrize("kind", [["dtype"], {"dtype": 1}, 3, None])
+def test_an_atom_kind_that_is_not_a_string_is_an_unknown_kind(kind):
+    with pytest.raises(UnknownAtomKind):
+        tt.parse_constraint_spec(json.dumps([{"path": "", "atoms": [{"kind": kind}]}]))
+
+
+@pytest.mark.parametrize("field, value", [("value", True), ("value", None), ("value", "1"),
+                                          ("axis", 0.0), ("axis", [0])])
+def test_an_int_field_takes_only_a_json_integer(field, value):
+    atom = {"kind": "dim_equals", "axis": 0, "value": 1, field: value}
+    with pytest.raises(ParseError, match=repr(field)):
+        tt.parse_constraint_spec(json.dumps([{"path": "", "inherit": False, "atoms": [atom]}]))
 
 
 def nested_document(depth: int) -> str:
@@ -348,6 +380,23 @@ def test_leaf_op_errors_and_violations_quote_a_bounded_path():
     with pytest.raises(ConstraintViolation) as info:
         t.with_constraints({(LONG,): tt.inherit_atom(tt.DtypeIs("f64"))})
     bounded(info.value, (LONG,))
+
+
+def test_unpad_and_mask_errors_quote_a_bounded_path():
+    def group(stacked, lengths):
+        return tt.PaddedGroup(tt.build_tree({LONG: stacked}), tt.build_tree({LONG: lengths}), 0.0)
+
+    one = tt.make_leaf([1], "i64", [1])
+    for g in (group(np.zeros(3), one),  # no length dimension
+              group(np.zeros((1, 2)), tt.make_leaf([1], "f64", [1.0])),  # lengths not i64
+              group(np.zeros((1, 2)), tt.make_leaf([1], "i64", [5]))):  # a length past the end
+        with pytest.raises(CorruptLengths) as info:
+            tt.unpad(g)
+        assert len(str(info.value)) < BOUND
+    t = tt.build_tree({LONG: np.zeros(1)})
+    with pytest.raises(NonBooleanMask) as info:
+        tt.mask(t, t)
+    assert len(str(info.value)) < BOUND
 
 
 def test_cli_validate_of_a_long_missing_path_exits_1_with_one_bounded_line(tmp_path):

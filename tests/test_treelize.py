@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -289,10 +290,18 @@ def test_lifted_surface_covers_registry():
         assert op in surface
 
 
-def test_lifted_cat_rejects_negative_axis():
-    t = tt.build_tree({"a": np.arange(3.0)})
+NEGATIVE_AXIS = {
+    "stack": lambda t: tt.lifted_stack([t, t], axis=-1),
+    "cat": lambda t: tt.lifted_cat([t, t], axis=-1),
+    "split": lambda t: tt.lifted_split(t, 1, axis=-1),
+}
+TREES = {"leaves": {"a": np.arange(3.0)}, "leafless": {"e": {}}}
+
+
+@pytest.mark.parametrize("op, tree", list(itertools.product(NEGATIVE_AXIS, TREES)))
+def test_lifted_stack_cat_and_split_reject_a_negative_axis(op, tree):
     with pytest.raises(tt.errors.ShapeMismatchLeaf):
-        tt.lifted_cat([t, t], axis=-1)
+        NEGATIVE_AXIS[op](tt.build_tree(TREES[tree]))
 
 
 def test_lifted_split_carries_empty_subtrees():
