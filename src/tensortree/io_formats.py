@@ -137,10 +137,12 @@ def _constraint_entries(tree: TreeTensor) -> list:
     walking the tree's structure (so equal trees give equal entries)."""
     if tree.constraints.is_trivial:
         return []
-    entries = []
+    entries, encoded = [], {}  # id(c) -> (c, its atom objects by flag): positions share constraints
     for path, _, c in _c.effective(tree, tree.constraints):
-        for inh in (False, True):
-            atoms = [_atom_obj(a) for flag, a in c.entries if flag == inh]
+        if id(c) not in encoded:  # c is kept, so its id is not reused
+            encoded[id(c)] = c, [(inh, [_atom_obj(a) for flag, a in c.entries if flag == inh])
+                                 for inh in (False, True)]
+        for inh, atoms in encoded[id(c)][1]:
             if atoms:
                 entries.append({"path": path_to_string(path), "inherit": inh, "atoms": atoms})
     return entries
