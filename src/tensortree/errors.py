@@ -1,10 +1,19 @@
 """Exception hierarchy shared by all tensortree modules."""
 
+import reprlib
+
 _SHOWN = 200  # the most characters of a path, key list or document value a message quotes
+_REPR = reprlib.Repr()  # abbreviates containers: a large value is never repr'd whole
+_REPR.maxstring = _REPR.maxother = _SHOWN
 
 
-def _shown(text: str) -> str:
-    return text if len(text) <= _SHOWN else text[: _SHOWN - 1] + "…"
+def _shown(text: str, limit: int = _SHOWN) -> str:
+    return text if len(text) <= limit else text[: limit - 1] + "…"
+
+
+def _quoted(obj, limit: int = _SHOWN) -> str:
+    """repr(obj) as a message quotes it: containers abbreviated, then cut."""
+    return _shown(_REPR.repr(obj), limit)
 
 
 def _where(path) -> str:

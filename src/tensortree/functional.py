@@ -21,7 +21,7 @@ from .errors import (
     TensorTreeError,
     _where,
 )
-from .leaf import TensorLeaf, _new_leaf, stack_axis0
+from .leaf import Column, TensorLeaf, _new_leaf, stack_axis0
 from .node import Path, treedef
 from .tree import TreeTensor, leaves, structure_equal
 
@@ -151,8 +151,9 @@ def subside(outer) -> TreeTensor:
 
     The StackedLeaf outputs of a flat list are copies; when every column
     aligns they are read-only views into one buffer per dtype
-    (`leaf.stack_axis0`), so one surviving leaf keeps its dtype's whole
-    buffer alive until `leaf.copy()` or `deep_copy` detaches it.
+    (`leaf.stack_axis0`; packed trees give one stack of their buffers), so
+    one surviving leaf keeps its dtype's whole buffer alive until
+    `leaf.copy()` or `deep_copy` detaches it.
     """
     trees: list[TreeTensor] = []
     nested_map(outer, trees.append, TreeTensor)
@@ -218,8 +219,14 @@ def rise(tree: TreeTensor):
     """Lift the common per-leaf inner structure back above the tree.
 
     The component leaves are copies of the input; the k rows of one
-    StackedLeaf share one read-only buffer."""
+    StackedLeaf share one read-only buffer. A packed tree of StackedLeafs
+    of ndim >= 2 is copied in one call, each component tree a column of it."""
     td, payloads = tree._flat()
+    if type(payloads) is Column and payloads.cls is StackedLeaf and payloads.buf.ndim > 2:
+        rows = payloads.buf.swapaxes(0, 1).copy()  # row-major: component i is rows[i]
+        rows.setflags(False)
+        return [TreeTensor._of(td, Column(r, TensorLeaf, payloads.dtype, payloads.device))
+                for r in rows]
     if not payloads:
         return tree
     skels = [_skeleton(l) for l in payloads]

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import functools
 import json
-import reprlib
 from dataclasses import fields
 
 from . import constraints as _c
 from .errors import _SHOWN, BadKey, BadPath, DtypeUnknown, EmptyKey, ParseError, UnknownAtomKind
+from .errors import _quoted, _shown
 from .functional import StackedLeaf, StructuredLeaf, nested_map
 from .leaf import DTYPES, TensorLeaf, make_leaf
 from .node import Path, ValueNode, as_dict, path_from_string, path_to_string
@@ -41,14 +41,6 @@ def _document(parse):
         except (BadKey, EmptyKey, RecursionError) as exc:
             raise ParseError(str(exc)) from None
     return wrapped
-
-
-_REPR = reprlib.Repr()  # abbreviates containers: a large value is never repr'd whole
-_REPR.maxstring = _REPR.maxother = _SHOWN
-
-
-def _shown(obj) -> str:
-    return _REPR.repr(obj)[:_SHOWN]
 
 
 def _loads(text: str):
@@ -116,20 +108,26 @@ def _parse_atom(obj, where: str):
     """The atom of a document object; ParseError unless each field has its
     annotation's JSON type and the atom accepts its value."""
     if not isinstance(obj, dict):
-        raise ParseError(f"bad atom {_shown(obj)} at {where}: not an object")
+        raise _bad_atom(obj, where, "not an object")
     kind = obj.get("kind")
     if type(kind) is not str or kind not in _ATOMS:
-        raise UnknownAtomKind(f"unknown atom kind {_shown(kind)}")
+        raise UnknownAtomKind(f"unknown atom kind {_quoted(kind)}")
     cls, names = _ATOMS[kind]
     values = [obj.get(name) for name in names]
     for name, value, f in zip(names, values, fields(cls)):
         t, what = _JSON[f.type]
         if type(value) is not t or t is list and not all(type(p) is str for p in value):
-            raise ParseError(f"bad atom {_shown(obj)} at {where}: {name!r} must be {what}")
+            raise _bad_atom(obj, where, f"{name!r} must be {what}")
     try:
         return cls(*[tuple(map(path_from_string, v)) if type(v) is list else v for v in values])
     except ValueError as exc:  # a negative int field
-        raise ParseError(f"bad atom {_shown(obj)} at {where}: {exc}") from exc
+        raise _bad_atom(obj, where, str(exc)) from exc
+
+
+def _bad_atom(obj, where: str, why: str) -> ParseError:
+    """The atom, its placement and the cause, each cut short enough that
+    the message stays within about 280 characters."""
+    return ParseError(f"bad atom {_quoted(obj, 80)} at {_shown(where, 80)}: {_shown(why, 100)}")
 
 
 def _constraint_entries(tree: TreeTensor) -> list:
@@ -171,10 +169,10 @@ def _parse_leaf(obj: dict) -> TensorLeaf:
             raise ParseError(f"leaf object missing {field!r}")
     shape, dtype, data = obj["shape"], obj["dtype"], obj["data"]
     if dtype not in DTYPES:
-        raise DtypeUnknown(f"unknown dtype {_shown(dtype)}")
+        raise DtypeUnknown(f"unknown dtype {_quoted(dtype)}")
     # type(True) is bool, so the exact checks reject bools as shapes or i64 data
     if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
-        raise ParseError(f"leaf shape must be a list of non-negative integers, got {_shown(shape)}")
+        raise ParseError(f"leaf shape must be a list of non-negative integers, got {_quoted(shape)}")
     if not isinstance(data, list):
         raise ParseError(f"leaf data must be a list, got {type(data).__name__}")
     types = _DATA_TYPES[dtype]
@@ -183,7 +181,7 @@ def _parse_leaf(obj: dict) -> TensorLeaf:
         raise ParseError(f"{dtype} leaf data must hold only {names} values")
     device = obj.get("device", "cpu")
     if not isinstance(device, str):
-        raise ParseError(f"leaf device must be a string, got {_shown(device)}")
+        raise ParseError(f"leaf device must be a string, got {_quoted(device)}")
     try:
         leaf = make_leaf(shape, dtype, data, device)
     except (TypeError, ValueError, OverflowError) as exc:  # numpy's conversion
@@ -200,7 +198,7 @@ def _parse_payload(obj, path: str = "payload"):
         if obj.get("__leaf__") is True:
             return _parse_leaf(obj)
         return {k: _parse_payload(v, f"{path}/{k}") for k, v in obj.items()}
-    raise ParseError(f"bad structured payload element at {path[:_SHOWN]}: {_shown(obj)}")
+    raise ParseError(f"bad structured payload element at {path[:_SHOWN]}: {_quoted(obj)}")
 
 
 def _parse_root(obj, what: str) -> TreeTensor:
@@ -233,11 +231,11 @@ def _parse_placements(entries) -> dict[Path, _c.Constraint]:
     placements: dict[Path, _c.Constraint] = {}
     for n, entry in enumerate(entries):
         if not isinstance(entry, dict) or "path" not in entry or "atoms" not in entry:
-            raise ParseError(f"bad placement entry {n}: {_shown(entry)}")
+            raise ParseError(f"bad placement entry {n}: {_quoted(entry)}")
         raw_path, inh, atom_objs = entry["path"], entry.get("inherit", True), entry["atoms"]
         if not isinstance(raw_path, str):
-            raise BadPath(f"placement path must be a string, got {_shown(raw_path)}")
-        where = f"placement {_shown(raw_path)}"
+            raise BadPath(f"placement path must be a string, got {_quoted(raw_path)}")
+        where = f"placement {_quoted(raw_path)}"
         if type(inh) is not bool or not isinstance(atom_objs, list):
             raise ParseError(f"{where}: inherit must be a bool and atoms a list")
         path = path_from_string(raw_path)
@@ -287,7 +285,7 @@ def serialize_outer(outer) -> str:
 
 def _parse_outer_obj(obj, path: str = ""):  # path: item indices and entry keys, '/'-joined
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"bad outer-structure element at /{path[:_SHOWN]}: {_shown(obj)}")
+        raise ParseError(f"bad outer-structure element at /{path[:_SHOWN]}: {_quoted(obj)}")
     kind = obj["kind"]
     if kind == "tree":
         return _parse_root(_field(obj, "value"), "embedded tree")
@@ -295,7 +293,7 @@ def _parse_outer_obj(obj, path: str = ""):  # path: item indices and entry keys,
         return [_parse_outer_obj(x, f"{path}{i}/") for i, x in enumerate(_field(obj, "items"))]
     if kind == "map":
         return {k: _parse_outer_obj(v, f"{path}{k}/") for k, v in _field(obj, "entries").items()}
-    raise ParseError(f"unknown outer kind {_shown(kind)}")
+    raise ParseError(f"unknown outer kind {_quoted(kind)}")
 
 
 @_document

@@ -121,22 +121,89 @@ _object_new = object.__new__
 _REPR_ELEMENTS = 6
 
 
+def _tag(dtype: np.dtype) -> str:
+    try:
+        return _DTYPE_NAME[dtype]
+    except KeyError:
+        raise DtypeUnsupported(f"unsupported numpy dtype {dtype}") from None
+
+
 def _new_leaf(cls, array: np.ndarray, device: str, dtype: str | None = None) -> TensorLeaf:
     """The one leaf constructor: checks the dtype tag and makes `array`
     read-only, or skips both when the caller passes `dtype` and so vouches
     that `array` is a view of a read-only array with that tag. Kernel
     outputs call it directly, skipping the type call `TensorLeaf(...)` pays."""
     if dtype is None:
-        try:
-            dtype = _DTYPE_NAME[array.dtype]
-        except KeyError:
-            raise DtypeUnsupported(f"unsupported numpy dtype {array.dtype}") from None
+        dtype = _tag(array.dtype)
         array.setflags(False)  # write=False; positional is the cheap form
     self = _object_new(cls)
     self._array = array
     self._dtype = dtype
     self._device = device
     return self
+
+
+class Column:
+    """The leaf list of a packed tree: leaf i is a `cls` over row `buf[i]`,
+    tagged `dtype` and `device`. `buf` has shape (leaf count, *leaf shape),
+    with a leaf shape of ndim >= 1 and at least one element; it is made
+    read-only and may be strided. Kernels read `buf` whole. The leaf
+    objects are made the first time the column is indexed or iterated, and
+    then kept, so a leaf read twice is one object (two threads racing
+    through the first read may each make a list, and one of them is kept).
+    A live leaf keeps the whole buffer alive."""
+
+    __slots__ = ("buf", "cls", "dtype", "device", "_leaves")
+
+    def __init__(self, buf: np.ndarray, cls, dtype: str, device: str):
+        buf.setflags(False)
+        self.buf, self.cls, self.dtype, self.device, self._leaves = buf, cls, dtype, device, None
+
+    def __reduce__(self):
+        return Column, (self.buf, self.cls, self.dtype, self.device)
+
+    def __len__(self) -> int:
+        return len(self.buf)
+
+    def __getitem__(self, i):
+        return self.leaves()[i]
+
+    def __iter__(self):
+        return iter(self.leaves())
+
+    def __eq__(self, other) -> bool:
+        """Equal as leaf lists, without making leaves when both are columns."""
+        if type(other) is not Column:
+            return self.leaves() == other if isinstance(other, list) else NotImplemented
+        return (self.dtype == other.dtype and self.device == other.device
+                and self.buf.shape == other.buf.shape
+                and np.array_equal(self.buf, other.buf, self.dtype in ("f32", "f64")))
+
+    def leaves(self) -> list:
+        out = self._leaves
+        if out is None:
+            cls, dtype, device, out = self.cls, self.dtype, self.device, []
+            # _new_leaf with a known tag, inlined: the call costs more than these stores
+            for row in self.buf:
+                leaf = _object_new(cls)
+                leaf._array, leaf._dtype, leaf._device = row, dtype, device
+                out.append(leaf)
+            self._leaves = out
+        return out
+
+
+def pack(arrays: list) -> Column | None:
+    """A column of copies of `arrays`, or None unless they are all exact
+    ndarrays of one dtype (which must have a tag) and one shape of ndim >= 1
+    and 1 to BATCH_MAX_ELEMENTS elements."""
+    first = arrays[0] if arrays else None
+    if type(first) is not np.ndarray or not first.shape or not 0 < first.size <= BATCH_MAX_ELEMENTS:
+        return None
+    dtype, shape = first.dtype, first.shape
+    for a in arrays:
+        if type(a) is not np.ndarray or a.shape != shape or a.dtype is not dtype and a.dtype != dtype:
+            return None
+    return Column(_pack(arrays).reshape((len(arrays),) + shape), TensorLeaf, _tag(dtype), "cpu")
 
 
 def make_leaf(shape: Sequence[int], dtype: str, data: Sequence, device: str = "cpu") -> TensorLeaf:
@@ -260,7 +327,10 @@ def ew_binary(fn_id: str, a: TensorLeaf, b: TensorLeaf) -> TensorLeaf:
 # ---------------------------------------------------------------------------
 # structural leaf ops
 
-def _join(join, leaves: Sequence[TensorLeaf], axis: int, what: str) -> TensorLeaf:
+_JOINS = {"stack": np.stack, "cat": np.concatenate}
+
+
+def _join(leaves: Sequence[TensorLeaf], axis: int, what: str) -> TensorLeaf:
     """numpy checks shapes and axis range; dtypes must match exactly."""
     if not leaves:
         raise EmptyInput(f"{what} of zero leaves")
@@ -271,7 +341,7 @@ def _join(join, leaves: Sequence[TensorLeaf], axis: int, what: str) -> TensorLea
         if l._dtype != first._dtype:
             raise ShapeMismatchLeaf(f"{what} needs one dtype; got {first._dtype} and {l._dtype}")
     try:
-        out = join([l._array for l in leaves], axis)
+        out = _JOINS[what]([l._array for l in leaves], axis)
     except ValueError as exc:  # numpy's AxisError is a ValueError too
         raise ShapeMismatchLeaf(f"{what}: {exc}") from exc
     return _new_leaf(TensorLeaf, out, first._device)
@@ -279,55 +349,67 @@ def _join(join, leaves: Sequence[TensorLeaf], axis: int, what: str) -> TensorLea
 
 def stack(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
     """Stack same-shape leaves along a new axis."""
-    return _join(np.stack, leaves, axis, "stack")
+    return _join(leaves, axis, "stack")
 
 
 def cat(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
     """Concatenate leaves along an existing axis (not zero-dim leaves)."""
-    return _join(np.concatenate, leaves, axis, "cat")
+    return _join(leaves, axis, "cat")
 
 
-def stack_axis0(lists: Sequence[Sequence], cls=TensorLeaf) -> list | None:
+def join_columns(what: str, columns: Sequence, axis: int, cls=TensorLeaf) -> Column | None:
+    """`stack` or `cat` (`what`) of each row of aligned packed columns
+    along leaf axis `axis`, as one numpy call on their buffers. None,
+    having computed nothing, unless every column is a `Column` and all
+    share one dtype and device; None too if numpy rejects the shapes or the
+    axis, which the per-leaf pass then reports at its leaf."""
+    first = columns[0]
+    for c in columns:
+        if type(c) is not Column or c.dtype != first.dtype or c.device != first.device:
+            return None
+    try:
+        buf = _JOINS[what]([c.buf for c in columns], axis + 1)
+    except ValueError:  # numpy's AxisError is a ValueError too
+        return None
+    return Column(buf, cls, first.dtype, first.device)
+
+
+def stack_axis0(lists: Sequence[Sequence], cls=TensorLeaf) -> Column | list | None:
     """Stack along a new axis 0 each column of the aligned leaf lists, one
-    list per tree, copying each leaf once: the outputs, in column order,
-    are read-only C-contiguous views into one buffer (`_pack`) per dtype
-    and leaf shape, which one surviving output keeps alive.
+    list per tree, copying each leaf once. Packed lists give one
+    `join_columns` call. Otherwise the outputs, in column order, are `cls`
+    leaves over read-only C-contiguous rows of one buffer (`_pack`) per
+    dtype, leaf shape and device; a single buffer of leaves of at most
+    BATCH_MAX_ELEMENTS elements stays a column.
 
     None, with nothing copied, unless every payload is a TensorLeaf and each
     column has one dtype and one shape; callers then stack column by column,
     which raises at the column at fault.
     """
+    joined = join_columns("stack", lists, 0, cls)
+    if joined is not None:
+        return joined
     k = len(lists)
-    groups: dict[tuple, tuple] = {}  # (dtype, leaf shape) -> its arrays and devices
+    groups: dict[tuple, list] = {}  # (dtype, leaf shape, device) -> its arrays
     order = []
     for column in zip(*lists):
         first = column[0]
         if not isinstance(first, TensorLeaf):
             return None
-        dtype, shape = group = first._dtype, first._array.shape
-        arrays, devices = groups.setdefault(group, ([], []))
+        dtype, shape = first._dtype, first._array.shape
+        group = dtype, shape, first._device
+        arrays = groups.setdefault(group, [])
         for p in column:
             if not isinstance(p, TensorLeaf) or p._dtype != dtype or p._array.shape != shape:
                 return None
             arrays.append(p._array)
-        devices.append(first._device)
         order.append(group)
-    views = {g: iter(_views(cls, _pack(arrays), (k,) + g[1], devices, g[0]))
-             for g, (arrays, devices) in groups.items()}
-    return [next(views[g]) for g in order]
-
-
-def _views(cls, buf: np.ndarray, shape: tuple, devices: list, dtype: str) -> list:
-    """Leaves tagged `dtype`, one per device, viewing consecutive pieces of
-    `shape` (ndim >= 1) of `buf`, which is made read-only."""
-    buf.setflags(False)
-    out = []
-    # _new_leaf with a known tag, inlined: the call costs more than these stores
-    for p, d in zip(buf.reshape((len(devices),) + shape), devices):
-        leaf = _object_new(cls)
-        leaf._array, leaf._dtype, leaf._device = p, dtype, d
-        out.append(leaf)
-    return out
+    packed = {g: Column(_pack(arrays).reshape((len(arrays) // k, k) + g[1]), cls, g[0], g[2])
+              for g, arrays in groups.items()}
+    if len(packed) == 1 and 0 < math.prod(order[0][1]) <= BATCH_MAX_ELEMENTS:
+        return packed[order[0]]
+    rows = {g: iter(c) for g, c in packed.items()}
+    return [next(rows[g]) for g in order]
 
 
 BATCH_MAX_ELEMENTS = 64  # larger leaves cost more to pack than their calls cost
@@ -335,8 +417,8 @@ BATCH_MAX_ELEMENTS = 64  # larger leaves cost more to pack than their calls cost
 
 def _pack(arrays: list) -> np.ndarray:
     """The elements of arrays of one dtype and shape, copied into one flat
-    array: small arrays by joining their buffers, about 3x faster than
-    `np.concatenate`, which is faster on large ones (a subside of eight
+    read-only array: small arrays by joining their buffers, about 3x faster
+    than `np.concatenate`, which is faster on large ones (a subside of eight
     trees of 65536-element leaves: 15 against 28 ms). numpy keeps a 56-byte
     description on each array whose buffer was joined, until it is freed."""
     if arrays[0].size <= BATCH_MAX_ELEMENTS:
@@ -344,24 +426,38 @@ def _pack(arrays: list) -> np.ndarray:
             return np.frombuffer(b"".join(arrays), arrays[0].dtype)
         except TypeError:  # an array that is not C-contiguous exports no plain buffer
             pass
-    return np.concatenate(arrays, axis=None)
+    out = np.concatenate(arrays, axis=None)
+    out.setflags(False)
+    return out
 
 
-def ew_columns(fn_id: str, columns: Sequence[list]) -> list | None:
+def ew_columns(fn_id: str, columns: Sequence) -> Column | None:
     """ew_nary over the rows of aligned leaf columns, one per argument, in
-    one call: `_pack` copies each column into one array (one leaf repeated,
-    a raw leaf, goes in as it is) and the outputs are read-only row views of
-    one buffer. None, having computed nothing, unless the leaves are all
+    one call, giving a column. A packed column goes in as its buffer; `_pack`
+    copies a leaf list into one array (one leaf repeated, a raw leaf, goes
+    in as it is). None, having computed nothing, unless the leaves are all
     TensorLeafs of one dtype (not bool) and device, and each row has one
-    shape of ndim >= 1 and 1 to BATCH_MAX_ELEMENTS elements (0-d leaves
-    broadcast; onto a zero-size shape a 0-d zero divisor of i64 `div` would
-    vanish); None too if the function raises."""
-    probe = columns[0][0] if columns[0] else None
-    if type(probe) is not TensorLeaf or probe._dtype == "bool":
+    shape of ndim >= 1 and at least one element, at most BATCH_MAX_ELEMENTS
+    where a list sets it (0-d leaves broadcast; onto a zero-size shape a 0-d
+    zero divisor of i64 `div` would vanish); None too if the function raises."""
+    probe = columns[0]
+    if type(probe) is not Column:
+        probe = probe[0] if probe else None
+        if type(probe) is not TensorLeaf:
+            return None
+    dtype, device = probe.dtype, probe.device
+    if dtype == "bool":
         return None
-    dtype, device, shape, n = probe._dtype, probe._device, None, len(columns[0])
+    shape, n = None, len(columns[0])
     packs, scalar_rows = [], None  # scalar_rows: the rows 0-d in every column so far
     for column in columns:
+        if type(column) is Column:
+            s = column.buf.shape[1:]
+            if column.dtype != dtype or column.device != device or shape not in (None, s):
+                return None
+            shape, scalar_rows = s, set()
+            packs.append(column.buf)
+            continue
         f = column[0]
         if f is column[-1] and all(map(is_, column, repeat(f))):
             column = (f,)
@@ -383,17 +479,18 @@ def ew_columns(fn_id: str, columns: Sequence[list]) -> list | None:
         packs.append((arrays, zero_d))
     if shape is None or scalar_rows:
         return None
-    for j, (arrays, zero_d) in enumerate(packs):
-        for i in zero_d:
-            arrays[i] = np.broadcast_to(arrays[i], shape)
-        packs[j] = _pack(arrays).reshape((len(arrays),) + shape)
+    for j, pack in enumerate(packs):
+        if type(pack) is tuple:  # a leaf list, not a column's buffer
+            arrays, zero_d = pack
+            for i in zero_d:
+                arrays[i] = np.broadcast_to(arrays[i], shape)
+            packs[j] = _pack(arrays).reshape((len(arrays),) + shape)
     try:
         out = _FNS[fn_id][1](*packs)
     except Exception:  # the caller's per-leaf pass raises it again, at its row
         return None
     out.setflags(False)  # raw leaves alone give one row, which broadcasting repeats
-    out = np.broadcast_to(out, (n,) + shape)
-    return _views(TensorLeaf, out, shape, [device] * n, _DTYPE_NAME[out.dtype])
+    return Column(np.broadcast_to(out, (n,) + shape), TensorLeaf, _DTYPE_NAME[out.dtype], device)
 
 
 def split(t: TensorLeaf, chunk: int, axis: int = 0) -> list[TensorLeaf]:
@@ -404,11 +501,21 @@ def split(t: TensorLeaf, chunk: int, axis: int = 0) -> list[TensorLeaf]:
     if arr.ndim == 0 or not 0 <= axis < arr.ndim:
         raise ShapeMismatchLeaf(f"axis {axis} out of range for ndim {arr.ndim}")
     # pieces are read-only views; immutability makes sharing safe
+    return [_new_leaf(TensorLeaf, a, device, t._dtype) for a in _pieces(arr, chunk, axis)]
+
+
+def split_column(column: Column, chunk: int, axis: int) -> list[Column] | None:
+    """`split` of every leaf of a packed column: one column of views per
+    piece. None, having split nothing, if the axis is out of range."""
+    if not 0 <= axis < column.buf.ndim - 1:
+        return None
+    return [Column(a, TensorLeaf, column.dtype, column.device)
+            for a in _pieces(column.buf, chunk, axis + 1)]
+
+
+def _pieces(arr: np.ndarray, chunk: int, axis: int) -> list:
     prefix = (slice(None),) * axis
-    return [
-        _new_leaf(TensorLeaf, arr[prefix + (slice(i, i + chunk),)], device, t._dtype)
-        for i in range(0, arr.shape[axis], chunk)
-    ]
+    return [arr[prefix + (slice(i, i + chunk),)] for i in range(0, arr.shape[axis], chunk)]
 
 
 def zeros_like(t: TensorLeaf) -> TensorLeaf:

@@ -7,8 +7,10 @@ that treedef. Key-set disagreements between tree arguments, and raw leaves
 broadcast against trees, are resolved by a mismatch policy (strict / inner
 / outer / left) that merges the structure keys, memoised per structures
 and policy kind; each argument then gives a leaf column over the merged
-paths. Neither path builds a node. Elementwise lifts try one batched call
-over the columns (`leaf.ew_columns`) before the per-leaf pass.
+paths. Neither path builds a node. Elementwise lifts, stack, cat and split
+try one batched call over the columns (`leaf.ew_columns`,
+`leaf.join_columns`, `leaf.split_column`) before the per-leaf pass; a
+packed tree's column goes in as its buffer, and the output is packed.
 """
 
 from __future__ import annotations
@@ -261,21 +263,26 @@ def lifted_stack(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
 def lifted_cat(trees: Sequence[TreeTensor], axis: int = 0) -> TreeTensor:
     """Per-position leaf concatenation of structurally equal trees. As in
     strict lift_multi, a value node facing a subtree broadcasts into each of
-    its leaves. Each output leaf is its own copy: one buffer per dtype, as
-    lifted_stack does, costs more than it saves below about 1 MB a leaf.
+    its leaves. Packed trees of one dtype give one concatenate, whose output
+    leaves are read-only rows of one buffer (`leaf.join_columns`); otherwise
+    each output leaf is its own copy.
     """
-    return _joined(trees, axis, "cat", lambda ls: _lf.cat(ls, axis))
+    batch = partial(_lf.join_columns, "cat", axis=axis)
+    return _joined(trees, axis, "cat", lambda ls: _lf.cat(ls, axis), batch)
 
 
 def lifted_split(tree: TreeTensor, chunk: int, axis: int = 0) -> list[TreeTensor]:
     """Split every leaf; regroup piece i of each leaf into tree i. Every
     leaf must give the same number of pieces; subtrees without leaves are
     carried into every piece. The pieces are read-only views of the input
-    leaves, not copies."""
+    leaves, not copies; a packed tree is split as one buffer."""
     if chunk < 1:
         raise InvalidChunk(f"chunk must be >= 1, got {chunk}")
     _check_axis(axis, "split")
     td, leaves = _flat(tree)
+    columns = type(leaves) is _lf.Column and _lf.split_column(leaves, chunk, axis)
+    if columns:
+        return [TreeTensor._of(td, c) for c in columns]
     path_of = lambda i: td.paths[i]  # noqa: E731
     pieces = _leafwise(lambda ls: _lf.split(ls[0], chunk, axis), [leaves], path_of)
     counts = [len(p) for p in pieces]

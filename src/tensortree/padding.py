@@ -17,6 +17,7 @@ from .errors import (
     LeafOpError,
     StructureMismatch,
     TailShapeMismatch,
+    _quoted,
     _where,
 )
 from .leaf import TensorLeaf, _new_leaf
@@ -104,7 +105,7 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
             )
     ks = {a.shape[0] for a in arrays}
     if len(ks) > 1:
-        raise CorruptLengths(f"inconsistent batch sizes {sorted(ks)}")
+        raise CorruptLengths(f"inconsistent batch sizes {_quoted(sorted(ks))}")
     k = ks.pop() if ks else 0
     columns = []
     for i, (a, leaf, (tag, lens)) in enumerate(zip(arrays, stacked, counts)):
@@ -117,7 +118,7 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
         if k and (min(n) < 0 or max(n) > a.shape[1]):
             raise CorruptLengths(
                 f"lengths at {_where(td.paths[i])} must lie in "
-                f"[0, {a.shape[1]}], got {n}"
+                f"[0, {a.shape[1]}], got {_quoted(n)}"
             )
         a = np.ascontiguousarray(a)  # a itself when contiguous, else a copy
         a.setflags(False)

@@ -12,6 +12,12 @@ splices that range, the paths and the structure key along the path.
 `TreeTensor(root)` flattens its root once. `.root` is a node view, built on
 first access and then kept. A constrained `set`/`remove` checks only what
 the edit can break: the ancestors' node atoms and the written subtree.
+
+A tree whose leaves share one dtype, device, class and small shape may be
+packed: its leaf list is a `leaf.Column`, one buffer whose leaf objects are
+made on first index or iteration. `build_tree` packs uniform raw arrays;
+batched lifts, stack/cat/split and subside/rise of packed trees give packed
+trees. Everything that reads leaves one by one sees an ordinary list.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from . import constraints as _c
 from .errors import BadPath, ConstraintViolation, PathNotFound
-from .leaf import TensorLeaf, _new_leaf, from_array, make_leaf
+from .leaf import TensorLeaf, _new_leaf, _tag, from_array, make_leaf, pack
 from .node import Node, Path, TreeDef, TreeNode, ValueNode, check_key, flatten, leaf_range
 from .node import _paths_into, subkey, treedef, unflatten
 
@@ -59,7 +65,8 @@ class TreeTensor:
     def _of(cls, td: TreeDef, leaves: list, constraints=_c.TRIVIAL, checked: bool = True,
             base: "weakref.ref | None" = None):
         """Internal: the tree of a tree structure and its payloads in flatten
-        order; the list is the tree's own from here on, never mutated. A
+        order, a list or a `Column`; the list is the tree's own from here on,
+        never mutated. A
         `base`, a weak reference to a tree of the same structure, lends that
         tree's root to this one's while it lives."""
         tree = cls.__new__(cls)
@@ -122,8 +129,9 @@ def _summary(payload) -> str:
 
 def _flat_into(value, leaves: list) -> tuple | None:
     """The structure key of the node `value` stands for (None for a value
-    node), its payloads appended to `leaves` in flatten order. A mapping's
-    keys are sorted and checked as `TreeNode` does."""
+    node), its payloads appended to `leaves` in flatten order, an exact
+    ndarray in a mapping as it is (see `_items_key`). A mapping's keys are
+    sorted and checked as `TreeNode` does."""
     # the cheap exact checks first: the Mapping ABC check is slow
     if isinstance(value, TreeNode):
         key, payloads = flatten(value)
@@ -149,7 +157,8 @@ def _flat_into(value, leaves: list) -> tuple | None:
 def _items_key(mapping, leaves: list) -> tuple:
     """`_flat_into` of a mapping, one call per inner mapping: all keys are
     checked before any value is built, and a dict, exact ndarray or
-    TensorLeaf value needs no call of its own."""
+    TensorLeaf value needs no call of its own. An exact ndarray is appended
+    as it is, its tag checked; `_leaf_list` copies it."""
     keys = sorted(mapping)
     for k in keys:
         if type(k) is not str or not k or k[0] == "_" or "/" in k:  # else check_key passes k
@@ -160,8 +169,10 @@ def _items_key(mapping, leaves: list) -> tuple:
         t = type(v)
         if t is dict:
             structure.append((k, _items_key(v, leaves)))
-        elif t is np.ndarray or t is TensorLeaf:  # copy() gives C order, as from_array does
-            leaves.append(v if t is TensorLeaf else _new_leaf(TensorLeaf, v.copy(), "cpu"))
+        elif t is np.ndarray or t is TensorLeaf:
+            if t is np.ndarray:
+                _tag(v.dtype)  # raises DtypeUnsupported
+            leaves.append(v)
             structure.append((k, None))
         else:
             structure.append((k, _flat_into(v, leaves)))
@@ -172,11 +183,18 @@ def build_tree(pairs: Mapping) -> TreeTensor:
     """Build a TreeTensor (empty constraints) from a nested mapping.
 
     Values may be leaves, nodes, nested mappings, numpy arrays or python
-    scalars (which become scalar leaves).
+    scalars (which become scalar leaves). Arrays are copied; when every
+    value is a plain ndarray and `leaf.pack` takes them, into one column.
     """
-    leaves: list = []
-    key = _items_key(dict(pairs), leaves)
-    return TreeTensor._of(treedef(key), leaves)
+    items: list = []
+    key = _items_key(dict(pairs), items)
+    return TreeTensor._of(treedef(key), pack(items) or _leaf_list(items))
+
+
+def _leaf_list(items: list) -> list:
+    """`items` with each exact ndarray a leaf of its own row-major copy
+    (copy() gives C order, as from_array does)."""
+    return [_new_leaf(TensorLeaf, v.copy(), "cpu") if type(v) is np.ndarray else v for v in items]
 
 
 def _as_path(path: Iterable[str]) -> Path:
@@ -274,11 +292,11 @@ def _write(tree: TreeTensor, path: Path, sub, payloads: list) -> TreeTensor:
 def set(tree: TreeTensor, path: Iterable[str], value) -> TreeTensor:
     """Persistent set; validates what the write can break and fails atomically."""
     path = _as_path(path)
-    payloads: list = []
-    sub = _flat_into(value, payloads)
+    items: list = []
+    sub = _flat_into(value, items)
     if not path and sub is None:
         raise PathNotFound(path, "cannot replace the root with a value node")
-    return _write(tree, path, sub, payloads)
+    return _write(tree, path, sub, _leaf_list(items))
 
 
 def remove(tree: TreeTensor, path: Iterable[str]) -> TreeTensor:
