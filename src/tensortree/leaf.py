@@ -504,10 +504,11 @@ def split(t: TensorLeaf, chunk: int, axis: int = 0) -> list[TensorLeaf]:
     return [_new_leaf(TensorLeaf, a, device, t._dtype) for a in _pieces(arr, chunk, axis)]
 
 
-def split_column(column: Column, chunk: int, axis: int) -> list[Column] | None:
+def split_column(column, chunk: int, axis: int) -> list[Column] | None:
     """`split` of every leaf of a packed column: one column of views per
-    piece. None, having split nothing, if the axis is out of range."""
-    if not 0 <= axis < column.buf.ndim - 1:
+    piece. None, having split nothing, unless `column` is a `Column` and
+    the axis is in range."""
+    if type(column) is not Column or not 0 <= axis < column.buf.ndim - 1:
         return None
     return [Column(a, TensorLeaf, column.dtype, column.device)
             for a in _pieces(column.buf, chunk, axis + 1)]

@@ -280,7 +280,7 @@ def lifted_split(tree: TreeTensor, chunk: int, axis: int = 0) -> list[TreeTensor
         raise InvalidChunk(f"chunk must be >= 1, got {chunk}")
     _check_axis(axis, "split")
     td, leaves = _flat(tree)
-    columns = type(leaves) is _lf.Column and _lf.split_column(leaves, chunk, axis)
+    columns = _lf.split_column(leaves, chunk, axis)
     if columns:
         return [TreeTensor._of(td, c) for c in columns]
     path_of = lambda i: td.paths[i]  # noqa: E731

@@ -399,6 +399,30 @@ def test_unpad_and_mask_errors_quote_a_bounded_path():
     assert len(str(info.value)) < BOUND
 
 
+def test_unpad_quotes_a_bounded_lengths_list_and_batch_size_list():
+    # a batch of 100000 lengths, each past the end of a length dimension of 2
+    stacked = tt.build_tree({"a": np.zeros((100000, 2))})
+    lengths = tt.build_tree({"a": tt.make_leaf([100000], "i64", [5] * 100000)})
+    with pytest.raises(CorruptLengths, match="must lie in") as info:
+        tt.unpad(tt.PaddedGroup(stacked, lengths, 0.0))
+    assert len(str(info.value)) < BOUND
+    # 2000 leaves, each with a batch size of its own
+    stacked = tt.build_tree({f"k{i}": np.zeros((i + 1, 1)) for i in range(2000)})
+    lengths = tt.build_tree({f"k{i}": tt.make_leaf([i + 1], "i64", [0] * (i + 1))
+                             for i in range(2000)})
+    with pytest.raises(CorruptLengths, match="inconsistent batch sizes") as info:
+        tt.unpad(tt.PaddedGroup(stacked, lengths, 0.0))
+    assert len(str(info.value)) < BOUND
+
+
+@pytest.mark.parametrize("value", ["x" * 100000, -int("9" * 4000)], ids=["long-str", "long-int"])
+def test_a_bad_atom_quotes_a_bounded_atom_path_and_cause(value):
+    spec = [{"path": LONG, "atoms": [{"kind": "ndim", "value": value}]}]
+    with pytest.raises(ParseError, match="bad atom") as info:
+        tt.parse_constraint_spec(json.dumps(spec))
+    assert len(str(info.value)) < BOUND
+
+
 def test_cli_validate_of_a_long_missing_path_exits_1_with_one_bounded_line(tmp_path):
     doc, spec = tmp_path / "t.ttj", tmp_path / "c.ttc"
     doc.write_text(tt.serialize_tree(tt.build_tree({"x": {"b": np.zeros(2)}})))
