@@ -6,8 +6,8 @@
   cover k of 1-4, every dtype, tails () and (2, 3), empty parts, parts with
   nothing to pad, parts at and above BATCH_MAX_ELEMENTS elements, fills
   that numpy casts in odd ways, and one part that is unlike the others (a
-  dtype, device or tail of its own, a 0-d part, a `StructuredLeaf` or a
-  `StackedLeaf`).
+  dtype, device or tail of its own, a 0-d part, a `StructuredLeaf`, a
+  `StackedLeaf`, or a part that is not C-contiguous).
 - Corrupt groups: `unpad` gives the same trees, or raises the same error
   with the same message, whether the lengths tree is packed (a
   `leaf.Column`) or a leaf list. The corruptions are negative lengths,
@@ -41,7 +41,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 NP = {"f32": np.float32, "f64": np.float64, "i64": np.int64, "bool": np.bool_}
 FILLS = [0, -0.0, float("nan"), float("inf"), -float("inf"), 2.7, True, 2**63, -(2**63)]
 TAILS = [(), (2, 3)]
-BREAKS = [None, "dtype", "device", "tail", "0d", "structured", "stacked"]
+BREAKS = [None, "dtype", "device", "tail", "0d", "structured", "stacked", "strided"]
 
 
 def leaf_path(i):
@@ -58,8 +58,8 @@ def values(rng, dtype, shape):
 
 
 def lengths_for(rng, mode, k, tail):
-    """k axis-0 lengths: ragged, all equal (nothing to pad), or one part at
-    or above BATCH_MAX_ELEMENTS elements."""
+    """k axis-0 lengths: ragged, all equal (nothing to pad), or ragged with
+    one part at or just above BATCH_MAX_ELEMENTS elements."""
     cap = BATCH_MAX_ELEMENTS // int(np.prod(tail))  # the longest part of at most 64 elements
     if mode == "equal":
         return [int(rng.integers(0, 6))] * k
@@ -85,6 +85,7 @@ def ragged_batch(seed, k, n_leaves, dtype, tail, modes, brk):
             "0d": lambda: tt.TensorLeaf(values(rng, dtype, ())),
             "structured": lambda: StructuredLeaf([tt.TensorLeaf(a.copy())]),
             "stacked": lambda: tt.StackedLeaf(a.copy()),
+            "strided": lambda: tt.TensorLeaf(np.stack([a, a], axis=-1)[..., 0]),  # not C-contiguous
         }[brk]()
         where = leaf_path(i)
     trees = [tt.rebuild([(leaf_path(i), table[i][r]) for i in range(n_leaves)]) for r in range(k)]
@@ -140,14 +141,15 @@ def outcome(fn):
     return [[(p, bits(leaf)) for p, leaf in tt.leaves(t)] for t in trees]
 
 
-@SETTINGS
+@pytest.mark.parametrize("brk", BREAKS)
+@settings(SETTINGS, max_examples=60)
 @given(
-    st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 5),
+    st.integers(0, 2**32 - 1), st.sampled_from([3, 2, 4, 1]), st.sampled_from([3, 1, 5, 2, 4, 0]),
     st.sampled_from(sorted(NP)), st.sampled_from(TAILS),
-    st.lists(st.sampled_from(["ragged", "equal", "large"]), min_size=5, max_size=5),
-    st.sampled_from(FILLS), st.sampled_from(BREAKS),
+    st.lists(st.sampled_from(["ragged"] * 4 + ["equal"] * 2 + ["large"]), min_size=5, max_size=5),
+    st.sampled_from(FILLS),
 )
-def test_group_pad_matches_the_per_leaf_reference(seed, k, n_leaves, dtype, tail, modes, fill, brk):
+def test_group_pad_matches_the_per_leaf_reference(brk, seed, k, n_leaves, dtype, tail, modes, fill):
     modes = modes[:n_leaves]
     trees, where = ragged_batch(seed, k, n_leaves, dtype, tail, modes, brk)
     want = reference_pad(trees, fill)
