@@ -322,4 +322,7 @@ def parse_padded_group(text: str) -> PaddedGroup:
         raise ParseError("not a padded-group document")
     stacked = _parse_root(_field(obj, "stacked"), "padded-group stacked tree")
     lengths = _parse_root(_field(obj, "lengths"), "padded-group lengths tree")
-    return PaddedGroup(stacked, lengths, _field(obj, "fill"))
+    fill = _field(obj, "fill")
+    if not isinstance(fill, (int, float)):  # a JSON number or bool
+        raise ParseError(f"padded-group fill must be a number, got {_quoted(fill)}")
+    return PaddedGroup(stacked, lengths, fill)

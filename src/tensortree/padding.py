@@ -5,7 +5,9 @@ original lengths as a sibling tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +22,7 @@ from .errors import (
     _quoted,
     _where,
 )
-from .leaf import TensorLeaf, _new_leaf
+from .leaf import BATCH_MAX_ELEMENTS, Column, TensorLeaf, _new_leaf, _object_new
 from .lift import _check_tensors
 from .tree import TreeTensor
 
@@ -38,17 +40,24 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     `fill` is cast to each leaf's dtype as numpy casts it (fractions
     truncate toward zero in i64 leaves; any nonzero fill is True in bool
     leaves). An i64 leaf that needs padding rejects a fill it cannot hold
-    (NaN, an infinity, or a value outside the i64 range).
+    (NaN, an infinity, or a value outside the i64 range); a fill that is
+    not a real number is a TypeError.
     """
+    if not isinstance(fill, (int, float, np.integer, np.floating, np.bool_)):
+        raise TypeError(f"fill must be a real number, got {_quoted(fill)}")
     if not trees:
         raise EmptyInput("group_pad of zero trees")
     flat = [t._flat() for t in trees]
     td = flat[0][0]
     if any(other != td for other, _ in flat[1:]):
         raise StructureMismatch("group_pad needs structurally equal trees")
+    columns = [leaves for _, leaves in flat]
+    batch = _pad_batch(columns, fill)
+    if batch is not None:
+        return PaddedGroup(TreeTensor._of(td, batch[0]), TreeTensor._of(td, batch[1]), fill)
     stacked, lengths = [], []
     try:
-        for i, parts in enumerate(zip(*(leaves for _, leaves in flat))):
+        for i, parts in enumerate(zip(*columns)):
             f0 = parts[0]
             tail, tag, dtype = f0._array.shape[1:], f0._dtype, f0._array.dtype
             arrays, sizes = [], []
@@ -79,6 +88,57 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     return PaddedGroup(TreeTensor._of(td, stacked), TreeTensor._of(td, lengths), fill)
 
 
+def _pad_batch(columns: list, fill) -> tuple[list, Column] | None:
+    """group_pad's stacked leaves and lengths of aligned leaf columns, one
+    per tree, copied by one concatenate into one read-only buffer, each part
+    followed by its padding, so that leaf i is a C-contiguous
+    (k, L_max(i), *tail) block of it. None, having raised nothing, unless
+    there is a part and all parts are TensorLeafs of the first one's dtype,
+    device and tail shape, of ndim >= 1 and at most BATCH_MAX_ELEMENTS
+    elements, and an i64 fill fits where a leaf needs padding; the per-leaf
+    pass then raises, at its path."""
+    parts = list(chain.from_iterable(zip(*columns)))  # leaf-major
+    f0 = parts[0] if parts else None
+    if type(f0) is not TensorLeaf or not f0._array.shape or f0._array.size > BATCH_MAX_ELEMENTS:
+        return None
+    tag, device, tail = f0._dtype, f0._device, f0._array.shape[1:]
+    arrays, lens = [], []
+    for p in parts:
+        if type(p) is not TensorLeaf or p._dtype != tag or p._device != device:
+            return None
+        s = p._array.shape
+        if not s or s[1:] != tail:
+            return None
+        arrays.append(p._array)
+        lens.append(s[0])
+    k, row = len(columns), math.prod(tail)
+    n = np.array(lens, np.int64).reshape(-1, k)
+    longest = n.max(1)
+    if longest.max() * row > BATCH_MAX_ELEMENTS:
+        return None
+    size = k * row * longest  # elements of each stacked leaf
+    offsets = np.cumsum(size) - size
+    pad = (longest[:, None] - n).ravel().tolist()  # rows each part lacks
+    most = max(pad)
+    if most and tag == "i64" and not -(2**63) <= fill < 2**63:
+        return None
+    chunks = arrays
+    if most:  # each part, then its padding: a slice of one run of fill
+        fills = np.full(most * row, fill, arrays[0].dtype)
+        chunks = [None] * (2 * len(arrays))
+        chunks[::2], chunks[1::2] = arrays, map([fills[: j * row] for j in range(most + 1)].__getitem__, pad)
+    buf = np.empty(int(offsets[-1] + size[-1]), arrays[0].dtype)
+    np.concatenate(chunks, axis=None, out=buf)
+    buf.setflags(False)
+    stacked = []
+    for o, m in zip(offsets.tolist(), longest.tolist()):
+        leaf = _object_new(TensorLeaf)  # as Column.leaves makes them
+        leaf._array = np.ndarray((k, m) + tail, buf.dtype, buf, o * buf.itemsize)
+        leaf._dtype, leaf._device = tag, device
+        stacked.append(leaf)
+    return stacked, Column(n, TensorLeaf, "i64", "cpu")
+
+
 def unpad(g: PaddedGroup) -> list[TreeTensor]:
     """Recover the original trees exactly.
 
@@ -92,39 +152,64 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
         raise StructureMismatch("stacked and lengths trees differ in structure")
     try:
         arrays = [leaf._array for leaf in stacked]
-        counts = [(l._dtype, l._array) for l in lengths]
+        per_tree = _packed_lengths(arrays, lengths)
+        if per_tree is None:
+            counts = [(l._dtype, l._array) for l in lengths]
     except AttributeError:
         for i, pair in enumerate(zip(stacked, lengths)):
             _check_tensors(td.paths[i], pair)
         raise
-    for i, a in enumerate(arrays):
-        if a.ndim < 2:
-            raise CorruptLengths(
-                f"stacked leaf at {_where(td.paths[i])} needs a batch "
-                f"and a length dimension, got shape {list(a.shape)}"
-            )
-    ks = {a.shape[0] for a in arrays}
-    if len(ks) > 1:
-        raise CorruptLengths(f"inconsistent batch sizes {_quoted(sorted(ks))}")
-    k = ks.pop() if ks else 0
+    if per_tree is None:
+        for i, a in enumerate(arrays):
+            if a.ndim < 2:
+                raise CorruptLengths(
+                    f"stacked leaf at {_where(td.paths[i])} needs a batch "
+                    f"and a length dimension, got shape {list(a.shape)}"
+                )
+        ks = {a.shape[0] for a in arrays}
+        if len(ks) > 1:
+            raise CorruptLengths(f"inconsistent batch sizes {_quoted(sorted(ks))}")
+        k = ks.pop() if ks else 0
+        per_leaf = []
+        for i, (a, (tag, lens)) in enumerate(zip(arrays, counts)):
+            if tag != "i64" or lens.shape != (k,):
+                raise CorruptLengths(
+                    f"lengths at {_where(td.paths[i])} must be an i64 vector "
+                    f"of {k} entries"
+                )
+            n = lens.tolist()
+            if k and (min(n) < 0 or max(n) > a.shape[1]):
+                raise CorruptLengths(
+                    f"lengths at {_where(td.paths[i])} must lie in "
+                    f"[0, {a.shape[1]}], got {_quoted(n)}"
+                )
+            per_leaf.append(n)
+        per_tree = zip(*per_leaf)
     columns = []
-    for i, (a, leaf, (tag, lens)) in enumerate(zip(arrays, stacked, counts)):
-        if tag != "i64" or lens.shape != (k,):
-            raise CorruptLengths(
-                f"lengths at {_where(td.paths[i])} must be an i64 vector "
-                f"of {k} entries"
-            )
-        n = lens.tolist()
-        if k and (min(n) < 0 or max(n) > a.shape[1]):
-            raise CorruptLengths(
-                f"lengths at {_where(td.paths[i])} must lie in "
-                f"[0, {a.shape[1]}], got {_quoted(n)}"
-            )
+    for a, leaf in zip(arrays, stacked):
         a = np.ascontiguousarray(a)  # a itself when contiguous, else a copy
         a.setflags(False)
-        columns.append((a, n, leaf._device, leaf._dtype))
-    return [
-        TreeTensor._of(td, [_new_leaf(TensorLeaf, a[j, : n[j]], dev, tag)
-                            for a, n, dev, tag in columns])
-        for j in range(k)
-    ]
+        columns.append((a, leaf._device, leaf._dtype))
+    out = []
+    for j, ns in enumerate(per_tree):
+        leaves = []
+        for (a, device, tag), n in zip(columns, ns):
+            leaf = _object_new(TensorLeaf)  # _new_leaf with a known tag, inlined
+            leaf._array, leaf._dtype, leaf._device = a[j, :n], tag, device
+            leaves.append(leaf)
+        out.append(TreeTensor._of(td, leaves))
+    return out
+
+
+def _packed_lengths(arrays: list, lengths) -> list | None:
+    """A packed i64 lengths column as one list of lengths per tree, checked
+    in one numpy pass. None, having raised nothing, unless every stacked
+    array has ndim >= 2 and k rows and every length lies in [0, L]; the
+    per-leaf checks then raise."""
+    if type(lengths) is not Column or lengths.dtype != "i64" or lengths.buf.ndim != 2:
+        return None
+    n = lengths.buf
+    if any(a.ndim < 2 or a.shape[0] != n.shape[1] for a in arrays):
+        return None
+    room = np.array([a.shape[1] for a in arrays], np.int64)[:, None]
+    return n.T.tolist() if (n >= 0).all() and (n <= room).all() else None

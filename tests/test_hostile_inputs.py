@@ -433,3 +433,35 @@ def test_cli_validate_of_a_long_missing_path_exits_1_with_one_bounded_line(tmp_p
     assert r.returncode == 1
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1 and len(lines[0]) < BOUND
+
+
+def _ragged_pair():
+    return [tt.build_tree({"s": np.arange(2.0), "m": np.ones(2, bool)}),
+            tt.build_tree({"s": np.arange(3.0), "m": np.ones(3, bool)})]
+
+
+@pytest.mark.parametrize("fill", [None, "1.5", 1 + 2j, [0], {}, np.array(0.0), np.complex64(1)],
+                         ids=["none", "str", "complex", "list", "dict", "0d-array", "np-complex"])
+def test_group_pad_rejects_a_fill_that_is_not_a_real_number(fill):
+    with pytest.raises(TypeError, match="fill") as info:
+        tt.group_pad(_ragged_pair(), fill)
+    assert len(str(info.value)) < BOUND
+
+
+@pytest.mark.parametrize("fill", [0, -1.5, True, np.float32(2.5), np.int64(-3), np.bool_(False)])
+def test_group_pad_takes_any_real_number_as_its_fill(fill):
+    g = tt.group_pad(_ragged_pair(), fill)
+    assert g.fill is fill
+    assert tt.get(g.stacked, ["s"]).leaf.data[2] == np.float64(fill)
+    assert tt.unpad(g) == _ragged_pair()
+
+
+@pytest.mark.parametrize("fill", ['"x"', "null", "[1]", "{}"])
+def test_a_padded_group_document_with_a_fill_that_is_not_a_number_is_a_parse_error(fill):
+    doc = json.loads(tt.serialize_padded_group(tt.group_pad(_ragged_pair(), 0.0)))
+    doc["fill"] = json.loads(fill)
+    with pytest.raises(ParseError, match="fill"):
+        tt.parse_padded_group(json.dumps(doc))
+    for good in (2, -0.5, True):
+        doc["fill"] = good
+        assert tt.parse_padded_group(json.dumps(doc)).fill == good
