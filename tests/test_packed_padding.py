@@ -70,11 +70,10 @@ def lengths_for(rng, mode, k, tail):
 
 
 def ragged_batch(seed, k, n_leaves, dtype, tail, modes, brk):
-    """k trees of n_leaves leaves each, plus where the broken part is."""
+    """k trees of n_leaves leaves each, one part replaced as `brk` says."""
     rng = np.random.default_rng(seed)
     table = [[tt.TensorLeaf(values(rng, dtype, (n,) + tail)) for n in lengths_for(rng, m, k, tail)]
              for m in modes]  # table[leaf][tree]
-    where = None
     if brk and n_leaves:
         i, r = int(rng.integers(n_leaves)), int(rng.integers(k))
         a = table[i][r].array
@@ -87,9 +86,7 @@ def ragged_batch(seed, k, n_leaves, dtype, tail, modes, brk):
             "stacked": lambda: tt.StackedLeaf(a.copy()),
             "strided": lambda: tt.TensorLeaf(np.stack([a, a], axis=-1)[..., 0]),  # not C-contiguous
         }[brk]()
-        where = leaf_path(i)
-    trees = [tt.rebuild([(leaf_path(i), table[i][r]) for i in range(n_leaves)]) for r in range(k)]
-    return trees, where
+    return [tt.rebuild([(leaf_path(i), table[i][r]) for i in range(n_leaves)]) for r in range(k)]
 
 
 def reference_pad(trees, fill):
@@ -151,7 +148,7 @@ def outcome(fn):
 )
 def test_group_pad_matches_the_per_leaf_reference(brk, seed, k, n_leaves, dtype, tail, modes, fill):
     modes = modes[:n_leaves]
-    trees, where = ragged_batch(seed, k, n_leaves, dtype, tail, modes, brk)
+    trees = ragged_batch(seed, k, n_leaves, dtype, tail, modes, brk)
     want = reference_pad(trees, fill)
     try:
         g = tt.group_pad(trees, fill)
@@ -202,7 +199,7 @@ CORRUPTIONS = [None, "negative", "above", "wrong_k", "f64", "no_length_dim", "ot
        st.sampled_from(sorted(NP)), st.sampled_from(TAILS), st.sampled_from(CORRUPTIONS))
 def test_unpad_of_a_corrupt_group_raises_as_the_per_leaf_checks_do(seed, k, n_leaves, dtype,
                                                                      tail, corruption):
-    trees, _ = ragged_batch(seed, k, n_leaves, dtype, tail, ["ragged"] * n_leaves, None)
+    trees = ragged_batch(seed, k, n_leaves, dtype, tail, ["ragged"] * n_leaves, None)
     g = tt.group_pad(trees, 0)
     rng = np.random.default_rng(seed)
     i = int(rng.integers(n_leaves))
