@@ -182,14 +182,20 @@ class Column:
     def leaves(self) -> list:
         out = self._leaves
         if out is None:
-            cls, dtype, device, out = self.cls, self.dtype, self.device, []
-            # _new_leaf with a known tag, inlined: the call costs more than these stores
-            for row in self.buf:
-                leaf = _object_new(cls)
-                leaf._array, leaf._dtype, leaf._device = row, dtype, device
-                out.append(leaf)
-            self._leaves = out
+            out = self._leaves = _leaf_views(self.cls, self.buf, repeat(self.dtype), repeat(self.device))
         return out
+
+
+def _leaf_views(cls, arrays, dtypes, devices) -> list:
+    """`_new_leaf(cls, a, device, dtype)` of each of `arrays` with the
+    matching item of `dtypes` and `devices`, inlined: the call costs more
+    than these stores. The caller vouches as for _new_leaf."""
+    out = []
+    for a, dtype, device in zip(arrays, dtypes, devices):
+        leaf = _object_new(cls)
+        leaf._array, leaf._dtype, leaf._device = a, dtype, device
+        out.append(leaf)
+    return out
 
 
 def pack(arrays: list) -> Column | None:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     _quoted,
     _where,
 )
-from .leaf import BATCH_MAX_ELEMENTS, Column, TensorLeaf, _new_leaf, _object_new
+from .leaf import Column, TensorLeaf, _leaf_views
 from .lift import _check_tensors
 from .tree import TreeTensor
 
@@ -41,7 +41,9 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     truncate toward zero in i64 leaves; any nonzero fill is True in bool
     leaves). An i64 leaf that needs padding rejects a fill it cannot hold
     (NaN, an infinity, or a value outside the i64 range); a fill that is
-    not a real number is a TypeError.
+    not a real number is a TypeError. The stacked leaves are views of one
+    read-only buffer when they all have one dtype and device, else each has
+    its own; the lengths tree is one packed i64 column.
     """
     if not isinstance(fill, (int, float, np.integer, np.floating, np.bool_)):
         raise TypeError(f"fill must be a real number, got {_quoted(fill)}")
@@ -51,92 +53,66 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     td = flat[0][0]
     if any(other != td for other, _ in flat[1:]):
         raise StructureMismatch("group_pad needs structurally equal trees")
-    columns = [leaves for _, leaves in flat]
-    batch = _pad_batch(columns, fill)
-    if batch is not None:
-        return PaddedGroup(TreeTensor._of(td, batch[0]), TreeTensor._of(td, batch[1]), fill)
-    stacked, lengths = [], []
+    arrays, lens, blocks, runs = [], [], [], {}  # parts, lengths (leaf-major); per leaf; per tag
     try:
-        for i, parts in enumerate(zip(*columns)):
+        for i, parts in enumerate(zip(*(leaves for _, leaves in flat))):
             f0 = parts[0]
-            tail, tag, dtype = f0._array.shape[1:], f0._dtype, f0._array.dtype
-            arrays, sizes = [], []
+            tail, tag = f0._array.shape[1:], f0._dtype
+            sizes = []
             for p in parts:
                 a = p._array
-                if not a.shape or a.shape[1:] != tail or p._dtype != tag:
-                    why = None if a.shape else "leaves must have a length dimension"
+                s = a.shape
+                if not s or s[1:] != tail or p._dtype != tag:
+                    why = None if s else "leaves must have a length dimension"
                     raise TailShapeMismatch(td.paths[i], why)
                 arrays.append(a)
-                sizes.append(a.shape[0])
-            shape = (len(parts), max(sizes)) + tail
-            if min(sizes) == shape[1]:
-                out = np.empty(shape, dtype)  # nothing to pad: every cell is copied below
-            elif dtype.kind == "i" and not -(2**63) <= fill < 2**63:
-                # numpy would write INT64_MIN (NaN, infinities) or raise a bare error
-                raise LeafOpError(td.paths[i], DtypeUnsupported(
-                    f"fill {fill!r} does not fit an i64 leaf"
-                ))
-            else:
-                out = np.full(shape, fill, dtype)
-            for row, n, a in zip(out, sizes, arrays):
-                row[:n] = a
-            stacked.append(_new_leaf(TensorLeaf, out, f0._device))
-            lengths.append(_new_leaf(TensorLeaf, np.asarray(sizes, dtype=np.int64), "cpu"))
+                sizes.append(s[0])
+            if max(sizes) > min(sizes) and tag not in runs:
+                if tag == "i64" and not -(2**63) <= fill < 2**63:
+                    # numpy would write INT64_MIN (NaN, infinities) or raise a bare error
+                    raise LeafOpError(td.paths[i], DtypeUnsupported(
+                        f"fill {fill!r} does not fit an i64 leaf"
+                    ))
+                runs[tag] = np.full(1, fill, f0._array.dtype)  # numpy's cast, once a dtype
+            lens += sizes
+            blocks.append((tail, tag, f0._device))
     except AttributeError:
         _check_tensors(td.paths[i], parts)
         raise
+    k = len(trees)
+    n = np.array(lens, np.int64).reshape(-1, k)
+    one = len({b[1:] for b in blocks}) == 1  # one dtype and device: one buffer
+    spans = [(0, len(blocks))] if one else [(i, i + 1) for i in range(len(blocks))]
+    stacked = []
+    for a, b in spans:
+        stacked += _stack(arrays[a * k: b * k], n[a:b], blocks[a:b], runs)
+    lengths = Column(n, TensorLeaf, "i64", "cpu") if blocks else []
     return PaddedGroup(TreeTensor._of(td, stacked), TreeTensor._of(td, lengths), fill)
 
 
-def _pad_batch(columns: list, fill) -> tuple[list, Column] | None:
-    """group_pad's stacked leaves and lengths of aligned leaf columns, one
-    per tree, copied by one concatenate into one read-only buffer, each part
-    followed by its padding, so that leaf i is a C-contiguous
-    (k, L_max(i), *tail) block of it. None, having raised nothing, unless
-    there is a part and all parts are TensorLeafs of the first one's dtype,
-    device and tail shape, of ndim >= 1 and at most BATCH_MAX_ELEMENTS
-    elements, and an i64 fill fits where a leaf needs padding; the per-leaf
-    pass then raises, at its path."""
-    parts = list(chain.from_iterable(zip(*columns)))  # leaf-major
-    f0 = parts[0] if parts else None
-    if type(f0) is not TensorLeaf or not f0._array.shape or f0._array.size > BATCH_MAX_ELEMENTS:
-        return None
-    tag, device, tail = f0._dtype, f0._device, f0._array.shape[1:]
-    arrays, lens = [], []
-    for p in parts:
-        if type(p) is not TensorLeaf or p._dtype != tag or p._device != device:
-            return None
-        s = p._array.shape
-        if not s or s[1:] != tail:
-            return None
-        arrays.append(p._array)
-        lens.append(s[0])
-    k, row = len(columns), math.prod(tail)
-    n = np.array(lens, np.int64).reshape(-1, k)
-    longest = n.max(1)
-    if longest.max() * row > BATCH_MAX_ELEMENTS:
-        return None
-    size = k * row * longest  # elements of each stacked leaf
-    offsets = np.cumsum(size) - size
-    pad = (longest[:, None] - n).ravel().tolist()  # rows each part lacks
-    most = max(pad)
-    if most and tag == "i64" and not -(2**63) <= fill < 2**63:
-        return None
-    chunks = arrays
-    if most:  # each part, then its padding: a slice of one run of fill
-        fills = np.full(most * row, fill, arrays[0].dtype)
+def _stack(arrays: list, n: np.ndarray, blocks: list, runs: dict) -> list:
+    """The stacked leaves of `blocks`, (tail, tag, device) per leaf, all of
+    one dtype and device, from their parts `arrays`, leaf-major, of axis-0
+    lengths `n`, one row a leaf: views of one read-only buffer that one
+    concatenate fills, each part followed by its padding (a slice of one run
+    of the fill cast in `runs`), so that each leaf is a C-contiguous block.
+    A `b"".join` is faster but leaves a buffer descriptor on every part."""
+    k, longest = n.shape[1], n.max(1)
+    row = np.array([math.prod(tail) for tail, _, _ in blocks], np.int64)
+    gaps = ((longest[:, None] - n) * row[:, None]).ravel().tolist()
+    chunks, most = arrays, max(gaps)
+    if most:
+        run = np.repeat(runs[blocks[0][1]], most)
+        cut = {w: run[:w] for w in set(gaps)}
         chunks = [None] * (2 * len(arrays))
-        chunks[::2], chunks[1::2] = arrays, map([fills[: j * row] for j in range(most + 1)].__getitem__, pad)
-    buf = np.empty(int(offsets[-1] + size[-1]), arrays[0].dtype)
-    np.concatenate(chunks, axis=None, out=buf)
+        chunks[::2], chunks[1::2] = arrays, map(cut.__getitem__, gaps)
+    buf = np.concatenate(chunks, axis=None)
     buf.setflags(False)
-    stacked = []
-    for o, m in zip(offsets.tolist(), longest.tolist()):
-        leaf = _object_new(TensorLeaf)  # as Column.leaves makes them
-        leaf._array = np.ndarray((k, m) + tail, buf.dtype, buf, o * buf.itemsize)
-        leaf._dtype, leaf._device = tag, device
-        stacked.append(leaf)
-    return stacked, Column(n, TensorLeaf, "i64", "cpu")
+    size = k * longest * row
+    offsets = ((np.cumsum(size) - size) * buf.itemsize).tolist()
+    views = [np.ndarray((k, m) + tail, buf.dtype, buf, o)
+             for m, (tail, _, _), o in zip(longest.tolist(), blocks, offsets)]
+    return _leaf_views(TensorLeaf, views, repeat(blocks[0][1]), repeat(blocks[0][2]))
 
 
 def unpad(g: PaddedGroup) -> list[TreeTensor]:
@@ -152,14 +128,14 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
         raise StructureMismatch("stacked and lengths trees differ in structure")
     try:
         arrays = [leaf._array for leaf in stacked]
-        per_tree = _packed_lengths(arrays, lengths)
-        if per_tree is None:
+        per_leaf = _packed_lengths(arrays, lengths)
+        if per_leaf is None:
             counts = [(l._dtype, l._array) for l in lengths]
     except AttributeError:
         for i, pair in enumerate(zip(stacked, lengths)):
             _check_tensors(td.paths[i], pair)
         raise
-    if per_tree is None:
+    if per_leaf is None:
         for i, a in enumerate(arrays):
             if a.ndim < 2:
                 raise CorruptLengths(
@@ -184,25 +160,16 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
                     f"[0, {a.shape[1]}], got {_quoted(n)}"
                 )
             per_leaf.append(n)
-        per_tree = zip(*per_leaf)
-    columns = []
-    for a, leaf in zip(arrays, stacked):
-        a = np.ascontiguousarray(a)  # a itself when contiguous, else a copy
+    for i, a in enumerate(arrays):
+        arrays[i] = a = np.ascontiguousarray(a)  # a itself when contiguous, else a copy
         a.setflags(False)
-        columns.append((a, leaf._device, leaf._dtype))
-    out = []
-    for j, ns in enumerate(per_tree):
-        leaves = []
-        for (a, device, tag), n in zip(columns, ns):
-            leaf = _object_new(TensorLeaf)  # _new_leaf with a known tag, inlined
-            leaf._array, leaf._dtype, leaf._device = a[j, :n], tag, device
-            leaves.append(leaf)
-        out.append(TreeTensor._of(td, leaves))
-    return out
+    tags, devices = [leaf._dtype for leaf in stacked], [leaf._device for leaf in stacked]
+    return [TreeTensor._of(td, _leaf_views(TensorLeaf, [a[j, :n] for a, n in zip(arrays, ns)], tags, devices))
+            for j, ns in enumerate(zip(*per_leaf))]
 
 
 def _packed_lengths(arrays: list, lengths) -> list | None:
-    """A packed i64 lengths column as one list of lengths per tree, checked
+    """A packed i64 lengths column as one list of lengths per leaf, checked
     in one numpy pass. None, having raised nothing, unless every stacked
     array has ndim >= 2 and k rows and every length lies in [0, L]; the
     per-leaf checks then raise."""
@@ -212,4 +179,4 @@ def _packed_lengths(arrays: list, lengths) -> list | None:
     if any(a.ndim < 2 or a.shape[0] != n.shape[1] for a in arrays):
         return None
     room = np.array([a.shape[1] for a in arrays], np.int64)[:, None]
-    return n.T.tolist() if (n >= 0).all() and (n <= room).all() else None
+    return n.tolist() if (n >= 0).all() and (n <= room).all() else None

@@ -50,3 +50,23 @@ def test_one_surviving_unpadded_leaf_keeps_the_whole_buffer():
     del g
     assert leaf.array.base is base and np.shares_memory(leaf.array, base)
     assert not np.shares_memory(leaf.copy().array, base)
+
+
+def test_large_leaves_of_one_dtype_share_one_buffer_and_mixed_dtypes_do_not():
+    rng = np.random.default_rng(6)
+    def tree(dtypes):
+        return tt.build_tree({f"k{i}": rng.standard_normal(int(rng.integers(200, 300))).astype(d)
+                              for i, d in enumerate(dtypes)})
+
+    trees = [tree(["f8"] * 4) for _ in range(3)]
+    g = tt.group_pad(trees, -1.0)
+    arrays = [leaf.array for _, leaf in tt.leaves(g.stacked)]
+    assert all(a.base is arrays[0].base and a.flags.c_contiguous for a in arrays)
+    assert tt.unpad(g) == trees
+
+    trees = [tree(["f8", "f4", "f8", "f4"]) for _ in range(3)]
+    g = tt.group_pad(trees, -1.0)
+    arrays = [leaf.array for _, leaf in tt.leaves(g.stacked)]
+    assert not any(np.shares_memory(a, b) for j, a in enumerate(arrays) for b in arrays[:j])
+    assert type(g.lengths._flat()[1]) is Column
+    assert tt.unpad(g) == trees
