@@ -83,8 +83,10 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     n = np.array(lens, np.int64).reshape(-1, k)
     if len({b[1:] for b in blocks}) == 1:  # one dtype and device
         stacked = _stack(arrays, n, blocks, runs)
-    else:  # a buffer a leaf, filled then copied into: on few-large (8 x 65536-element
-        stacked = []  # f32 and f64 leaves) about 1-2 ms of 30 faster than a concatenate a leaf
+    else:
+        # a buffer a leaf, filled, then copied into: on mixed f32 and f64 leaves of
+        # 8 x 65536 elements this ran 1-2 ms of 30 faster than a concatenate a leaf
+        stacked = []
         for i, (tail, tag, device) in enumerate(blocks):
             sizes = lens[i * k: (i + 1) * k]
             shape = (k, max(sizes)) + tail

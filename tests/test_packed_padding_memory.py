@@ -1,4 +1,4 @@
-"""Allocation and memory of group_pad's batch path: a ragged batch of small
+"""Allocation and memory of group_pad's one-buffer layout: a ragged batch of small
 uniform leaves pads into one read-only buffer, its lengths tree is packed,
 and unpad reads the packed lengths without making leaf objects."""
 
