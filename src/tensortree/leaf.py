@@ -175,9 +175,10 @@ class Column:
         """Equal as leaf lists, without making leaves when both are columns."""
         if type(other) is not Column:
             return self.leaves() == other if isinstance(other, list) else NotImplemented
-        return (self.dtype == other.dtype and self.device == other.device
-                and self.buf.shape == other.buf.shape
-                and np.array_equal(self.buf, other.buf, self.dtype in ("f32", "f64")))
+        return not (len(self) or len(other)) or (  # two empty lists, whatever their leaf shape
+            self.dtype == other.dtype and self.device == other.device
+            and self.buf.shape == other.buf.shape
+            and np.array_equal(self.buf, other.buf, self.dtype in ("f32", "f64")))
 
     def leaves(self) -> list:
         out = self._leaves

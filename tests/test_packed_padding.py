@@ -99,7 +99,8 @@ def reference_pad(trees, fill):
         for p in parts:
             if not isinstance(p, tt.TensorLeaf):
                 return LeafOpError, path
-            if p.ndim == 0 or p.shape[1:] != first.shape[1:] or p.dtype != first.dtype:
+            if p.ndim == 0 or p.shape[1:] != first.shape[1:] or p.dtype != first.dtype \
+                    or p.device != first.device:
                 return TailShapeMismatch, path
         lens = [p.shape[0] for p in parts]
         shape = (len(parts), max(lens)) + first.shape[1:]
@@ -110,8 +111,8 @@ def reference_pad(trees, fill):
         else:
             try:
                 stacked = np.full(shape, fill, NP[first.dtype])
-            except OverflowError:  # 2**63 in a bool leaf: numpy's own error, with no path
-                return OverflowError, None
+            except OverflowError:  # 2**63 in a bool leaf
+                return LeafOpError, path
         for row, p in zip(stacked, parts):
             row[: p.shape[0]] = p.array
         out.append((path, stacked, np.asarray(lens, np.int64), first.device))
@@ -161,15 +162,13 @@ def test_group_pad_matches_the_per_leaf_reference(brk, seed, k, n_leaves, dtype,
     assert g.fill is fill
     got = [(p, bits(s), bits(n)) for (p, s), (_, n) in zip(tt.leaves(g.stacked), tt.leaves(g.lengths))]
     assert got == [(p, want_bits(s, dev), want_bits(n, "cpu")) for p, s, n, dev in want]
-    if not n_leaves:  # a leafless batch keeps no batch size (an open defect)
-        return
     back = tt.unpad(g)
     assert len(back) == k
     for r, tree in enumerate(back):
         assert tree.treedef == trees[r].treedef
         for (_, leaf), (_, part), (_, _, _, dev) in zip(tt.leaves(tree), tt.leaves(trees[r]), want):
             assert bits(leaf) == want_bits(part.array, dev)
-    assert back == trees or brk == "device"
+    assert back == trees
 
 
 def lengths_tree(pairs, packed):
@@ -226,3 +225,23 @@ def test_unpad_of_a_corrupt_group_raises_as_the_per_leaf_checks_do(seed, k, n_le
            for packed in (False, True)]
     assert type(got[0]) is list if corruption is None else got[0][0] is want_type, got[0]
     assert got[1] == got[0]
+
+
+def test_unpad_of_a_doubly_corrupt_group_names_the_earlier_leaf():
+    """At the first bad leaf a dtype or shape fault comes before a range
+    fault, and a fault of either kind at a later leaf is not reached. A
+    packed column holds one dtype, so only the cases whose two lengths
+    leaves share one have a packed form; it gives the list form's outcome."""
+    trees = [tt.build_tree({"a": np.arange(2.0), "b": np.arange(1.0)}),
+             tt.build_tree({"a": np.arange(3.0), "b": np.arange(4.0)})]
+    g = tt.group_pad(trees, 0.0)
+    neg, above, f64 = np.array([-1, 3]), np.array([2, 9]), np.array([2.0, 3.0])
+    in_range = "lengths at a must lie in [0, 3], got [-1, 3]"
+    not_i64 = "lengths at a must be an i64 vector of 2 entries"
+    for a, b, text, packable in [(neg, f64, in_range, False), (f64, neg, not_i64, False),
+                                 (neg, above, in_range, True), (f64, -f64, not_i64, True)]:
+        pairs = [(("a",), a), (("b",), b)]
+        got = [outcome(lambda: tt.unpad(tt.PaddedGroup(g.stacked, lengths_tree(pairs, packed), 0.0)))
+               for packed in ((False, True) if packable else (False,))]
+        assert got[0] == (CorruptLengths, None, text)
+        assert got[-1] == got[0]

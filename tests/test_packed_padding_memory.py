@@ -67,6 +67,9 @@ def test_large_leaves_of_one_dtype_share_one_buffer_and_mixed_dtypes_do_not():
     trees = [tree(["f8", "f4", "f8", "f4"]) for _ in range(3)]
     g = tt.group_pad(trees, -1.0)
     arrays = [leaf.array for _, leaf in tt.leaves(g.stacked)]
-    assert not any(np.shares_memory(a, b) for j, a in enumerate(arrays) for b in arrays[:j])
+    f8, f4 = arrays[0].base, arrays[1].base  # one buffer a dtype: views of one base, none shared
+    assert f8 is not None and f4 is not None and f8 is not f4
+    assert arrays[2].base is f8 and arrays[3].base is f4
+    assert not np.shares_memory(f8, f4)
     assert type(g.lengths._flat()[1]) is Column
     assert tt.unpad(g) == trees

@@ -142,6 +142,12 @@ def test_pad_fill_an_i64_leaf_cannot_hold_is_rejected():
         assert tt.get(g.stacked, ["x", "i"]).leaf.data == [0, want, want, 0, 1, 2]
     flags = [tt.build_tree({"m": np.ones(n, dtype=bool)}) for n in (1, 2)]
     assert tt.get(tt.group_pad(flags, -0.5).stacked, ["m"]).leaf.data == [True, True, True, True]
+    # a fill numpy cannot cast is rejected at the path, whatever the dtype
+    for trees, fill, path in (([a, b], 10**400, ("f",)), (flags, 2**63, ("m",))):
+        with pytest.raises(LeafOpError, match="does not fit") as e:
+            tt.group_pad(trees, fill)
+        assert e.value.path == path
+        assert isinstance(e.value.cause, DtypeUnsupported)
     # a fill that is never written is not checked
     g = tt.group_pad([b, b], float("nan"))
     assert tt.unpad(g) == [b, b]
@@ -165,3 +171,13 @@ def test_unpad_rejects_lengths_of_another_structure_or_batch_size():
     lengths = tt.build_tree({"x": np.array([1, 3]), "y": np.array([1, 1, 0])})
     with pytest.raises(CorruptLengths, match="inconsistent batch sizes"):
         tt.unpad(tt.PaddedGroup(stacked, lengths, 0.0))
+
+
+def test_leafless_trees_unpad_to_k_trees_and_their_lengths_trees_compare_as_trees():
+    trees = [tt.build_tree({"e": {}, "f": {"g": {}}})] * 3
+    g = tt.group_pad(trees, 0)
+    assert tt.unpad(g) == trees
+    # k is the shape of the packed lengths column, not a leaf: equal as trees and as canonical JSON
+    other = tt.group_pad(trees[:2], 0).lengths
+    assert g.lengths == other == tt.build_tree({"e": {}, "f": {"g": {}}})
+    assert tt.serialize_tree(g.lengths) == tt.serialize_tree(other)
