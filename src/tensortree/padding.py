@@ -53,13 +53,12 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     td = flat[0][0]
     if any(other != td for other, _ in flat[1:]):
         raise StructureMismatch("group_pad needs structurally equal trees")
-    # part lengths, leaf-major; tails, a leaf; (leaf ids, parts) a (tag, device); cast fills, a tag
-    lens, tails, buckets, runs = [], [], {}, {}
+    lens, buckets, runs = [], {}, {}  # part lengths, leaf-major; per (tag, device); per tag
     try:
         for i, parts in enumerate(zip(*(leaves for _, leaves in flat))):
             f0 = parts[0]
             tail, tag, device = f0._array.shape[1:], f0._dtype, f0._device
-            ids, arrays = buckets.setdefault((tag, device), ([], []))
+            ids, tails, arrays = buckets.setdefault((tag, device), ([], [], []))  # leaves and parts
             sizes = []
             for p in parts:
                 a = p._array
@@ -87,9 +86,9 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
         _check_tensors(td.paths[i], parts)
         raise
     n = np.array(lens, np.int64).reshape(-1, len(trees))
-    stacked = [None] * len(tails)
-    for (tag, device), (ids, arrays) in buckets.items():
-        views = _stack(arrays, n[ids], [tails[i] for i in ids], runs.get(tag))
+    stacked = [None] * td.count
+    for (tag, device), (ids, tails, arrays) in buckets.items():
+        views = _stack(arrays, n[ids], tails, runs.get(tag))
         for i, leaf in zip(ids, _leaf_views(TensorLeaf, views, repeat(tag), repeat(device))):
             stacked[i] = leaf
     lengths = Column(n, TensorLeaf, "i64", "cpu")
