@@ -222,7 +222,8 @@ def rise(tree: TreeTensor):
     StackedLeaf share one read-only buffer. A packed tree of StackedLeafs
     of ndim >= 2 is copied in one call, each component tree a column of it."""
     td, payloads = tree._flat()
-    if type(payloads) is Column and payloads.cls is StackedLeaf and payloads.buf.ndim > 2:
+    if type(payloads) is Column and payloads.cls is StackedLeaf and payloads.shapes is None \
+            and payloads.buf.ndim > 2:
         rows = payloads.buf.swapaxes(0, 1).copy()  # row-major: component i is rows[i]
         rows.setflags(False)
         return [TreeTensor._of(td, Column(r, TensorLeaf, payloads.dtype, payloads.device))

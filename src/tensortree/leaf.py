@@ -144,26 +144,33 @@ def _new_leaf(cls, array: np.ndarray, device: str, dtype: str | None = None) -> 
 
 
 class Column:
-    """The leaf list of a packed tree: leaf i is a `cls` over row `buf[i]`,
-    tagged `dtype` and `device`. `buf` has shape (leaf count, *leaf shape),
-    with a leaf shape of ndim >= 1 and at least one element; it is made
-    read-only and may be strided. Kernels read `buf` whole. The leaf
-    objects are made the first time the column is indexed or iterated, and
-    then kept, so a leaf read twice is one object (two threads racing
-    through the first read may each make a list, and one of them is kept).
-    A live leaf keeps the whole buffer alive."""
+    """The leaf list of a packed tree: leaf i is a `cls` over row i of the
+    read-only `buf`, tagged `dtype` and `device`. Rows of one shape of ndim
+    >= 1 and at least one element lie in `buf`, maybe strided, as shape
+    (leaf count, *leaf shape); `shapes` and `offsets` are None. A segmented
+    column's rows share an ndim >= 1: row i has shape `shapes[i]` (an
+    (n, ndim) i64 array) and starts at element `offsets[i]` of the flat
+    `buf`. Kernels that read `buf` as a rectangle decline a column whose
+    `shapes` is set, to the per-leaf path. Leaf objects are made on first
+    index or iteration and kept, so a leaf read twice is one object (two
+    threads racing through the first read may each make a list, and one of
+    them is kept). A live leaf keeps the whole buffer alive."""
 
-    __slots__ = ("buf", "cls", "dtype", "device", "_leaves")
+    __slots__ = ("buf", "cls", "dtype", "device", "shapes", "offsets", "_leaves")
 
-    def __init__(self, buf: np.ndarray, cls, dtype: str, device: str):
+    def __init__(self, buf: np.ndarray, cls, dtype: str, device: str, shapes=None, offsets=None):
         buf.setflags(False)
         self.buf, self.cls, self.dtype, self.device, self._leaves = buf, cls, dtype, device, None
+        self.shapes, self.offsets = shapes, offsets
 
-    def __reduce__(self):
-        return Column, (self.buf, self.cls, self.dtype, self.device)
+    def __reduce__(self):  # a segmented column pickles its rows end to end, not its buffer
+        if self.shapes is None:
+            return Column, (self.buf, self.cls, self.dtype, self.device)
+        shapes, values = self._rows()
+        return Column, (values, self.cls, self.dtype, self.device, shapes, _starts(shapes.prod(1)))
 
     def __len__(self) -> int:
-        return len(self.buf)
+        return len(self.buf if self.shapes is None else self.shapes)
 
     def __getitem__(self, i):
         return self.leaves()[i]
@@ -175,16 +182,44 @@ class Column:
         """Equal as leaf lists, without making leaves when both are columns."""
         if type(other) is not Column:
             return self.leaves() == other if isinstance(other, list) else NotImplemented
-        return not (len(self) or len(other)) or (  # two empty lists, whatever their leaf shape
-            self.dtype == other.dtype and self.device == other.device
-            and self.buf.shape == other.buf.shape
-            and np.array_equal(self.buf, other.buf, self.dtype in ("f32", "f64")))
+        (s, a), (t, b) = self._rows(), other._rows()
+        return not (len(s) or len(t)) or (  # two empty lists, whatever their leaf shape
+            self.dtype == other.dtype and self.device == other.device and s.shape == t.shape
+            and np.array_equal(s, t) and np.array_equal(a, b, self.dtype in ("f32", "f64")))
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(shapes, values): the rows' shapes as an (n, ndim) array, and
+        their elements end to end in one flat array."""
+        buf, shapes = self.buf, self.shapes
+        if shapes is None:
+            return np.broadcast_to(buf.shape[1:], (len(buf), buf.ndim - 1)), buf.reshape(-1)
+        sizes = shapes.prod(1)
+        if np.array_equal(self.offsets, _starts(sizes)):  # the rows lie end to end from buf[0]
+            return shapes, buf[:sizes.sum()]
+        return shapes, buf[_spread(self.offsets, sizes)]
 
     def leaves(self) -> list:
         out = self._leaves
         if out is None:
-            out = self._leaves = _leaf_views(self.cls, self.buf, repeat(self.dtype), repeat(self.device))
+            rows = self.buf
+            if self.shapes is not None:  # row i is a slice of the flat buffer
+                ends = (self.offsets + self.shapes.prod(1)).tolist()
+                rows = [rows[o:e] for o, e in zip(self.offsets.tolist(), ends)]
+                if self.shapes.shape[1] > 1:
+                    rows = [r.reshape(s) for r, s in zip(rows, self.shapes.tolist())]
+            out = self._leaves = _leaf_views(self.cls, rows, repeat(self.dtype), repeat(self.device))
         return out
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Where each of blocks of `sizes` elements starts when laid end to end."""
+    return np.cumsum(sizes) - sizes
+
+
+def _spread(offsets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices of the elements of blocks of `sizes` elements that start
+    at `offsets`, block by block."""
+    return np.repeat(offsets - _starts(sizes), sizes) + np.arange(sizes.sum())
 
 
 def _leaf_views(cls, arrays, dtypes, devices) -> list:
@@ -201,16 +236,27 @@ def _leaf_views(cls, arrays, dtypes, devices) -> list:
 
 def pack(arrays: list) -> Column | None:
     """A column of copies of `arrays`, or None unless they are all exact
-    ndarrays of one dtype (which must have a tag) and one shape of ndim >= 1
-    and 1 to BATCH_MAX_ELEMENTS elements."""
+    ndarrays of one dtype (which must have a tag) and one ndim >= 1, each of
+    1 to BATCH_MAX_ELEMENTS elements. Arrays of one shape give a rectangle,
+    others a segmented column."""
     first = arrays[0] if arrays else None
     if type(first) is not np.ndarray or not first.shape or not 0 < first.size <= BATCH_MAX_ELEMENTS:
         return None
     dtype, shape = first.dtype, first.shape
     for a in arrays:
         if type(a) is not np.ndarray or a.shape != shape or a.dtype is not dtype and a.dtype != dtype:
-            return None
-    return Column(_pack(arrays).reshape((len(arrays),) + shape), TensorLeaf, _tag(dtype), "cpu")
+            break
+    else:
+        return Column(_pack(arrays).reshape((len(arrays),) + shape), TensorLeaf, _tag(dtype), "cpu")
+    if any(type(a) is not np.ndarray or a.dtype != dtype for a in arrays):
+        return None
+    try:
+        shapes = np.array([a.shape for a in arrays], np.int64)
+    except ValueError:  # ndims differ
+        return None
+    sizes = shapes.prod(1)
+    return Column(_pack(arrays), TensorLeaf, _tag(dtype), "cpu", shapes, _starts(sizes)) \
+        if sizes.min() > 0 and sizes.max() <= BATCH_MAX_ELEMENTS else None
 
 
 def make_leaf(shape: Sequence[int], dtype: str, data: Sequence, device: str = "cpu") -> TensorLeaf:
@@ -372,7 +418,8 @@ def join_columns(what: str, columns: Sequence, axis: int, cls=TensorLeaf) -> Col
     axis, which the per-leaf pass then reports at its leaf."""
     first = columns[0]
     for c in columns:
-        if type(c) is not Column or c.dtype != first.dtype or c.device != first.device:
+        if type(c) is not Column or c.shapes is not None or c.dtype != first.dtype \
+                or c.device != first.device:
             return None
     try:
         buf = _JOINS[what]([c.buf for c in columns], axis + 1)
@@ -423,7 +470,7 @@ BATCH_MAX_ELEMENTS = 64  # larger leaves cost more to pack than their calls cost
 
 
 def _pack(arrays: list) -> np.ndarray:
-    """The elements of arrays of one dtype and shape, copied into one flat
+    """The elements of arrays of one dtype, copied into one flat
     read-only array: small arrays by joining their buffers, about 3x faster
     than `np.concatenate`, which is faster on large ones (a subside of eight
     trees of 65536-element leaves: 15 against 28 ms). numpy keeps a 56-byte
@@ -460,7 +507,8 @@ def ew_columns(fn_id: str, columns: Sequence) -> Column | None:
     for column in columns:
         if type(column) is Column:
             s = column.buf.shape[1:]
-            if column.dtype != dtype or column.device != device or shape not in (None, s):
+            if column.shapes is not None or column.dtype != dtype or column.device != device \
+                    or shape not in (None, s):
                 return None
             shape, scalar_rows = s, set()
             packs.append(column.buf)
@@ -515,7 +563,7 @@ def split_column(column, chunk: int, axis: int) -> list[Column] | None:
     """`split` of every leaf of a packed column: one column of views per
     piece. None, having split nothing, unless `column` is a `Column` and
     the axis is in range."""
-    if type(column) is not Column or not 0 <= axis < column.buf.ndim - 1:
+    if type(column) is not Column or column.shapes is not None or not 0 <= axis < column.buf.ndim - 1:
         return None
     return [Column(a, TensorLeaf, column.dtype, column.device)
             for a in _pieces(column.buf, chunk, axis + 1)]

@@ -21,7 +21,7 @@ def small_batch(n_leaves=1024, k=8, elems=16):
 
 def test_a_small_uniform_batch_pads_into_one_buffer_with_packed_lengths():
     trees = small_batch()
-    assert all(type(t._flat()[1]) is list for t in trees)  # ragged trees stay lists
+    assert all(type(t._flat()[1]) is Column and t._flat()[1].shapes is not None for t in trees)  # segmented
     g = tt.group_pad(trees, 0.0)
     lengths = g.lengths._flat()[1]
     assert type(lengths) is Column and lengths._leaves is None

@@ -9,15 +9,16 @@ OPS = ("build", "subside", "rise", "stack", "cat", "split", "neg", "add", "mulsu
        "add_outer", "group_pad", "unpad", "filter", "set", "leaves", "rebuild")
 
 
-def pipeline_rows(workload, seed) -> dict:
+def pipeline_rows(workload, seed, *flags) -> dict:
     """{op: [tree ms, naive ms, ratio, excess ms]} of one step of a workload
     of the many-small pipeline, with a row per op and one per step."""
     r = subprocess.run([sys.executable, str(ROOT / "tools" / "perop.py"), workload,
-                        "--seed", str(seed), "--steps", "1"], capture_output=True, text=True,
+                        "--seed", str(seed), "--steps", "1", *flags], capture_output=True, text=True,
                        timeout=300)
     assert r.returncode == 0, r.stderr
     lines = r.stdout.strip().splitlines()
-    assert lines[0] == f"{workload} seed {seed}, 1 steps, medians"
+    clock = ", leaves read on the clock" if "--leaves" in flags else ""
+    assert lines[0] == f"{workload} seed {seed}, 1 steps, medians{clock}"
     assert lines[1].split() == ["op", "tree", "ms", "naive", "ms", "ratio", "excess", "ms"]
     rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines[2:]}
     assert tuple(rows) == OPS + ("step",)
@@ -30,6 +31,11 @@ def pipeline_rows(workload, seed) -> dict:
 
 def test_perop_prints_a_row_per_op_and_one_per_step():
     for tree, naive, ratio, _ in pipeline_rows("many-small", 2).values():
+        assert abs(ratio - tree / naive) < 0.01 * ratio + 0.01
+
+
+def test_perop_runs_a_many_small_step_with_leaves_on_the_clock():
+    for tree, naive, ratio, _ in pipeline_rows("many-small", 1, "--leaves").values():
         assert abs(ratio - tree / naive) < 0.01 * ratio + 0.01
 
 
