@@ -413,8 +413,8 @@ def cat(leaves: Sequence[TensorLeaf], axis: int = 0) -> TensorLeaf:
 def join_columns(what: str, columns: Sequence, axis: int, cls=TensorLeaf) -> Column | None:
     """`stack` or `cat` (`what`) of each row of aligned packed columns
     along leaf axis `axis`, as one numpy call on their buffers. None,
-    having computed nothing, unless every column is a `Column` and all
-    share one dtype and device; None too if numpy rejects the shapes or the
+    having computed nothing, unless every column is a rectangle `Column`
+    and all share one dtype and device; None too if numpy rejects the shapes or the
     axis, which the per-leaf pass then reports at its leaf."""
     first = columns[0]
     for c in columns:
@@ -487,9 +487,10 @@ def _pack(arrays: list) -> np.ndarray:
 
 def ew_columns(fn_id: str, columns: Sequence) -> Column | None:
     """ew_nary over the rows of aligned leaf columns, one per argument, in
-    one call, giving a column. A packed column goes in as its buffer; `_pack`
-    copies a leaf list into one array (one leaf repeated, a raw leaf, goes
-    in as it is). None, having computed nothing, unless the leaves are all
+    one call, giving a column. A rectangle column goes in as its buffer (a
+    segmented one declines); `_pack` copies a leaf list into one array (one
+    leaf repeated, a raw leaf, goes in as it is). None, having computed
+    nothing, unless the leaves are all
     TensorLeafs of one dtype (not bool) and device, and each row has one
     shape of ndim >= 1 and at least one element, at most BATCH_MAX_ELEMENTS
     where a list sets it (0-d leaves broadcast; onto a zero-size shape a 0-d
@@ -561,8 +562,8 @@ def split(t: TensorLeaf, chunk: int, axis: int = 0) -> list[TensorLeaf]:
 
 def split_column(column, chunk: int, axis: int) -> list[Column] | None:
     """`split` of every leaf of a packed column: one column of views per
-    piece. None, having split nothing, unless `column` is a `Column` and
-    the axis is in range."""
+    piece. None, having split nothing, unless `column` is a rectangle
+    `Column` and the axis is in range."""
     if type(column) is not Column or column.shapes is not None or not 0 <= axis < column.buf.ndim - 1:
         return None
     return [Column(a, TensorLeaf, column.dtype, column.device)

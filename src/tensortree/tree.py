@@ -13,11 +13,13 @@ splices that range, the paths and the structure key along the path.
 first access and then kept. A constrained `set`/`remove` checks only what
 the edit can break: the ancestors' node atoms and the written subtree.
 
-A tree whose leaves share one dtype, device, class and small shape may be
-packed: its leaf list is a `leaf.Column`, one buffer whose leaf objects are
-made on first index or iteration. `build_tree` packs uniform raw arrays;
+A tree whose leaves share one dtype, device, class and small shape, or
+small shapes of one ndim (a segmented column), may be packed: its leaf list
+is a `leaf.Column`, one buffer whose leaf objects are made on first index
+or iteration. `build_tree` packs small raw arrays of one dtype and ndim;
 batched lifts, stack/cat/split and subside/rise of packed trees give packed
-trees. Everything that reads leaves one by one sees an ordinary list.
+trees, and group_pad/unpad of segmented trees segmented ones. Everything
+that reads leaves one by one sees an ordinary list.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_packed import SETTINGS, as_leaves, canon, fill, ops, paths, skeletons
 from test_packed import values as packed_values
-from test_packed_padding import FILLS, outcome, reference_pad, want_bits
+from test_packed_padding import FILLS, _nest, outcome, reference_pad, want_bits
 from test_packed_padding import bits as pad_bits
 from test_packed_padding import values as pad_values
 
@@ -91,7 +91,8 @@ def test_segmented_and_list_backed_trees_agree_on_every_operation(skel, seed, dt
     t0, t1, t2 = segmented[:3]
     outputs = [tt.lifted_stack([t0, t1]), tt.lifted_cat([t0, t1]), tt.subside([t0, t1, t2])]
     if dtype != "bool":  # elementwise functions reject bool leaves
-        outputs += [tt.lift_unary("neg")(t0), tt.lift_multi("add")(t0, t1), tt.lift_multi("mulsub")(t0, t1, t2)]
+        outputs += [tt.lift_unary("neg")(t0), tt.lift_multi("add")(t0, t1),
+                    tt.lift_multi("mulsub")(t0, t1, t2)]
     assert [storage(t) for t in outputs] == ["list"] * len(outputs)
     # the tree reads its leaves once, then gives the same objects
     t = tt.build_tree(arrays[0])
@@ -213,7 +214,8 @@ def seg_batch(seed, k, n_leaves, dtype, ndim, brk):
         table[r] = [a[..., None] for a in table[r]]
     elif brk == "tail":
         shape = table[r][i].shape
-        table[r][i] = pad_values(rng, dtype, shape[:1] + (shape[1] + 1,) + shape[2:] if ndim > 1 else shape + (1,))
+        wider = shape[:1] + (shape[1] + 1,) + shape[2:] if ndim > 1 else shape + (1,)
+        table[r][i] = pad_values(rng, dtype, wider)
     device = ["gpu" if brk == "device" and q == r else "cpu" for q in range(k)]
     names = [("g", f"x{j}") if j % 2 else (f"x{j}",) for j in range(n_leaves)]
     listed = [tt.rebuild([(p, TensorLeaf(a.copy(), device=dev)) for p, a in zip(names, arrays)])
@@ -223,19 +225,10 @@ def seg_batch(seed, k, n_leaves, dtype, ndim, brk):
         t = tt.build_tree(_nest(zip(names, arrays)))
         col = t._flat()[1]
         if dev != "cpu":  # the same segmented column on another device
-            t = tt.TreeTensor._of(t.treedef, Column(col.buf, TensorLeaf, col.dtype, dev, col.shapes, col.offsets))
+            col = Column(col.buf, TensorLeaf, col.dtype, dev, col.shapes, col.offsets)
+            t = tt.TreeTensor._of(t.treedef, col)
         built.append(listed[q] if brk == "list" and q == r else t)
     return built, listed
-
-
-def _nest(pairs):
-    out = {}
-    for p, a in pairs:
-        d = out
-        for key in p[:-1]:
-            d = d.setdefault(key, {})
-        d[p[-1]] = a
-    return out
 
 
 def pad_outcome(trees, fill):
