@@ -158,6 +158,7 @@ def test_equality_of_segmented_columns_makes_no_leaves_and_follows_leaf_equality
     assert storage(back[0]) == "list"  # a rectangle in the batch: the list path
     seg = tt.unpad(tt.group_pad([tree([0.0, 1.0], [0.0, 1.0, 2.0]), tree([0.0], [0.0, 1.0])], 0.0))
     assert storage(seg[0]) == "segmented"
+    # padding unpadded trees again reads rows spread over their padded buffer
     cut = tt.unpad(tt.PaddedGroup(tt.group_pad([seg[0], seg[1]], 0.0).stacked,
                                   tt.build_tree({"a": np.array([2, 1]), "b": np.array([2, 2])}), 0.0))
     assert storage(cut[0]) == "segmented" and cut[0] == rect and rect == cut[0]
