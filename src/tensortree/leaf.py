@@ -172,6 +172,12 @@ class Column:
     def __len__(self) -> int:
         return len(self.buf if self.shapes is None else self.shapes)
 
+    def copy(self) -> "Column":
+        """A column over a compact copy of the rows, sharing no buffer with
+        this one (a segmented view of a padded buffer copies no padding)."""
+        _, (buf, *rest) = self.__reduce__()
+        return Column(buf.copy(), *rest)
+
     def __getitem__(self, i):
         return self.leaves()[i]
 
@@ -235,28 +241,18 @@ def _leaf_views(cls, arrays, dtypes, devices) -> list:
 
 
 def pack(arrays: list) -> Column | None:
-    """A column of copies of `arrays`, or None unless they are all exact
-    ndarrays of one dtype (which must have a tag) and one ndim >= 1, each of
-    1 to BATCH_MAX_ELEMENTS elements. Arrays of one shape give a rectangle,
-    others a segmented column."""
+    """A segmented column of copies of `arrays`, or None unless they are all
+    exact ndarrays of one dtype (which must have a tag) and one ndim >= 1,
+    each of 1 to BATCH_MAX_ELEMENTS elements. (`build_tree` packs arrays
+    of one shape as a rectangle itself: its walk compares their shapes.)"""
     first = arrays[0] if arrays else None
-    if type(first) is not np.ndarray or not first.shape or not 0 < first.size <= BATCH_MAX_ELEMENTS:
+    if type(first) is not np.ndarray or any(
+            type(a) is not np.ndarray or a.dtype != first.dtype or a.ndim != first.ndim for a in arrays):
         return None
-    dtype, shape = first.dtype, first.shape
-    for a in arrays:
-        if type(a) is not np.ndarray or a.shape != shape or a.dtype is not dtype and a.dtype != dtype:
-            break
-    else:
-        return Column(_pack(arrays).reshape((len(arrays),) + shape), TensorLeaf, _tag(dtype), "cpu")
-    if any(type(a) is not np.ndarray or a.dtype != dtype for a in arrays):
-        return None
-    try:
-        shapes = np.array([a.shape for a in arrays], np.int64)
-    except ValueError:  # ndims differ
-        return None
+    shapes = np.array([a.shape for a in arrays], np.int64)
     sizes = shapes.prod(1)
-    return Column(_pack(arrays), TensorLeaf, _tag(dtype), "cpu", shapes, _starts(sizes)) \
-        if sizes.min() > 0 and sizes.max() <= BATCH_MAX_ELEMENTS else None
+    return Column(_pack(arrays), TensorLeaf, _tag(first.dtype), "cpu", shapes, _starts(sizes)) \
+        if first.ndim and sizes.min() > 0 and sizes.max() <= BATCH_MAX_ELEMENTS else None
 
 
 def make_leaf(shape: Sequence[int], dtype: str, data: Sequence, device: str = "cpu") -> TensorLeaf:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import constraints as _c
 from .errors import BadPath, ConstraintViolation, PathNotFound
-from .leaf import TensorLeaf, _new_leaf, _tag, from_array, make_leaf, pack
+from .leaf import BATCH_MAX_ELEMENTS, Column, TensorLeaf, _new_leaf, _pack, _tag, from_array, make_leaf, pack
 from .node import Node, Path, TreeDef, TreeNode, ValueNode, check_key, flatten, leaf_range
 from .node import _paths_into, subkey, treedef, unflatten
 
@@ -111,11 +111,11 @@ class TreeTensor:
                 and self.constraints == other.constraints)
 
     def __repr__(self):
-        pairs = leaves(self)
-        shown = [f"{'/'.join(p)}: {_summary(l)}" for p, l in pairs[:_REPR_LEAVES]]
-        if len(pairs) > _REPR_LEAVES:
+        td, payloads = self._flat()
+        shown = [f"{'/'.join(p)}: {_summary(payloads, i)}" for i, p in enumerate(td.paths[:_REPR_LEAVES])]
+        if len(payloads) > _REPR_LEAVES:
             shown.append("…")
-        return f"TreeTensor({len(pairs)} leaves: {{{', '.join(shown)}}})"
+        return f"TreeTensor({len(payloads)} leaves: {{{', '.join(shown)}}})"
 
     def with_constraints(self, placements: Mapping[Path, _c.Constraint]) -> "TreeTensor":
         """Attach constraints built from placements; validates in full."""
@@ -123,62 +123,93 @@ class TreeTensor:
         return TreeTensor._of(self._treedef, self._leaves, ct)
 
 
-def _summary(payload) -> str:
-    if hasattr(payload, "shape"):
-        return f"{list(payload.shape)} {payload.dtype}"
-    return type(payload).__name__
+def _summary(payloads, i: int) -> str:
+    """`shape dtype` of leaf i, read off a column without making its leaves."""
+    if type(payloads) is not Column:
+        p = payloads[i]
+        return f"{list(p.shape)} {p.dtype}" if hasattr(p, "shape") else type(p).__name__
+    shape = payloads.buf.shape[1:] if payloads.shapes is None else payloads.shapes[i].tolist()
+    return f"{list(shape)} {payloads.dtype}"
 
 
-def _flat_into(value, leaves: list) -> tuple | None:
-    """The structure key of the node `value` stands for (None for a value
-    node), its payloads appended to `leaves` in flatten order, an exact
-    ndarray in a mapping as it is (see `_items_key`). A mapping's keys are
-    sorted and checked as `TreeNode` does."""
-    # the cheap exact checks first: the Mapping ABC check is slow
-    if isinstance(value, TreeNode):
-        key, payloads = flatten(value)
-        leaves.extend(payloads)
-        return key
-    if isinstance(value, Node):
-        leaves.append(value.leaf)  # a TensorLeaf is its own value node
-    elif isinstance(value, np.ndarray):
-        leaves.append(from_array(value))
-    elif isinstance(value, TreeTensor):
-        leaves.extend(value._flat()[1])
-        return value._flat()[0].key
-    elif isinstance(value, (int, float)):  # a bool is an int
-        tag = "bool" if isinstance(value, bool) else "i64" if isinstance(value, int) else "f64"
-        leaves.append(make_leaf((), tag, [value]))
-    elif isinstance(value, Mapping):
-        return _items_key(value, leaves)
-    else:
-        raise TypeError(f"cannot build a node from {type(value).__name__}")
-    return None
+class _Flat:
+    """The flat form of a value, made in one walk: `key`, the structure key
+    of the node the value stands for (None for a value node), and `leaves`,
+    its payloads in flatten order, an exact ndarray in a dict as it is
+    (`build_tree` or `_leaf_list` copies it). `rect` holds while every
+    payload is an exact ndarray of the first one's dtype and shape, `dtype`
+    and `shape`.
 
+    Each mapping's keys are sorted and queued, and all are checked at the
+    end in one C-level scan: `check_key` runs on each queued key in order
+    only if the scan finds a '/', a leading '__', an empty key or a key
+    that is not a str (a key holding a NUL may be flagged, and then
+    passes), or if the walk raised. So a bad key queued before the value
+    that raised wins over its error, as when each mapping's keys are
+    checked before any of its values is built, as `TreeNode` does."""
 
-def _items_key(mapping, leaves: list) -> tuple:
-    """`_flat_into` of a mapping, one call per inner mapping: all keys are
-    checked before any value is built, and a dict, exact ndarray or
-    TensorLeaf value needs no call of its own. An exact ndarray is appended
-    as it is, its tag checked; `_leaf_list` copies it."""
-    keys = sorted(mapping)
-    for k in keys:
-        if type(k) is not str or not k or k[0] == "_" or "/" in k:  # else check_key passes k
-            check_key(k)
-    structure = []
-    for k in keys:
-        v = mapping[k]
-        t = type(v)
-        if t is dict:
-            structure.append((k, _items_key(v, leaves)))
-        elif t is np.ndarray or t is TensorLeaf:
-            if t is np.ndarray:
-                _tag(v.dtype)  # raises DtypeUnsupported
-            leaves.append(v)
-            structure.append((k, None))
+    __slots__ = ("key", "leaves", "keys", "dtype", "shape", "rect")
+
+    def __init__(self, value):
+        self.leaves, self.keys, self.dtype, self.shape, self.rect, failed = [], [], None, None, True, None
+        try:
+            self.key = self.node_key(value)
+            s = "\0" + "\0".join(self.keys) + "\0" if self.keys else ""  # a TypeError if a key is not a str
+        except Exception as exc:
+            failed, s = exc, "/"
+        if "/" in s or "\0\0" in s or "\0__" in s:
+            for k in self.keys:
+                check_key(k)
+        if failed:
+            raise failed
+
+    def node_key(self, value) -> tuple | None:
+        # the cheap exact checks first: the Mapping ABC check is slow
+        if isinstance(value, TreeNode):
+            key, payloads = flatten(value)
+        elif isinstance(value, Node):
+            key, payloads = None, [value.leaf]  # a TensorLeaf is its own value node
+        elif isinstance(value, np.ndarray):
+            key, payloads = None, [from_array(value)]
+        elif isinstance(value, TreeTensor):
+            key, payloads = value._flat()[0].key, value._flat()[1]
+        elif isinstance(value, (int, float)):  # a bool is an int
+            tag = "bool" if isinstance(value, bool) else "i64" if isinstance(value, int) else "f64"
+            key, payloads = None, [make_leaf((), tag, [value])]
+        elif isinstance(value, Mapping):
+            return self.items_key(value)
         else:
-            structure.append((k, _flat_into(v, leaves)))
-    return tuple(structure)
+            raise TypeError(f"cannot build a node from {type(value).__name__}")
+        self.leaves += payloads
+        self.rect = False
+        return key
+
+    def items_key(self, mapping) -> tuple:
+        """`node_key` of a mapping, one call per inner mapping: a dict, exact
+        ndarray or TensorLeaf value needs no call of its own. An exact
+        ndarray whose dtype object or shape is not the first one's has its
+        dtype tag checked, and keeps `rect` if the two are equal."""
+        ks = sorted(mapping)
+        self.keys += ks
+        leaves, structure = self.leaves, []
+        for k in ks:
+            v = mapping[k]
+            t = type(v)
+            if t is dict:
+                structure.append((k, self.items_key(v)))
+            elif t is np.ndarray or t is TensorLeaf:
+                if t is TensorLeaf:
+                    self.rect = False
+                elif v.dtype is not self.dtype or v.shape != self.shape:
+                    _tag(v.dtype)  # DtypeUnsupported
+                    if self.dtype is None:
+                        self.dtype, self.shape = v.dtype, v.shape
+                    self.rect = self.rect and v.dtype == self.dtype and v.shape == self.shape
+                leaves.append(v)
+                structure.append((k, None))
+            else:
+                structure.append((k, self.node_key(v)))
+        return tuple(structure)
 
 
 def build_tree(pairs: Mapping) -> TreeTensor:
@@ -186,11 +217,17 @@ def build_tree(pairs: Mapping) -> TreeTensor:
 
     Values may be leaves, nodes, nested mappings, numpy arrays or python
     scalars (which become scalar leaves). Arrays are copied; when every
-    value is a plain ndarray and `leaf.pack` takes them, into one column.
+    value is a small plain ndarray of one dtype and ndim, into one column:
+    a rectangle when their shapes agree too, else `leaf.pack`'s segmented
+    column.
     """
-    items: list = []
-    key = _items_key(dict(pairs), items)
-    return TreeTensor._of(treedef(key), pack(items) or _leaf_list(items))
+    flat = _Flat(dict(pairs))
+    items, shape = flat.leaves, flat.rect and flat.shape
+    if shape and 0 < items[0].size <= BATCH_MAX_ELEMENTS:
+        leaves = Column(_pack(items).reshape((len(items),) + shape), TensorLeaf, _tag(flat.dtype), "cpu")
+    else:
+        leaves = pack(items) or _leaf_list(items)
+    return TreeTensor._of(treedef(flat.key), leaves)
 
 
 def _leaf_list(items: list) -> list:
@@ -294,11 +331,10 @@ def _write(tree: TreeTensor, path: Path, sub, payloads: list) -> TreeTensor:
 def set(tree: TreeTensor, path: Iterable[str], value) -> TreeTensor:
     """Persistent set; validates what the write can break and fails atomically."""
     path = _as_path(path)
-    items: list = []
-    sub = _flat_into(value, items)
-    if not path and sub is None:
+    flat = _Flat(value)
+    if not path and flat.key is None:
         raise PathNotFound(path, "cannot replace the root with a value node")
-    return _write(tree, path, sub, _leaf_list(items))
+    return _write(tree, path, flat.key, _leaf_list(flat.leaves))
 
 
 def remove(tree: TreeTensor, path: Iterable[str]) -> TreeTensor:
@@ -327,9 +363,11 @@ def leaves(tree) -> list[tuple[Path, object]]:
 
 
 def deep_copy(tree: TreeTensor) -> TreeTensor:
-    """A tree sharing no leaf storage with the original."""
+    """A tree sharing no leaf storage with the original; a packed tree
+    stays packed."""
     td, payloads = tree._flat()
-    return TreeTensor._of(td, [leaf.copy() for leaf in payloads], tree.constraints, tree._checked)
+    copied = payloads.copy() if type(payloads) is Column else [leaf.copy() for leaf in payloads]
+    return TreeTensor._of(td, copied, tree.constraints, tree._checked)
 
 
 def validate_full(tree: TreeTensor) -> list[tuple[Path, _c.Constraint]]:

@@ -182,6 +182,41 @@ def test_pickle_of_a_segmented_tree_carries_its_rows_not_the_padded_batch():
     assert len(pickle.dumps(back[0])) * 4 < len(pickle.dumps(back[0]._flat()[1].buf))
 
 
+def packed_kinds():
+    """A rectangle, a segmented tree, a segmented view of a padded buffer
+    and a column of strided views, each beside its list form."""
+    rng = np.random.default_rng(5)
+    rect = {f"g{g}": {f"k{i}": rng.standard_normal(4) for i in range(40)} for g in range(30)}
+    ragged = [{f"g{g}": {f"k{i}": rng.standard_normal(int(rng.integers(1, 9))) for i in range(40)}
+               for g in range(30)} for _ in range(2)]
+    unpadded = tt.unpad(tt.group_pad([tt.build_tree(r) for r in ragged], 0.0))[1]
+    return [
+        (tt.build_tree(rect), tt.build_tree(as_leaves(rect))),
+        (tt.build_tree(ragged[0]), tt.build_tree(as_leaves(ragged[0]))),
+        (unpadded, tt.build_tree(as_leaves(ragged[1]))),
+        (tt.lifted_split(tt.build_tree(rect), 3, axis=0)[1],
+         tt.lifted_split(tt.build_tree(as_leaves(rect)), 3, axis=0)[1]),
+    ]
+
+
+def test_repr_of_a_packed_tree_reads_its_column_and_makes_no_leaves():
+    for tree, listed in packed_kinds():
+        text = repr(tree)
+        assert tree._flat()[1]._leaves is None
+        assert text == repr(listed) and text.startswith("TreeTensor(1200 leaves: {g0/k0: [")
+
+
+def test_deep_copy_of_a_packed_tree_is_one_column_over_a_compact_copy_of_its_rows():
+    for tree, listed in packed_kinds():
+        copied = tt.deep_copy(tree)
+        col, orig = copied._flat()[1], tree._flat()[1]
+        assert type(col) is Column and storage(copied) == storage(tree)
+        assert not np.shares_memory(col.buf, orig.buf)
+        assert col._leaves is None and orig._leaves is None
+        assert col.buf.size == sum(leaf.size for _, leaf in tt.leaves(listed))  # no padding
+        assert copied == tree and copied == listed and canon(copied) == canon(listed)
+
+
 # ---------------------------------------------------------------------------
 # group_pad and unpad
 
