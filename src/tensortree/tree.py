@@ -137,16 +137,13 @@ class _Flat:
     of the node the value stands for (None for a value node), and `leaves`,
     its payloads in flatten order, an exact ndarray in a dict as it is
     (`build_tree` or `_leaf_list` copies it). `rect` holds while every
-    payload is an exact ndarray of the first one's dtype and shape, `dtype`
-    and `shape`.
+    payload is an exact ndarray of the first one's `dtype` and `shape`.
 
-    Each mapping's keys are sorted and queued, and all are checked at the
-    end in one C-level scan: `check_key` runs on each queued key in order
-    only if the scan finds a '/', a leading '__', an empty key or a key
-    that is not a str (a key holding a NUL may be flagged, and then
-    passes), or if the walk raised. So a bad key queued before the value
-    that raised wins over its error, as when each mapping's keys are
-    checked before any of its values is built, as `TreeNode` does."""
+    Each mapping's sorted keys are queued, and one C-level scan checks them
+    all at the end: `check_key` runs on each in order only if the scan
+    flags one (a key holding a NUL may be flagged, and then passes), a key
+    is not a str, or the walk raised. So a bad key queued before a value
+    that raised wins, as when each mapping's keys are checked first."""
 
     __slots__ = ("key", "leaves", "keys", "dtype", "shape", "rect")
 
@@ -160,7 +157,7 @@ class _Flat:
         if "/" in s or "\0\0" in s or "\0__" in s:
             for k in self.keys:
                 check_key(k)
-        if failed:
+        if failed is not None:
             raise failed
 
     def node_key(self, value) -> tuple | None:
@@ -181,7 +178,7 @@ class _Flat:
         else:
             raise TypeError(f"cannot build a node from {type(value).__name__}")
         self.leaves += payloads
-        self.rect = False
+        self.rect = self.rect and not payloads  # an empty node adds no payload
         return key
 
     def items_key(self, mapping) -> tuple:

@@ -174,15 +174,15 @@ def test_a_bad_key_is_found_before_any_value_of_its_mapping_is_built():
     assert tt.leaves(tt.build_tree({"_a": 1.0}))[0][0] == ("_a",)
 
 
-@pytest.mark.parametrize("value", [
-    np.zeros(2, complex),  # an exact ndarray whose dtype has no tag
-    np.matrix([[1j]]),  # an ndarray subclass: its own call
-    None,  # not a value build_tree takes
-    {1: 2, "a": 3},  # keys that do not sort
+@pytest.mark.parametrize("make", [
+    lambda: np.zeros(2, complex),  # an exact ndarray whose dtype has no tag
+    lambda: np.matrix([[1j]]),  # an ndarray subclass: its own call
+    lambda: None,  # not a value build_tree takes
+    lambda: {1: 2, "a": 3},  # keys that do not sort
 ], ids=["complex", "matrix", "none", "unsortable"])
-def test_a_key_queued_for_the_batched_check_still_wins_over_a_later_value(value):
-    # "z/" is queued with "c" before the walk reaches `value` under "c"
-    doc = {"c": {"d": value, "e": np.zeros(2)}, "z/": np.zeros(2)}
+def test_a_key_queued_for_the_batched_check_still_wins_over_a_later_value(make):
+    # "z/" is queued with "c" before the walk reaches the value under "c"
+    doc = {"c": {"d": make(), "e": np.zeros(2)}, "z/": np.zeros(2)}
     for build in (tt.build_tree, lambda d: tt.set(BASE, ("x",), d)):
         with pytest.raises(tt.errors.BadKey, match="z/"):
             build(doc)

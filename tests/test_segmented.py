@@ -113,6 +113,7 @@ def test_build_tree_packs_small_arrays_of_one_dtype_and_ndim_and_no_others():
     assert form({"a": a, "b": np.zeros(0)}) == "list"  # an empty leaf
     assert form({"a": a, "b": tt.from_array(b)}) == "list"  # a leaf object
     assert form({"a": a, "b": a + 1}) == "rectangle"
+    assert form({"a": a, "b": a + 1, "e": tt.build_tree({}).root, "f": tt.build_tree({})}) == "rectangle"
     t = tt.build_tree({"a": a, "b": np.arange(10.0)[::2]})  # a strided array is copied too
     assert storage(t) == "segmented" and tt.get(t, ["b"]).data == [0.0, 2.0, 4.0, 6.0, 8.0]
     t = tt.build_tree({"a": a, "x": {"b": np.arange(6).reshape(2, 3), "c": np.arange(2).reshape(1, 2)}})
