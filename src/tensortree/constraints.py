@@ -5,10 +5,18 @@ inheriting or non-inheriting. Inheriting atoms hold for a tree node iff they
 hold on all descendants; non-inheriting atoms are pinned to a single node
 and their inherited form is the empty constraint.
 
-The checks walk a tree's flat form (structure key, leaves, sorted leaf
-paths) beside the trie of placements. A subtree's leaves are one range, so
-`LeafCountIs` is its length and a `ShapesEqual` or `SharedPrefix` target is
-found by bisecting the paths. A node argument is flattened once on entry.
+The checks run on a tree's flat form (structure key, leaves, sorted leaf
+paths) and visit only the trie's positions. A subtree's leaves are one
+range, so `LeafCountIs` is its length and a `ShapesEqual` or
+`SharedPrefix` target is found by bisecting the paths. Each position with
+entries of its own checks its node atoms and non-inheriting atoms there,
+and its inheriting atoms once against each distinct (dtype, device, shape)
+of its range, which a packed tree's column gives without making a leaf.
+A constrained write's check keeps to the positions on the written path and
+under it, and its ancestors' inheriting atoms to the written range.
+Effective constraints (`c_sum` of a position's entries and what its
+parent passes down) are derived only to name a failing position. A node
+argument is flattened once on entry.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import ConstraintViolation
-from .leaf import TensorLeaf
+from .leaf import kinds
 from .node import Node, Path, flatten, leaf_range, subkey, treedef
 
 # ---------------------------------------------------------------------------
@@ -87,21 +95,26 @@ class SharedPrefix(_Atom):
 _NODE_ATOMS = (LeafCountIs, ShapesEqual, SharedPrefix)
 
 
-def _leaf_atom_holds(atom, leaf: TensorLeaf) -> bool:
+def _leaf_atom_holds(atom, kind) -> bool:
+    """Whether a leaf of `kind`, an item of `kinds`, satisfies a leaf atom;
+    a payload that is not a TensorLeaf satisfies none."""
+    if kind is None:
+        return False
+    dtype, device, shape = kind
     if isinstance(atom, DtypeIs):
-        return leaf.dtype == atom.dtype
+        return dtype == atom.dtype
     if isinstance(atom, NdimIs):
-        return leaf.ndim == atom.n
+        return len(shape) == atom.n
     if isinstance(atom, DimEquals):
-        return atom.axis < leaf.ndim and leaf.shape[atom.axis] == atom.size
+        return atom.axis < len(shape) and shape[atom.axis] == atom.size
     if isinstance(atom, DimAtLeast):
-        return atom.axis < leaf.ndim and leaf.shape[atom.axis] >= atom.size
+        return atom.axis < len(shape) and shape[atom.axis] >= atom.size
     if isinstance(atom, DeviceIs):
-        return leaf.device == atom.tag
+        return device == atom.tag
     raise TypeError(f"not a leaf atom: {atom!r}")
 
 
-def _node_atom_holds(atom, leaves: list, paths, path: Path) -> bool:
+def _node_atom_holds(atom, leaves, paths, path: Path) -> bool:
     if isinstance(atom, LeafCountIs):
         lo, hi = leaf_range(paths, path)
         return hi - lo == atom.n
@@ -109,9 +122,10 @@ def _node_atom_holds(atom, leaves: list, paths, path: Path) -> bool:
     for p in atom.paths:
         target = path + p
         i = bisect_left(paths, target)
-        if i == len(paths) or paths[i] != target or not isinstance(leaves[i], TensorLeaf):
+        kind = i < len(paths) and paths[i] == target and kinds(leaves, i, i + 1)[0]
+        if not kind:
             return False
-        shapes.append(leaves[i].shape)
+        shapes.append(kind[2])
     if isinstance(atom, ShapesEqual):
         return all(s == shapes[0] for s in shapes)
     if isinstance(atom, SharedPrefix):
@@ -241,15 +255,15 @@ def _local_ok(c: Constraint, n, path: Path = (), lo: int = 0) -> bool:
     """
     _, leaves, paths = _flat(n)
     value = lo < len(paths) and paths[lo] == path
-    tensor = value and isinstance(leaves[lo], TensorLeaf)
+    kind = kinds(leaves, lo, lo + 1)[0] if value else None
     for inh, atom in c.entries:
         if inh:
-            if value and not (tensor and _leaf_atom_holds(atom, leaves[lo])):
+            if value and not _leaf_atom_holds(atom, kind):
                 return False
         elif isinstance(atom, _NODE_ATOMS):
             if not _node_atom_holds(atom, leaves, paths, path):
                 return False
-        elif not (tensor and _leaf_atom_holds(atom, leaves[lo])):
+        elif not _leaf_atom_holds(atom, kind):
             return False
     return True
 
@@ -308,66 +322,101 @@ def effective(n, ct: ConstraintTree):
     """Pre-order (path, first leaf index, effective constraint) of every
     position of `n` (a node or a TreeTensor) whose effective constraint is
     not empty."""
-    return _positions(_flat(n), ct, True)
+    return _positions(_flat(n), ct)
 
 
-def _positions(f: tuple, ct: ConstraintTree, every: bool, focus: Path = ()):
-    """`effective` of the flat tree `f`; with a `focus` path, only the
-    positions on it and under it. Unless `every`, only the positions that
-    can fail a local check: a tree position without entries of its own
-    gets only inheriting atoms, which no tree position fails."""
+def _positions(f: tuple, ct: ConstraintTree):
+    """`effective` of the flat tree `f`."""
     paths = f[2]
 
     def walk(key, ct, path, lo, inherited):
         own = ct.constraint
         eff = c_sum([own, inherited]) if own else inherited
-        if eff and (own or every or key is None):
+        if eff:
             yield path, lo, eff
         down = inherit(eff) if own else inherited
-        if not key or not (down or ct.children):
-            return
-        on = len(path) < len(focus)
-        if ct.children or every or on:
+        if key and (down or ct.children):
             for k, sub in key:
-                if not on or k == focus[len(path)]:
-                    p = path + (k,)
-                    yield from walk(sub, ct.child(k), p, bisect_left(paths, p, lo), down)
-        else:
-            for i in range(lo, leaf_range(paths, path)[1]):
-                yield paths[i], i, down
+                p = path + (k,)
+                yield from walk(sub, ct.child(k), p, bisect_left(paths, p, lo), down)
 
     return walk(f[0], ct, (), 0, EMPTY)
 
 
-def _violating(f: tuple, ct: ConstraintTree, focus: Path = ()):
-    for path, lo, eff in _positions(f, ct, False, focus):
-        if not _local_ok(eff, f, path, lo):
-            yield path, eff
+def _failing(f: tuple, ct: ConstraintTree, focus: Path = ()) -> list[Path]:
+    """The sorted (so pre-order) paths of the positions of the flat tree `f`
+    that fail the local check; with a `focus` path, of those on it and
+    under it. One pass over the trie's positions in `f`, none over the
+    others: a position with entries of its own checks them locally, and
+    its inheriting atoms against each distinct (dtype, device, shape) of
+    its leaf range (an ancestor of the focus: of the focus's range). Only a
+    failing kind sends a range's leaves to the list, one by one."""
+    leaves, paths = f[1], f[2]
+    scope = leaf_range(paths, focus)
+    scoped, bad = [], set()
+
+    def walk(key, ct, path):
+        own, on = ct.constraint, len(path) < len(focus)
+        lo, hi = scope if on else leaf_range(paths, path)
+        if own:
+            if not _local_ok(own, f, path, lo):
+                bad.add(path)
+            atoms = [atom for inh, atom in own.entries if inh]
+            if atoms and key is not None:
+                if not scoped:
+                    scoped.append(kinds(leaves, *scope))
+                ks = scoped[0][lo - scope[0]:hi - scope[0]]
+                if no := {k for k in set(ks) if not all(_leaf_atom_holds(x, k) for x in atoms)}:
+                    bad.update(paths[i] for i, k in enumerate(ks, lo) if k in no)
+        subs = dict(key) if key and ct.children else {}
+        for k, sub in ct.children.items():
+            if k in subs and not (on and k != focus[len(path)]):
+                walk(subs[k], sub, path + (k,))
+
+    walk(f[0], ct, ())
+    return sorted(bad)
+
+
+def _named(ct: ConstraintTree, paths) -> list[tuple[Path, Constraint]]:
+    """(path, effective constraint) of each of `paths`, derived along the
+    trie once a position."""
+    memo = {(): (ct, ct.constraint, inherit(ct.constraint))}
+
+    def derive(path):  # (trie position, effective constraint, what it passes down)
+        if path not in memo:
+            node, _, inherited = derive(path[:-1])
+            node = node.child(path[-1])
+            eff = c_sum([node.constraint, inherited]) if node.constraint else inherited
+            memo[path] = node, eff, inherit(eff) if node.constraint else inherited
+        return memo[path]
+
+    return [(p, derive(p)[1]) for p in paths]
 
 
 def violations(node: Node, ct: ConstraintTree, prefix: Path = ()) -> list[tuple[Path, Constraint]]:
     """All (path, effective constraint) pairs failing the local check, in
     pre-order; each path follows `prefix`."""
-    return [(prefix + p, c) for p, c in _violating(_flat(node), ct)]
+    return [(prefix + p, c) for p, c in _named(ct, _failing(_flat(node), ct))]
 
 
 def first_violation(node: Node, ct: ConstraintTree) -> tuple[Path, Constraint] | None:
-    """The first entry of `violations(node, ct)`, or None; stops there."""
-    return next(_violating(_flat(node), ct), None)
+    """The first entry of `violations(node, ct)`, or None; names no other."""
+    return next(iter(_named(ct, _failing(_flat(node), ct)[:1])), None)
 
 
-def sparse(ct: ConstraintTree, key, inherited: Constraint = EMPTY) -> ConstraintTree:
+def sparse(ct: ConstraintTree, key, inherited: frozenset = frozenset()) -> ConstraintTree:
     """The sparse trie with the same effective constraints as `ct` on a tree
-    of structure `key`.
+    of structure `key`, under a parent that passes down the entries
+    `inherited`.
 
     Each position keeps its entries minus what its parent passes down;
     positions that are empty, or absent from the structure, are dropped.
     """
     own = ct.constraint
-    kept = [e for e in own.entries if e not in inherited.entries]
+    kept = [e for e in own.entries if e not in inherited]
     children = {}
     if ct.children and key:
-        down = inherit(c_sum([own, inherited])) if own else inherited
+        down = inherited.union(e for e in own.entries if e[0])
         subs = dict(key)
         for k, child in ct.children.items():
             if k in subs:
@@ -376,7 +425,7 @@ def sparse(ct: ConstraintTree, key, inherited: Constraint = EMPTY) -> Constraint
                     children[k] = child
     if not kept and not children:
         return TRIVIAL
-    return ConstraintTree(Constraint(kept), children)
+    return ConstraintTree(own if len(kept) == len(own.entries) else Constraint(kept), children)
 
 
 def _trie(placements: dict[Path, Constraint]) -> ConstraintTree:
@@ -401,7 +450,7 @@ def build_constraint_tree(node: Node, placements: dict[Path, Constraint]) -> Con
     for path in placements:
         subkey(f[0], path)
     ct = sparse(_trie(placements), f[0])
-    bad = next(_violating(f, ct), None)
+    bad = first_violation(f, ct)
     if bad:
         raise ConstraintViolation(*bad)
     return ct
@@ -428,4 +477,4 @@ def write_violation(tree, ct: ConstraintTree, path: Path) -> tuple[Path, Constra
     `path` to a tree that was valid, or None. Only what the edit can break
     is checked, in pre-order: the positions on `path` and the written
     subtree."""
-    return next(_violating(_flat(tree), ct, path), None)
+    return next(iter(_named(ct, _failing(_flat(tree), ct, path)[:1])), None)

@@ -240,6 +240,18 @@ def _leaf_views(cls, arrays, dtypes, devices) -> list:
     return out
 
 
+def kinds(leaves, lo: int, hi: int) -> list:
+    """The (dtype, device, shape) of each of leaves lo..hi-1, None for a
+    payload that is not a TensorLeaf; a column's are read off its buffer
+    and its shapes, making no leaf."""
+    if type(leaves) is not Column:
+        return [(p._dtype, p._device, p._array.shape) if isinstance(p, TensorLeaf) else None
+                for p in leaves[lo:hi]]
+    if leaves.shapes is None:
+        return [(leaves.dtype, leaves.device, leaves.buf.shape[1:])] * (hi - lo)
+    return [(leaves.dtype, leaves.device, tuple(s)) for s in leaves.shapes[lo:hi].tolist()]
+
+
 def pack(arrays: list) -> Column | None:
     """A segmented column of copies of `arrays`, or None unless they are all
     exact ndarrays of one dtype (which must have a tag) and one ndim >= 1,

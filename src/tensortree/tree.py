@@ -34,7 +34,7 @@ import numpy as np
 
 from . import constraints as _c
 from .errors import BadPath, ConstraintViolation, PathNotFound
-from .leaf import BATCH_MAX_ELEMENTS, Column, TensorLeaf, _new_leaf, _pack, _tag, from_array, make_leaf, pack
+from .leaf import BATCH_MAX_ELEMENTS, Column, TensorLeaf, _new_leaf, _pack, _tag, from_array, kinds, make_leaf, pack
 from .node import Node, Path, TreeDef, TreeNode, ValueNode, check_key, flatten, leaf_range
 from .node import _paths_into, subkey, treedef, unflatten
 
@@ -125,11 +125,8 @@ class TreeTensor:
 
 def _summary(payloads, i: int) -> str:
     """`shape dtype` of leaf i, read off a column without making its leaves."""
-    if type(payloads) is not Column:
-        p = payloads[i]
-        return f"{list(p.shape)} {p.dtype}" if hasattr(p, "shape") else type(p).__name__
-    shape = payloads.buf.shape[1:] if payloads.shapes is None else payloads.shapes[i].tolist()
-    return f"{list(shape)} {payloads.dtype}"
+    kind = kinds(payloads, i, i + 1)[0]
+    return f"{list(kind[2])} {kind[0]}" if kind else type(payloads[i]).__name__
 
 
 class _Flat:

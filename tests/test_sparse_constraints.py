@@ -4,20 +4,23 @@ reference (mirror + place + distribute, validated node by node).
 The differential property test drives random trees, random placements of
 every atom kind and random set/remove sequences through the library and
 through the reference, and requires the same accept/reject decisions,
-violations, equality and serialized bytes.
+violations, equality and serialized bytes. A tree whose leaves share one
+dtype and ndim runs twice: held as a leaf list, and packed into a column by
+`build_tree`, whose checks read dtypes and shapes off the column.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import tensortree as tt
-from tensortree.constraints import _local_ok
+from tensortree.constraints import _local_ok, sparse
 from tensortree.errors import ConstraintViolation
 from tensortree.io_formats import _atom_obj
+from tensortree.leaf import Column
 from tensortree.node import TreeNode, path_to_string
 
 from helpers import distribute, get_node, iter_leaves, mirror, place
@@ -154,10 +157,16 @@ def atoms_at(draw, node):
     return False, tt.SharedPrefix(paths, draw(st.integers(0, leaf.ndim)))
 
 
+PALETTES = st.tuples(st.lists(st.sampled_from(DTYPES), min_size=1, max_size=2),
+                     st.lists(st.sampled_from(SHAPES), min_size=1, max_size=2))
+# one dtype and two shapes of one ndim: trees that pack, about two in five of them segmented
+PACKED_PALETTES = st.tuples(st.sampled_from(DTYPES).map(lambda d: [d]),
+                            st.sampled_from([[(2,), (3,)], [(2, 2), (2, 3)]]))
+
+
 @st.composite
-def scenarios(draw):
-    palette = (draw(st.lists(st.sampled_from(DTYPES), min_size=1, max_size=2)),
-               draw(st.lists(st.sampled_from(SHAPES), min_size=1, max_size=2)))
+def scenarios(draw, palettes=PALETTES):
+    palette = draw(palettes)
     root = tt.build_tree(draw(st.dictionaries(st.sampled_from(KEYS), subtrees(palette),
                                               max_size=3))).root
     paths = node_paths(root)
@@ -172,7 +181,31 @@ def scenarios(draw):
             valid = trial
     values = st.one_of(subtrees(palette), leaves((DTYPES, SHAPES)))
     writes = st.tuples(st.integers(0, 10**6), st.integers(0, 3), values)
-    return root, placements, valid, draw(st.lists(writes, max_size=8))
+    return root, placements, valid, draw(st.lists(writes, max_size=8)), packed_twin(root)
+
+
+def packed_twin(root):
+    """`root` built again from plain arrays, so that `build_tree` packs it
+    into one column (a rectangle or segmented), or None if it does not: its
+    leaves must share one dtype and an ndim >= 1."""
+    def arrays(node):
+        if isinstance(node, TreeNode):
+            return {k: arrays(child) for k, child in node.children.items()}
+        return node.array.copy()
+
+    twin = tt.build_tree(arrays(root))
+    return twin if type(twin._flat()[1]) is Column else None
+
+
+def twins(root, packed):
+    """(plain tree, attach) for the tree held as a leaf list and, if there
+    is one, its packed twin; `attach(ct)` gives the tree carrying `ct`
+    unchecked, as `TreeTensor(root, ct)` does, in the same leaf storage."""
+    out = [(tt.TreeTensor(root), lambda ct: tt.TreeTensor(root, ct))]
+    if packed is not None:
+        td, leaves = packed._flat()
+        out.append((packed, lambda ct: tt.TreeTensor._of(td, leaves, sparse(ct, td.key), False)))
+    return out
 
 
 def pick_write(root, choice, kind, value):
@@ -205,17 +238,32 @@ def assert_matches(lib, root, placements):
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
 def test_incremental_writes_match_the_dense_reference(scenario):
-    root, placements, valid, writes = scenario
+    root, placements, valid, writes, packed = scenario
+    for plain, attach in twins(root, packed):
+        run_scenario(plain, attach, root, placements, valid, writes)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios(PACKED_PALETTES))
+def test_packed_trees_match_the_dense_reference(scenario):
+    root, placements, valid, writes, packed = scenario
+    assume(packed is not None)  # a tree without leaves does not pack
+    for plain, attach in twins(root, packed)[1:]:
+        run_scenario(plain, attach, root, placements, valid, writes)
+
+
+def run_scenario(plain, attach, root, placements, valid, writes):
     ct = dense(root, placements)
     bad = ref_violations(root, ct)
     if bad:
         with pytest.raises(ConstraintViolation) as exc:
-            tt.TreeTensor(root).with_constraints(placements)
+            plain.with_constraints(placements)
         assert (exc.value.path, exc.value.constraint) == bad[0]
-    checked = tt.TreeTensor(root).with_constraints(valid)
+    checked = plain.with_constraints(valid)
     assert_matches(checked, root, valid)
     # built from a dense tree: not checked, so its first write checks in full
-    unchecked = tt.TreeTensor(root, ct)
+    unchecked = attach(ct)
     assert_matches(unchecked, root, placements)
     libs = {"checked": checked, "unchecked": unchecked}
     states = {"checked": (root, valid), "unchecked": (root, placements)}
@@ -296,3 +344,34 @@ def test_lift_unary_carry_constraints_revalidates():
     kept = tt.lift_unary("neg")(t, carry_constraints=True)
     assert kept.constraints == t.constraints
     assert tt.validate_full(kept) == []
+
+
+def test_a_leaf_on_another_device_fails_beside_leaves_of_its_dtype_and_shape():
+    def on(device):
+        return tt.TensorLeaf(np.zeros(2), device=device)
+
+    t = tt.build_tree({"a": on("gpu"), "b": on("cpu"), "c": on("gpu"), "d": on("cpu")})
+    c = I(tt.DeviceIs("cpu"))
+    assert tt.validate_full(tt.TreeTensor(t.root, tt.ConstraintTree(c))) == [(("a",), c), (("c",), c)]
+    with pytest.raises(ConstraintViolation) as exc:
+        t.with_constraints({(): I(tt.DeviceIs("gpu"))})
+    assert exc.value.path == ("b",)
+    assert not tt.satisfies(N(tt.DeviceIs("cpu")), on("gpu"))
+
+
+def test_a_write_checks_only_the_positions_on_its_path_and_under_it():
+    # `_of(..., checked=True)` vouches for the tree as a constrained write's
+    # result does, so a write never looks at `b`, which breaks the root's atom
+    t = tt.build_tree({"a": np.zeros(2), "b": np.zeros(2, dtype=np.float32),
+                       "x": {"c": np.zeros(3)}})
+    ct = sparse(tt.ConstraintTree(I(tt.DtypeIs("f64")),
+                                  {"x": tt.ConstraintTree(N(tt.LeafCountIs(1)))}), t.treedef.key)
+    vouched = tt.TreeTensor._of(*t._flat(), ct, True)
+    assert tt.validate_full(tt.set(vouched, ["a"], np.ones(2))) == [(("b",), I(tt.DtypeIs("f64")))]
+    with pytest.raises(ConstraintViolation) as exc:
+        tt.set(vouched, ["x", "d"], np.zeros(1))  # the ancestor's node atom
+    assert (exc.value.path, exc.value.constraint) == (
+        ("x",), tt.c_sum([I(tt.DtypeIs("f64")), N(tt.LeafCountIs(1))]))
+    with pytest.raises(ConstraintViolation) as exc:
+        tt.set(vouched, ["x", "c"], np.zeros(3, dtype=np.float32))  # an inherited atom
+    assert (exc.value.path, exc.value.constraint) == (("x", "c"), I(tt.DtypeIs("f64")))

@@ -5,8 +5,9 @@ parent sweep and a change sweep, with where they ran.
 
 PARENT_DIR and CHANGE_DIR hold run outputs as `perfbench/sweep.py OUT
 PARENT CHANGE` writes them (OUT/parent and OUT/change). The file records,
-per side, the commit, Python, numpy, platform and nproc of its runs (a
-list where the runs disagree), and for each (metric, workload) row both
+per side, the commit, the digest of src/*.py (`src_sha256`, which tells
+apart two sides whose checkouts have no git and so no commit), Python,
+numpy, platform and nproc of its runs (a list where the runs disagree), and for each (metric, workload) row both
 medians with their [q1, q3], the seed wins of the change and the verdict.
 """
 
@@ -22,7 +23,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from compare import compare, load_runs  # noqa: E402
 
-PROVENANCE = ("commit", "python", "numpy", "platform", "nproc")
+PROVENANCE = ("commit", "src_sha256", "python", "numpy", "platform", "nproc")
 
 
 def provenance(runs: dict) -> dict:
