@@ -152,8 +152,9 @@ def subside(outer) -> TreeTensor:
     The StackedLeaf outputs of a flat list are copies; when every column
     aligns they are read-only views into one buffer per dtype
     (`leaf.stack_axis0`; packed trees give one stack of their buffers), so
-    one surviving leaf keeps its dtype's whole buffer alive until
-    `leaf.copy()` or `deep_copy` detaches it.
+    one surviving leaf, or one component of its `rise` (which views it),
+    keeps its dtype's whole buffer alive until `leaf.copy()` or `deep_copy`
+    detaches it.
     """
     trees: list[TreeTensor] = []
     nested_map(outer, trees.append, TreeTensor)
@@ -199,12 +200,10 @@ def _skeleton(leaf):
 
 def _payload(leaf):
     """The nested lists and dicts of leaves that rise indexes into: a
-    StackedLeaf is copied once and split into its rows."""
+    StackedLeaf is split into read-only views of its rows."""
     if isinstance(leaf, StackedLeaf):
-        rows = leaf._array.copy()
-        rows.setflags(False)
+        rows, dtype, device = leaf._array, leaf._dtype, leaf._device
         # rows[i, ...] is a 0-d array where rows[i] would be a numpy scalar
-        dtype, device = leaf._dtype, leaf._device
         return [_new_leaf(TensorLeaf, rows[i, ...], device, dtype) for i in range(len(rows))]
     return leaf.payload
 
@@ -218,14 +217,15 @@ def _component(payload, sigma):
 def rise(tree: TreeTensor):
     """Lift the common per-leaf inner structure back above the tree.
 
-    The component leaves are copies of the input; the k rows of one
-    StackedLeaf share one read-only buffer. A packed tree of StackedLeafs
-    of ndim >= 2 is copied in one call, each component tree a column of it."""
+    Nothing is copied: component i's leaves are read-only views of row i of
+    each StackedLeaf, and of a packed tree of StackedLeafs of ndim >= 2,
+    component i is a column over a strided view of its buffer. So one
+    surviving component keeps the stacked buffers alive until `leaf.copy()`
+    or `deep_copy` detaches it."""
     td, payloads = tree._flat()
     if type(payloads) is Column and payloads.cls is StackedLeaf and payloads.shapes is None \
             and payloads.buf.ndim > 2:
-        rows = payloads.buf.swapaxes(0, 1).copy()  # row-major: component i is rows[i]
-        rows.setflags(False)
+        rows = payloads.buf.swapaxes(0, 1)  # component i is rows[i]
         return [TreeTensor._of(td, Column(r, TensorLeaf, payloads.dtype, payloads.device))
                 for r in rows]
     if not payloads:

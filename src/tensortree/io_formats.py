@@ -25,7 +25,7 @@ from . import constraints as _c
 from .errors import _SHOWN, BadKey, BadPath, DtypeUnknown, EmptyKey, ParseError, UnknownAtomKind
 from .errors import _quoted, _shown
 from .functional import StackedLeaf, StructuredLeaf, nested_map
-from .leaf import DTYPES, TensorLeaf, make_leaf
+from .leaf import DTYPES, TensorLeaf, _new_leaf, make_leaf
 from .node import Path, ValueNode, as_dict, path_from_string, path_to_string
 from .padding import PaddedGroup
 from .tree import TreeTensor, build_tree
@@ -187,7 +187,7 @@ def _parse_leaf(obj: dict) -> TensorLeaf:
     except (TypeError, ValueError, OverflowError) as exc:  # numpy's conversion
         raise ParseError(f"bad {dtype} leaf data: {exc}") from exc
     if obj.get("stacked_seq"):
-        leaf = StackedLeaf(leaf.array, leaf.device)  # shares the read-only array
+        leaf = _new_leaf(StackedLeaf, leaf.array, leaf.device, leaf.dtype)  # shares the array
     return leaf
 
 

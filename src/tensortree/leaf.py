@@ -39,8 +39,9 @@ class TensorLeaf(ValueNode):
 
     A leaf is its own value node in a tree (`leaf.leaf is leaf`). Data is
     held row-major. Equality is by value (shape, dtype, device and
-    element-wise exact contents). The constructor makes `array` read-only
-    and raises DtypeUnsupported for a numpy dtype without a tag.
+    element-wise exact contents). The constructor holds a read-only
+    row-major copy of `array`, as `from_array` does, and raises
+    DtypeUnsupported for a numpy dtype without a tag.
     """
 
     __slots__ = ("_array", "_dtype", "_device")
@@ -48,10 +49,10 @@ class TensorLeaf(ValueNode):
     # built in __new__: ValueNode(leaf) returns the leaf, after which Python
     # would run an __init__ again on it
     def __new__(cls, array: np.ndarray, device: str = "cpu"):
-        return _new_leaf(cls, array, device)
+        return _new_leaf(cls, np.array(array, order="C"), device)
 
     def __reduce__(self):
-        return type(self), (self._array, self._device)
+        return _new_leaf, (type(self), self._array, self._device)
 
     @property
     def leaf(self) -> "TensorLeaf":
@@ -89,7 +90,7 @@ class TensorLeaf(ValueNode):
 
     def copy(self) -> "TensorLeaf":
         """An independent leaf sharing no storage with this one."""
-        return type(self)(self._array.copy(), device=self._device)
+        return _new_leaf(type(self), self._array.copy(), self._device)
 
     def item(self):
         return self._array.reshape(-1)[0].item() if self.size else None
@@ -132,7 +133,8 @@ def _new_leaf(cls, array: np.ndarray, device: str, dtype: str | None = None) -> 
     """The one leaf constructor: checks the dtype tag and makes `array`
     read-only, or skips both when the caller passes `dtype` and so vouches
     that `array` is a view of a read-only array with that tag. Kernel
-    outputs call it directly, skipping the type call `TensorLeaf(...)` pays."""
+    outputs call it directly, skipping the type call and the copy that
+    `TensorLeaf(...)` pays."""
     if dtype is None:
         dtype = _tag(array.dtype)
         array.setflags(False)  # write=False; positional is the cheap form

@@ -149,7 +149,7 @@ def test_stack_and_cat_match_numpy_per_column(skel, k, seed, bad, ragged):
 @SETTINGS
 @given(skeletons(), st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from(BAD),
        st.booleans())
-def test_subside_stacks_each_aligned_column_and_rise_copies_it_back(skel, k, seed, bad, ragged):
+def test_subside_stacks_each_aligned_column_and_rise_views_it_back(skel, k, seed, bad, ragged):
     trees = batch(skel, k, seed, bad, ragged)
     columns = list(zip(*(flatten(t.root)[1] for t in trees)))
     s = tt.subside(trees)
@@ -171,7 +171,6 @@ def test_subside_stacks_each_aligned_column_and_rise_copies_it_back(skel, k, see
         return
     risen = tt.rise(s)
     assert len(risen) == k
-    stacked = [o.array for o in out]
     for tree, column_row in zip(risen, zip(*columns)):
         # a component takes its stacked leaf's device, the first tree's
         for r, p, o in zip(flatten(tree.root)[1], column_row, out):
@@ -180,4 +179,5 @@ def test_subside_stacks_each_aligned_column_and_rise_copies_it_back(skel, k, see
             assert type(a) is np.ndarray  # a 0-d row stays an array, not a numpy scalar
             assert (a.dtype, a.shape, a.tobytes()) == (p.array.dtype, p.shape, p.array.tobytes())
             assert not a.flags.writeable
-            assert not any(np.shares_memory(a, b) for b in stacked)
+            # a view of its stacked leaf (a zero-size one has no element to share)
+            assert a.size == 0 or np.shares_memory(a, o.array)

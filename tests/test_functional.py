@@ -1,4 +1,5 @@
 import gc
+import pickle
 import random
 import weakref
 
@@ -12,6 +13,7 @@ from tensortree.errors import (
     NonBooleanMask,
     StructureMismatch,
 )
+from tensortree.leaf import Column
 
 from helpers import paper_tree, rand_leaf, rand_tree, rand_tree_family
 
@@ -212,7 +214,38 @@ def test_rise_frees_the_input_leaves_without_a_collection():
     assert [tt.get(x, ["p"]).leaf.data for x in out] == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
 
 
-def test_rise_copies_the_components():
-    stacked = tt.StackedLeaf(np.arange(6.0).reshape(3, 2))
-    for x in tt.rise(tt.TreeTensor(tt.TreeNode({"p": stacked}))):
-        assert not np.shares_memory(tt.get(x, ["p"]).array, stacked.array)
+def test_rise_views_the_components():
+    stacked = tt.StackedLeaf(np.arange(6.0).reshape(3, 2), "gpu0")
+    for row, x in zip(stacked.array, tt.rise(tt.TreeTensor(tt.TreeNode({"p": stacked})))):
+        leaf = tt.get(x, ["p"])
+        assert np.shares_memory(leaf.array, stacked.array)
+        assert not leaf.array.flags.writeable
+        assert (leaf.dtype, leaf.device, leaf.shape, leaf.array.tobytes()) == \
+            (stacked.dtype, stacked.device, row.shape, row.tobytes())
+
+
+def test_rise_of_a_packed_stacked_column_views_its_buffer():
+    rng = np.random.default_rng(0)
+    trees = [tt.build_tree({f"k{i:02d}": rng.standard_normal((8, 8)) for i in range(64)})
+             for _ in range(8)]
+    s = tt.subside(trees)
+    stacked = s._flat()[1]
+    assert type(stacked) is Column and stacked.cls is tt.StackedLeaf
+    risen = tt.rise(s)
+    for x, t in zip(risen, trees):
+        column = x._flat()[1]
+        assert type(column) is Column and np.shares_memory(column.buf, stacked.buf)
+        for (_, leaf), (_, want) in zip(tt.leaves(x), tt.leaves(t)):
+            assert type(leaf) is tt.TensorLeaf and not leaf.array.flags.writeable
+            assert np.shares_memory(leaf.array, stacked.buf)
+            assert (leaf.dtype, leaf.device, leaf.shape, leaf.array.tobytes()) == \
+                (want.dtype, want.device, want.shape, want.array.tobytes())
+    one = risen[0]
+    copied = tt.deep_copy(one)
+    assert copied == one
+    assert not np.shares_memory(copied._flat()[1].buf, stacked.buf)
+    assert not any(np.shares_memory(leaf.array, stacked.buf) for _, leaf in tt.leaves(copied))
+    # a component pickles its own rows, not the k-fold stacked buffer
+    own = one._flat()[1].buf.nbytes
+    assert len(pickle.dumps(one)) < 1.25 * own < stacked.buf.nbytes
+    assert pickle.loads(pickle.dumps(one)) == trees[0]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import warnings
 
@@ -387,6 +388,24 @@ def test_constructor_rejects_an_untagged_dtype():
     with pytest.raises(DtypeUnsupported):
         tt.from_array(np.arange(3, dtype=np.int32))
     assert tt.TensorLeaf(np.arange(3, dtype=np.int64)).dtype == "i64"
+
+
+@pytest.mark.parametrize("cls", [tt.TensorLeaf, tt.StackedLeaf])
+def test_the_constructor_copies_so_the_callers_array_stays_writeable(cls):
+    src = np.arange(6.0).reshape(2, 3).T  # not row-major
+    leaf = cls(src, "gpu0")
+    assert type(leaf) is cls and leaf.device == "gpu0"
+    assert src.flags.writeable and not leaf.array.flags.writeable
+    assert leaf.array.flags.c_contiguous and not np.shares_memory(leaf.array, src)
+    risen = tt.rise(tt.TreeTensor(tt.TreeNode({"p": leaf})))
+    src[...] = 99.0
+    assert leaf.data == [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]
+    if cls is tt.StackedLeaf:  # its rows are the components
+        assert [tt.get(x, ["p"]).data for x in risen] == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
+    # copy and pickling keep the class and make one copy, of their own
+    for again in (leaf.copy(), pickle.loads(pickle.dumps(leaf))):
+        assert type(again) is cls and again == leaf and again.device == "gpu0"
+        assert not again.array.flags.writeable and not np.shares_memory(again.array, leaf.array)
 
 
 def test_split_along_axis_0_gives_read_only_views():

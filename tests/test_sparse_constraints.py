@@ -167,8 +167,13 @@ PACKED_PALETTES = st.tuples(st.sampled_from(DTYPES).map(lambda d: [d]),
 @st.composite
 def scenarios(draw, palettes=PALETTES):
     palette = draw(palettes)
-    root = tt.build_tree(draw(st.dictionaries(st.sampled_from(KEYS), subtrees(palette),
-                                              max_size=3))).root
+    tree = draw(st.dictionaries(st.sampled_from(KEYS), subtrees(palette), max_size=3))
+    if not has_leaf(tree):  # a tree without a leaf checks no atom: fill its first empty dict
+        node = tree
+        while node:
+            node = next(iter(node.values()))
+        node.update(zip(KEYS, draw(st.lists(leaves(palette), min_size=1, max_size=3))))
+    root = tt.build_tree(tree).root
     paths = node_paths(root)
     # all drawn placements, and the greedy subset of them that holds
     placements, valid = {}, {}
@@ -182,6 +187,10 @@ def scenarios(draw, palettes=PALETTES):
     values = st.one_of(subtrees(palette), leaves((DTYPES, SHAPES)))
     writes = st.tuples(st.integers(0, 10**6), st.integers(0, 3), values)
     return root, placements, valid, draw(st.lists(writes, max_size=8)), packed_twin(root)
+
+
+def has_leaf(x) -> bool:
+    return not isinstance(x, dict) or any(map(has_leaf, x.values()))
 
 
 def packed_twin(root):
