@@ -285,18 +285,14 @@ class ConstraintTree:
     deriving an effective constraint again is idempotent.
     """
 
-    __slots__ = ("constraint", "children", "_trivial")
+    __slots__ = ("constraint", "children", "is_trivial")
 
     def __init__(self, constraint: Constraint = EMPTY, children: dict | None = None):
         self.constraint = constraint
         self.children = dict(sorted((children or {}).items()))
-        self._trivial = is_empty(constraint) and all(
+        self.is_trivial = is_empty(constraint) and all(
             c.is_trivial for c in self.children.values()
         )
-
-    @property
-    def is_trivial(self) -> bool:
-        return self._trivial
 
     def child(self, key: str) -> "ConstraintTree":
         return self.children.get(key, TRIVIAL)
@@ -304,10 +300,10 @@ class ConstraintTree:
     def __eq__(self, other):
         if not isinstance(other, ConstraintTree):
             return NotImplemented
-        if self._trivial or other._trivial:
+        if self.is_trivial or other.is_trivial:
             # an all-empty tree is equal to any all-empty tree regardless of
             # how many empty positions it materializes
-            return self._trivial and other._trivial
+            return self.is_trivial and other.is_trivial
         return self.constraint == other.constraint and self.children == other.children
 
     def __repr__(self):
@@ -393,15 +389,18 @@ def _named(ct: ConstraintTree, paths) -> list[tuple[Path, Constraint]]:
     return [(p, derive(p)[1]) for p in paths]
 
 
-def violations(node: Node, ct: ConstraintTree, prefix: Path = ()) -> list[tuple[Path, Constraint]]:
+def violations(node: Node, ct: ConstraintTree) -> list[tuple[Path, Constraint]]:
     """All (path, effective constraint) pairs failing the local check, in
-    pre-order; each path follows `prefix`."""
-    return [(prefix + p, c) for p, c in _named(ct, _failing(_flat(node), ct))]
+    pre-order."""
+    return _named(ct, _failing(_flat(node), ct))
 
 
-def first_violation(node: Node, ct: ConstraintTree) -> tuple[Path, Constraint] | None:
-    """The first entry of `violations(node, ct)`, or None; names no other."""
-    return next(iter(_named(ct, _failing(_flat(node), ct)[:1])), None)
+def first_violation(node: Node, ct: ConstraintTree, focus: Path = ()) -> tuple[Path, Constraint] | None:
+    """The first entry of `violations(node, ct)`, or None; names no other.
+    With a `focus`, `node` is a tree that was valid before an edit at
+    `focus` left the trie `ct`, and only what the edit can break is
+    checked: the positions on `focus` and the written subtree."""
+    return next(iter(_named(ct, _failing(_flat(node), ct, focus)[:1])), None)
 
 
 def sparse(ct: ConstraintTree, key, inherited: frozenset = frozenset()) -> ConstraintTree:
@@ -470,11 +469,3 @@ def edit(ct: ConstraintTree, path: Path, replaced: bool) -> ConstraintTree:
     children = {**ct.children, path[0]: edit(child, path[1:], replaced)}
     children = {k: c for k, c in children.items() if not c.is_trivial}
     return ConstraintTree(ct.constraint, children) if ct.constraint or children else TRIVIAL
-
-
-def write_violation(tree, ct: ConstraintTree, path: Path) -> tuple[Path, Constraint] | None:
-    """The first violation in `tree`, under the trie `ct` after an edit at
-    `path` to a tree that was valid, or None. Only what the edit can break
-    is checked, in pre-order: the positions on `path` and the written
-    subtree."""
-    return next(iter(_named(ct, _failing(_flat(tree), ct, path)[:1])), None)

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import fields
 
 from . import constraints as _c
 from .errors import _SHOWN, BadKey, BadPath, DtypeUnknown, EmptyKey, ParseError, UnknownAtomKind
-from .errors import _quoted, _shown
+from .errors import ShapeDataMismatch, _quoted, _shown
 from .functional import StackedLeaf, StructuredLeaf, nested_map
 from .leaf import DTYPES, TensorLeaf, _new_leaf, make_leaf
 from .node import Path, ValueNode, as_dict, path_from_string, path_to_string
@@ -78,21 +77,38 @@ def _tree_obj(tree: TreeTensor) -> dict:
     return as_dict(td.key, map(_payload_obj, payloads))
 
 
-# kind -> (atom class, its fields' names in a document, in field order)
+# the JSON types a document field may have, by exact type: type(True) is
+# bool, so a bool is never an int or a float; no types asks for any value
+_ANY, _INT, _STR, _BOOL, _LIST, _DICT = (), (int,), (str,), (bool,), (list,), (dict,)
+_MISSING = object()
+
+
+def _field(obj: dict, name: str, types: tuple, where: str, default=_MISSING):
+    """obj[name], or `default` when the field is absent; a ParseError naming
+    the field at `where` when it is absent without a default, or when its
+    value's type is not exactly one of `types`. The message quotes `where`
+    at 150 characters and the value at 80, so it stays under 300."""
+    value = obj.get(name, default)
+    if value is _MISSING:
+        raise ParseError(f"{_shown(where, 150)}: missing {name!r}")
+    if types and type(value) not in types:
+        what = " or ".join(t.__name__ for t in types)
+        raise ParseError(f"{_shown(where, 150)}: {name!r} must be {what}, got {_quoted(value, 80)}")
+    return value
+
+
+# kind -> (atom class, {each field's name in a document: its JSON types}, in field order)
 _ATOMS = {
-    "dtype": (_c.DtypeIs, ("value",)),
-    "ndim": (_c.NdimIs, ("value",)),
-    "dim_equals": (_c.DimEquals, ("axis", "value")),
-    "dim_at_least": (_c.DimAtLeast, ("axis", "value")),
-    "device": (_c.DeviceIs, ("value",)),
-    "leaf_count": (_c.LeafCountIs, ("value",)),
-    "shapes_equal": (_c.ShapesEqual, ("paths",)),
-    "shared_prefix": (_c.SharedPrefix, ("paths", "k")),
+    "dtype": (_c.DtypeIs, {"value": _STR}),
+    "ndim": (_c.NdimIs, {"value": _INT}),
+    "dim_equals": (_c.DimEquals, {"axis": _INT, "value": _INT}),
+    "dim_at_least": (_c.DimAtLeast, {"axis": _INT, "value": _INT}),
+    "device": (_c.DeviceIs, {"value": _STR}),
+    "leaf_count": (_c.LeafCountIs, {"value": _INT}),
+    "shapes_equal": (_c.ShapesEqual, {"paths": _LIST}),
+    "shared_prefix": (_c.SharedPrefix, {"paths": _LIST, "k": _INT}),
 }
 _KINDS = {cls: kind for kind, (cls, _) in _ATOMS.items()}
-# an atom field's annotation -> the JSON type of its document value (type(True) is bool)
-_JSON = {"int": (int, "an integer"), "str": (str, "a string"),
-         "tuple[Path, ...]": (list, "a list of strings")}
 
 
 def _atom_obj(atom) -> dict:
@@ -106,18 +122,17 @@ def _atom_obj(atom) -> dict:
 
 def _parse_atom(obj, where: str):
     """The atom of a document object; ParseError unless each field has its
-    annotation's JSON type and the atom accepts its value."""
+    JSON type and the atom accepts its value."""
     if not isinstance(obj, dict):
         raise _bad_atom(obj, where, "not an object")
     kind = obj.get("kind")
     if type(kind) is not str or kind not in _ATOMS:
         raise UnknownAtomKind(f"unknown atom kind {_quoted(kind)}")
-    cls, names = _ATOMS[kind]
-    values = [obj.get(name) for name in names]
-    for name, value, f in zip(names, values, fields(cls)):
-        t, what = _JSON[f.type]
-        if type(value) is not t or t is list and not all(type(p) is str for p in value):
-            raise _bad_atom(obj, where, f"{name!r} must be {what}")
+    cls, types = _ATOMS[kind]
+    values = [_field(obj, name, t, f"bad atom {kind!r} at {where}") for name, t in types.items()]
+    for name, value in zip(types, values):
+        if type(value) is list and not all(type(p) is str for p in value):
+            raise _bad_atom(obj, where, f"{name!r} must be a list of strings")
     try:
         return cls(*[tuple(map(path_from_string, v)) if type(v) is list else v for v in values])
     except ValueError as exc:  # a negative int field
@@ -164,29 +179,24 @@ _DATA_TYPES = {
 
 
 def _parse_leaf(obj: dict) -> TensorLeaf:
-    for field in ("shape", "dtype", "data"):
-        if field not in obj:
-            raise ParseError(f"leaf object missing {field!r}")
-    shape, dtype, data = obj["shape"], obj["dtype"], obj["data"]
+    shape, dtype, data = (_field(obj, n, t, "leaf") for n, t in
+                          (("shape", _LIST), ("dtype", _ANY), ("data", _LIST)))
     if dtype not in DTYPES:
         raise DtypeUnknown(f"unknown dtype {_quoted(dtype)}")
-    # type(True) is bool, so the exact checks reject bools as shapes or i64 data
-    if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
+    if any(type(s) is not int or s < 0 for s in shape):  # a bool is not a dimension
         raise ParseError(f"leaf shape must be a list of non-negative integers, got {_quoted(shape)}")
-    if not isinstance(data, list):
-        raise ParseError(f"leaf data must be a list, got {type(data).__name__}")
     types = _DATA_TYPES[dtype]
     if not types.issuperset(map(type, data)):
         names = " or ".join(sorted(t.__name__ for t in types))
         raise ParseError(f"{dtype} leaf data must hold only {names} values")
-    device = obj.get("device", "cpu")
-    if not isinstance(device, str):
-        raise ParseError(f"leaf device must be a string, got {_quoted(device)}")
+    device = _field(obj, "device", _STR, "leaf", "cpu")
     try:
         leaf = make_leaf(shape, dtype, data, device)
-    except (TypeError, ValueError, OverflowError) as exc:  # numpy's conversion
+    except (TypeError, ValueError, OverflowError, ShapeDataMismatch) as exc:  # numpy's, or the count
         raise ParseError(f"bad {dtype} leaf data: {exc}") from exc
     if obj.get("stacked_seq"):
+        if not shape:
+            raise ParseError("a stacked_seq leaf needs a sequence axis, got shape []")
         leaf = _new_leaf(StackedLeaf, leaf.array, leaf.device, leaf.dtype)  # shares the array
     return leaf
 
@@ -215,29 +225,22 @@ def _parse_obj(obj):
     if obj.get("__leaf__") is True:
         return _parse_leaf(obj)  # a TensorLeaf is its own value node
     if obj.get("__structured__") is True:
-        return ValueNode(StructuredLeaf(_parse_payload(_field(obj, "payload"))))
+        payload = _field(obj, "payload", (list, dict), "structured leaf")
+        return ValueNode(StructuredLeaf(_parse_payload(payload)))
     return {k: _parse_obj(v) for k, v in obj.items()}
 
 
-def _field(obj: dict, name: str):
-    if name not in obj:
-        raise ParseError(f"object missing {name!r}")
-    return obj[name]
-
-
 def _parse_placements(entries) -> dict[Path, _c.Constraint]:
-    if not isinstance(entries, list):
-        raise ParseError("constraint spec must be a list of placements")
     placements: dict[Path, _c.Constraint] = {}
     for n, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "path" not in entry or "atoms" not in entry:
+        if not isinstance(entry, dict):
             raise ParseError(f"bad placement entry {n}: {_quoted(entry)}")
-        raw_path, inh, atom_objs = entry["path"], entry.get("inherit", True), entry["atoms"]
+        raw_path = _field(entry, "path", _ANY, f"placement entry {n}")
         if not isinstance(raw_path, str):
             raise BadPath(f"placement path must be a string, got {_quoted(raw_path)}")
         where = f"placement {_quoted(raw_path)}"
-        if type(inh) is not bool or not isinstance(atom_objs, list):
-            raise ParseError(f"{where}: inherit must be a bool and atoms a list")
+        inh = _field(entry, "inherit", _BOOL, where, True)
+        atom_objs = _field(entry, "atoms", _LIST, where)
         path = path_from_string(raw_path)
         try:
             c = _c.Constraint([(inh, _parse_atom(a, where)) for a in atom_objs])
@@ -253,7 +256,8 @@ def parse_tree(text: str) -> TreeTensor:
     obj = _loads(text)
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
-    entries = obj.pop("__constraints__", None)
+    entries = _field(obj, "__constraints__", _LIST, "tree document", [])
+    obj.pop("__constraints__", None)
     tree = _parse_root(obj, "root")
     if entries:
         tree = tree.with_constraints(_parse_placements(entries))
@@ -263,7 +267,10 @@ def parse_tree(text: str) -> TreeTensor:
 @_document
 def parse_constraint_spec(text: str) -> dict[Path, _c.Constraint]:
     """Parse a standalone constraint spec document (.ttc)."""
-    return _parse_placements(_loads(text))
+    entries = _loads(text)
+    if not isinstance(entries, list):
+        raise ParseError("constraint spec must be a list of placements")
+    return _parse_placements(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +291,16 @@ def serialize_outer(outer) -> str:
 
 
 def _parse_outer_obj(obj, path: str = ""):  # path: item indices and entry keys, '/'-joined
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"bad outer-structure element at /{path[:_SHOWN]}: {_quoted(obj)}")
-    kind = obj["kind"]
+    where = f"bad outer-structure element at /{path[:_SHOWN]}"
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: {_quoted(obj)}")
+    kind = _field(obj, "kind", _ANY, where)
     if kind == "tree":
-        return _parse_root(_field(obj, "value"), "embedded tree")
+        return _parse_root(_field(obj, "value", _DICT, where), "embedded tree")
     if kind == "seq":
-        return [_parse_outer_obj(x, f"{path}{i}/") for i, x in enumerate(_field(obj, "items"))]
+        return [_parse_outer_obj(x, f"{path}{i}/") for i, x in enumerate(_field(obj, "items", _LIST, where))]
     if kind == "map":
-        return {k: _parse_outer_obj(v, f"{path}{k}/") for k, v in _field(obj, "entries").items()}
+        return {k: _parse_outer_obj(v, f"{path}{k}/") for k, v in _field(obj, "entries", _DICT, where).items()}
     raise ParseError(f"unknown outer kind {_quoted(kind)}")
 
 
@@ -320,9 +328,6 @@ def parse_padded_group(text: str) -> PaddedGroup:
     obj = _loads(text)
     if not isinstance(obj, dict) or obj.get("__padded_group__") is not True:
         raise ParseError("not a padded-group document")
-    stacked = _parse_root(_field(obj, "stacked"), "padded-group stacked tree")
-    lengths = _parse_root(_field(obj, "lengths"), "padded-group lengths tree")
-    fill = _field(obj, "fill")
-    if not isinstance(fill, (int, float)):  # a JSON number or bool
-        raise ParseError(f"padded-group fill must be a number, got {_quoted(fill)}")
-    return PaddedGroup(stacked, lengths, fill)
+    stacked, lengths = (_parse_root(_field(obj, n, _DICT, "padded group"), f"padded-group {n} tree")
+                        for n in ("stacked", "lengths"))
+    return PaddedGroup(stacked, lengths, _field(obj, "fill", (int, float, bool), "padded group"))

@@ -315,7 +315,7 @@ def _write(tree: TreeTensor, path: Path, sub, payloads: list) -> TreeTensor:
     if ct.is_trivial:
         return out
     edited = _c.edit(ct, path, sub is not _GONE)
-    bad = _c.write_violation(out, edited, path if tree._checked else ())
+    bad = _c.first_violation(out, edited, path if tree._checked else ())
     if bad:
         raise ConstraintViolation(*bad)
     out.constraints = edited

@@ -68,6 +68,7 @@ def leaf_document(shape, dtype, data):
         ([1], "f32", ["1.5"]),  # once read as 1.5
         ([1], "f64", [True]),  # once read as 1.0
         ([2], "f64", [[1], [2]]),  # once reshaped to [2]
+        ([2], "f64", [1.0]),  # too few elements, once ShapeDataMismatch, CLI exit 1
     ],
 )
 def test_malformed_leaf_data_is_a_parse_error(shape, dtype, data):
@@ -88,6 +89,7 @@ def test_well_formed_leaves_still_parse():
     [
         (["a"], "f64", [1.0]), ([1.7], "f64", [1.0]), ([1], "i64", [1.5]), ([-1], "f64", []),
         ([1], "f64", [None]), ([1], "f32", ["1.5"]), ([1], "f64", [True]), ([2], "f64", [[1], [2]]),
+        ([2], "f64", [1.0]),
     ],
 )
 def test_cli_exits_2_on_a_malformed_leaf(tmp_path, shape, dtype, data):
@@ -161,6 +163,19 @@ _LENGTHS = {"a": {"__leaf__": True, "shape": [1], "dtype": "i64", "data": [1]}}
                                                           {"kind": "dtype", "value": "f64"}]}]),
         # a float where an integer belongs, once truncated
         ("parse_constraint_spec", [{"path": "", "atoms": [{"kind": "ndim", "value": 1.9}]}]),
+        # outer contents of the wrong JSON type, once an AttributeError and a TypeError
+        ("parse_outer", {"kind": "map", "entries": [1, 2]}),
+        ("parse_outer", {"kind": "seq", "items": 3}),
+        # constraints that are not a list, once silently dropped
+        ("parse_tree", {**_TREE, "__constraints__": {}}),
+        ("parse_tree", {**_TREE, "__constraints__": 0}),
+        ("parse_tree", {**_TREE, "__constraints__": False}),
+        ("parse_tree", {**_TREE, "__constraints__": ""}),
+        ("parse_tree", {**_TREE, "__constraints__": None}),
+        # a stacked_seq leaf without a sequence axis, once an IndexError in rise
+        ("parse_tree", {"a": {**_LEAF, "shape": [], "stacked_seq": True}}),
+        ("parse_tree", {"a": {"__structured__": True,
+                              "payload": [{**_LEAF, "shape": [], "stacked_seq": True}]}}),
     ],
 )
 def test_malformed_documents_are_parse_errors(parse, doc):
@@ -182,6 +197,11 @@ def test_malformed_documents_are_parse_errors(parse, doc):
         (["validate", "--constraints"], [{"path": "", "atoms": [{"kind": "dtype", "value": 3},
                                                                 {"kind": "dtype", "value": "f64"}]}]),
         (["validate", "--constraints"], [{"path": "", "atoms": [{"kind": "ndim", "value": 1.9}]}]),
+        (["subside"], {"kind": "map", "entries": [1, 2]}),
+        (["subside"], {"kind": "seq", "items": 3}),
+        (["rise"], {"a": {**_LEAF, "shape": [], "stacked_seq": True}}),
+        (["rise"], {"a": {"__structured__": True,
+                          "payload": [{**_LEAF, "shape": [], "stacked_seq": True}]}}),
     ],
 )
 def test_cli_exits_2_on_a_malformed_document(tmp_path, command, doc):
