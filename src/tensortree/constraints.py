@@ -15,7 +15,8 @@ of its range, which a packed tree's column gives without making a leaf.
 A constrained write's check keeps to the positions on the written path and
 under it, and its ancestors' inheriting atoms to the written range.
 Effective constraints (`c_sum` of a position's entries and what its
-parent passes down) are derived only to name a failing position. A node
+parent passes down) are derived by one walk down the trie, `_named`, only
+to name a failing position or to write a tree's constraints out. A node
 argument is flattened once on entry.
 """
 
@@ -314,29 +315,15 @@ class ConstraintTree:
 TRIVIAL = ConstraintTree()
 
 
-def effective(n, ct: ConstraintTree):
-    """Pre-order (path, first leaf index, effective constraint) of every
-    position of `n` (a node or a TreeTensor) whose effective constraint is
-    not empty."""
-    return _positions(_flat(n), ct)
+def effective(n, ct: ConstraintTree) -> list[tuple[Path, Constraint]]:
+    """Pre-order (path, effective constraint) of every position of `n` (a
+    node or a TreeTensor) whose effective constraint is not empty."""
+    def positions(key, path):
+        yield path
+        for k, sub in key or ():
+            yield from positions(sub, path + (k,))
 
-
-def _positions(f: tuple, ct: ConstraintTree):
-    """`effective` of the flat tree `f`."""
-    paths = f[2]
-
-    def walk(key, ct, path, lo, inherited):
-        own = ct.constraint
-        eff = c_sum([own, inherited]) if own else inherited
-        if eff:
-            yield path, lo, eff
-        down = inherit(eff) if own else inherited
-        if key and (down or ct.children):
-            for k, sub in key:
-                p = path + (k,)
-                yield from walk(sub, ct.child(k), p, bisect_left(paths, p, lo), down)
-
-    return walk(f[0], ct, (), 0, EMPTY)
+    return [(p, c) for p, c in _named(ct, positions(_flat(n)[0], ())) if c]
 
 
 def _failing(f: tuple, ct: ConstraintTree, focus: Path = ()) -> list[Path]:

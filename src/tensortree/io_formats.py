@@ -22,7 +22,7 @@ import json
 
 from . import constraints as _c
 from .errors import _SHOWN, BadKey, BadPath, DtypeUnknown, EmptyKey, ParseError, UnknownAtomKind
-from .errors import ShapeDataMismatch, _quoted, _shown
+from .errors import ShapeDataMismatch, _quoted, _shown, _where
 from .functional import StackedLeaf, StructuredLeaf, nested_map
 from .leaf import DTYPES, TensorLeaf, _new_leaf, make_leaf
 from .node import Path, ValueNode, as_dict, path_from_string, path_to_string
@@ -151,7 +151,7 @@ def _constraint_entries(tree: TreeTensor) -> list:
     if tree.constraints.is_trivial:
         return []
     entries, encoded = [], {}  # id(c) -> (c, its atom objects by flag): positions share constraints
-    for path, _, c in _c.effective(tree, tree.constraints):
+    for path, c in _c.effective(tree, tree.constraints):
         if id(c) not in encoded:  # c is kept, so its id is not reused
             encoded[id(c)] = c, [(inh, [_atom_obj(a) for flag, a in c.entries if flag == inh])
                                  for inh in (False, True)]
@@ -178,25 +178,29 @@ _DATA_TYPES = {
 }
 
 
-def _parse_leaf(obj: dict) -> TensorLeaf:
-    shape, dtype, data = (_field(obj, n, t, "leaf") for n, t in
+def _parse_leaf(obj: dict, where: str) -> TensorLeaf:
+    """The leaf of a document object; every error names it by `where`,
+    quoted at 150 characters and its values at 80, so the message stays
+    under 300."""
+    where = _shown(where, 150)
+    shape, dtype, data = (_field(obj, n, t, where) for n, t in
                           (("shape", _LIST), ("dtype", _ANY), ("data", _LIST)))
     if dtype not in DTYPES:
-        raise DtypeUnknown(f"unknown dtype {_quoted(dtype)}")
+        raise DtypeUnknown(f"{where}: unknown dtype {_quoted(dtype, 80)}")
     if any(type(s) is not int or s < 0 for s in shape):  # a bool is not a dimension
-        raise ParseError(f"leaf shape must be a list of non-negative integers, got {_quoted(shape)}")
+        raise ParseError(f"{where}: shape must be a list of non-negative integers, got {_quoted(shape, 80)}")
     types = _DATA_TYPES[dtype]
     if not types.issuperset(map(type, data)):
         names = " or ".join(sorted(t.__name__ for t in types))
-        raise ParseError(f"{dtype} leaf data must hold only {names} values")
-    device = _field(obj, "device", _STR, "leaf", "cpu")
+        raise ParseError(f"{where}: {dtype} data must hold only {names} values")
+    device = _field(obj, "device", _STR, where, "cpu")
     try:
         leaf = make_leaf(shape, dtype, data, device)
     except (TypeError, ValueError, OverflowError, ShapeDataMismatch) as exc:  # numpy's, or the count
-        raise ParseError(f"bad {dtype} leaf data: {exc}") from exc
-    if obj.get("stacked_seq"):
+        raise ParseError(f"{where}: bad {dtype} data: {_shown(str(exc), 80)}") from exc
+    if _field(obj, "stacked_seq", _BOOL, where, False):
         if not shape:
-            raise ParseError("a stacked_seq leaf needs a sequence axis, got shape []")
+            raise ParseError(f"{where}: stacked_seq needs a sequence axis, got shape []")
         leaf = _new_leaf(StackedLeaf, leaf.array, leaf.device, leaf.dtype)  # shares the array
     return leaf
 
@@ -206,7 +210,7 @@ def _parse_payload(obj, path: str = "payload"):
         return [_parse_payload(p, f"{path}/{i}") for i, p in enumerate(obj)]
     if isinstance(obj, dict):
         if obj.get("__leaf__") is True:
-            return _parse_leaf(obj)
+            return _parse_leaf(obj, f"leaf at {path}")
         return {k: _parse_payload(v, f"{path}/{k}") for k, v in obj.items()}
     raise ParseError(f"bad structured payload element at {path[:_SHOWN]}: {_quoted(obj)}")
 
@@ -218,16 +222,17 @@ def _parse_root(obj, what: str) -> TreeTensor:
     return build_tree(nested)
 
 
-def _parse_obj(obj):
-    """The nested dicts of a tree document, a value node at each leaf."""
+def _parse_obj(obj, path: Path = ()):
+    """The nested dicts of a tree document, a value node at each leaf; an
+    error names the value's path."""
     if not isinstance(obj, dict):
-        raise ParseError(f"expected an object, got {type(obj).__name__}")
+        raise ParseError(f"expected an object at {_where(path)}, got {type(obj).__name__}")
     if obj.get("__leaf__") is True:
-        return _parse_leaf(obj)  # a TensorLeaf is its own value node
+        return _parse_leaf(obj, f"leaf at {_where(path)}")  # a TensorLeaf is its own value node
     if obj.get("__structured__") is True:
-        payload = _field(obj, "payload", (list, dict), "structured leaf")
+        payload = _field(obj, "payload", (list, dict), f"structured leaf at {_where(path)}")
         return ValueNode(StructuredLeaf(_parse_payload(payload)))
-    return {k: _parse_obj(v) for k, v in obj.items()}
+    return {k: _parse_obj(v, path + (k,)) for k, v in obj.items()}
 
 
 def _parse_placements(entries) -> dict[Path, _c.Constraint]:

@@ -43,7 +43,7 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     (for i64: NaN, an infinity, or a value outside the i64 range); a fill
     that is not a real number is a TypeError. The stacked leaves of one
     dtype and device are views of one read-only buffer, a segmented column
-    when every input is one; the lengths tree is one packed i64 column of
+    when every input is a column; the lengths tree is one packed i64 column of
     shape (leaf count, k).
     """
     if not isinstance(fill, (int, float, np.integer, np.floating, np.bool_)):
@@ -55,12 +55,11 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     if any(other != td for other, _ in flat[1:]):
         raise StructureMismatch("group_pad needs structurally equal trees")
     columns = [leaves for _, leaves in flat]
-    c0 = columns[0]  # segmented columns of one dtype, device and ndim pad at once if their tails agree
-    if all(type(c) is Column and c.shapes is not None and c.dtype == c0.dtype and c.device == c0.device
-           and c.shapes.shape == c0.shapes.shape for c in columns):
-        shapes = np.stack([c.shapes for c in columns])  # (k, leaves, ndim)
-        if (shapes[:, :, 1:] == shapes[0, :, 1:]).all():
-            return _pad_columns(td, columns, shapes, fill)
+    c0 = columns[0]  # columns of one dtype, device and row ndim pad at once if their tails agree
+    if all(type(c) is Column and c.dtype == c0.dtype and c.device == c0.device for c in columns):
+        shapes, values = zip(*[c._rows() for c in columns])
+        if all(np.array_equal(s[:, 1:], shapes[0][:, 1:]) for s in shapes):
+            return _pad_columns(td, c0, np.stack(shapes), values, fill)
     lens, buckets, runs = [], {}, {}  # part lengths, leaf-major; per (tag, device); per tag
     try:
         for i, parts in enumerate(zip(*columns)):
@@ -109,21 +108,22 @@ def _fill_run(fill, tag: str, dtype: np.dtype, path) -> np.ndarray:
             f"fill {fill!r} does not fit {'a' if tag == 'bool' else 'an'} {tag} leaf")) from None
 
 
-def _pad_columns(td, columns: list, shapes: np.ndarray, fill) -> PaddedGroup:
-    """group_pad of segmented columns of one dtype and device whose rows'
-    shapes `shapes` (k, leaves, ndim) agree past axis 0 leaf by leaf:
-    `_stack`'s layout, made by one fill and one scatter of each tree's rows."""
-    c0, k = columns[0], len(columns)
+def _pad_columns(td, c0: Column, shapes: np.ndarray, values: tuple, fill) -> PaddedGroup:
+    """group_pad of columns of `c0`'s dtype and device whose rows, of
+    shapes `shapes` (k, leaves, ndim) that agree past axis 0 leaf by leaf,
+    lie end to end in `values`, one flat array a tree: `_stack`'s layout,
+    made by one fill and one scatter of each tree's rows."""
+    k = len(values)
     n = np.ascontiguousarray(shapes[:, :, 0].T)  # the lengths, (leaves, k)
     tails, longest = shapes[0, :, 1:], n.max(1)
     row = tails.prod(1)
     width, pad = longest * row, longest > n.min(1)  # elements of one padded part; leaves to pad
-    block, size, dtype = _starts(k * width), k * width.sum(), c0.buf.dtype
+    block, size, dtype = _starts(k * width), k * width.sum(), values[0].dtype
     # the fill is cast, and may fail, only if a leaf pads
     out = np.full(size, _fill_run(fill, c0.dtype, dtype, td.paths[pad.argmax()]), dtype) if pad.any() \
         else np.empty(size, dtype)
-    for j, c in enumerate(columns):
-        out[_spread(block + j * width, n[:, j] * row)] = c._rows()[1]
+    for j, v in enumerate(values):
+        out[_spread(block + j * width, n[:, j] * row)] = v
     stacked = Column(out, TensorLeaf, c0.dtype, c0.device,
                      np.column_stack([np.full(len(n), k), longest, tails]), block)
     lengths = Column(n, TensorLeaf, "i64", "cpu")
@@ -160,22 +160,21 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
     The recovered leaves are read-only views of `g.stacked` (of a row-major
     copy if a stacked leaf is not row-major), so one surviving leaf keeps
     its whole padded buffer alive; `leaf.copy()` or `deep_copy` detaches it.
-    A segmented stacked column gives k segmented columns over its buffer.
+    A stacked column gives k segmented columns over its rows.
     """
     td, stacked = g.stacked._flat()
     lengths_td, lengths = g.lengths._flat()
     if lengths_td != td:
         raise StructureMismatch("stacked and lengths trees differ in structure")
-    segmented = type(stacked) is Column and stacked.shapes is not None
-    packed = type(lengths) is Column and lengths.shapes is None
-    try:
-        arrays = None if segmented else [leaf._array for leaf in stacked]
-        shapes = stacked.shapes.tolist() if segmented else [a.shape for a in arrays]
-        counts = None if packed else [(l._dtype, l._array) for l in lengths]
+    column = type(stacked) is Column
+    try:  # values: a column's rows end to end, or each stacked leaf's array
+        rows, values = stacked._rows() if column else (None, [leaf._array for leaf in stacked])
+        counts = None if type(lengths) is Column else [(l._dtype, l._array) for l in lengths]
     except AttributeError:
         for i, pair in enumerate(zip(stacked, lengths)):
             _check_tensors(td.paths[i], pair)
         raise
+    shapes = rows.tolist() if column else [a.shape for a in values]
     for i, s in enumerate(shapes):
         if len(s) < 2:
             raise CorruptLengths(
@@ -185,12 +184,15 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
     ks = {s[0] for s in shapes}
     if len(ks) > 1:
         raise CorruptLengths(f"inconsistent batch sizes {_quoted(sorted(ks))}")
-    k = ks.pop() if ks else (lengths.buf.shape[1] if packed else 0)  # a leafless group's k is its column's
+    # a leafless group's k is its lengths column's width: no row carries it
+    k = ks.pop() if ks else (lengths.buf.shape[1] if counts is None else 0)
     # the lengths as one (leaves, k) i64 array, up to the first leaf that is
-    # not an i64 vector of k entries: all of a packed column's leaves or none
-    if packed:
-        good = len(lengths) if lengths.dtype == "i64" and lengths.buf.shape[1:] == (k,) else 0
-        n = lengths.buf[:good]
+    # not an i64 vector of k entries
+    if counts is None:
+        sizes, flat = lengths._rows()
+        ok = (sizes == k).all(1) & (sizes.shape[1] == 1 and lengths.dtype == "i64")
+        good = next(iter(np.flatnonzero(~ok)), len(ok))
+        n = flat[:good * k].reshape(good, k)
     else:
         good = next((i for i, (tag, a) in enumerate(counts) if tag != "i64" or a.shape != (k,)),
                     len(counts))
@@ -207,15 +209,15 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
         raise CorruptLengths(
             f"lengths at {_where(td.paths[good])} must be an i64 vector of {k} entries"
         )
-    if segmented:  # tree j's row i: (n[i, j], *tail) at stacked row i's offset plus j padded parts
-        tails = stacked.shapes[:, 2:]
-        width = stacked.shapes[:, 1] * tails.prod(1)
-        return [TreeTensor._of(td, Column(stacked.buf, TensorLeaf, stacked.dtype, stacked.device,
-                                          np.column_stack([m, tails]), stacked.offsets + j * width))
+    if column:  # tree j's row i: (n[i, j], *tail) at stacked row i's start plus j padded parts
+        tails, width = rows[:, 2:], rows[:, 1:].prod(1)  # a part's shape past axis 0; its room
+        starts = _starts(k * width)
+        return [TreeTensor._of(td, Column(values, TensorLeaf, stacked.dtype, stacked.device,
+                                          np.column_stack([m, tails]), starts + j * width))
                 for j, m in enumerate(n.T)]
-    for i, a in enumerate(arrays):
-        arrays[i] = a = np.ascontiguousarray(a)  # a itself when contiguous, else a copy
+    for i, a in enumerate(values):
+        values[i] = a = np.ascontiguousarray(a)  # a itself when contiguous, else a copy
         a.setflags(False)
     tags, devices = [leaf._dtype for leaf in stacked], [leaf._device for leaf in stacked]
-    return [TreeTensor._of(td, _leaf_views(TensorLeaf, [a[j, :m] for a, m in zip(arrays, ms)], tags, devices))
+    return [TreeTensor._of(td, _leaf_views(TensorLeaf, [a[j, :m] for a, m in zip(values, ms)], tags, devices))
             for j, ms in enumerate(n.T.tolist())]

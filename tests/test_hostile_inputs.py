@@ -176,6 +176,11 @@ _LENGTHS = {"a": {"__leaf__": True, "shape": [1], "dtype": "i64", "data": [1]}}
         ("parse_tree", {"a": {**_LEAF, "shape": [], "stacked_seq": True}}),
         ("parse_tree", {"a": {"__structured__": True,
                               "payload": [{**_LEAF, "shape": [], "stacked_seq": True}]}}),
+        # a stacked_seq flag that is not a JSON bool, "false" once read as true
+        ("parse_tree", {"a": {**_LEAF, "stacked_seq": "false"}}),
+        ("parse_tree", {"a": {**_LEAF, "stacked_seq": 1}}),
+        ("parse_tree", {"a": {**_LEAF, "stacked_seq": "no"}}),
+        ("parse_tree", {"a": {"__structured__": True, "payload": [{**_LEAF, "stacked_seq": "false"}]}}),
     ],
 )
 def test_malformed_documents_are_parse_errors(parse, doc):
@@ -202,6 +207,9 @@ def test_malformed_documents_are_parse_errors(parse, doc):
         (["rise"], {"a": {**_LEAF, "shape": [], "stacked_seq": True}}),
         (["rise"], {"a": {"__structured__": True,
                           "payload": [{**_LEAF, "shape": [], "stacked_seq": True}]}}),
+        (["show"], {"a": {**_LEAF, "stacked_seq": "false"}}),
+        (["show"], {"a": {**_LEAF, "stacked_seq": 1}}),
+        (["rise"], {"a": {**_LEAF, "stacked_seq": "no"}}),
     ],
 )
 def test_cli_exits_2_on_a_malformed_document(tmp_path, command, doc):
@@ -348,6 +356,15 @@ _HUGE = {f"k{i}": {"x": {**_LEAF, "shape": [2000], "data": [1.0] * 2000}} for i 
          "at payload/kkk"),
         ("parse_tree", {"a": {**_LEAF, "dtype": "x" * 10**6}}, "unknown dtype"),
         ("parse_tree", {"a": {**_LEAF, "shape": ["s"] * 10**6}}, "shape"),
+        # a leaf's error names its path, cut short if the path is long
+        ("parse_tree", {"x": {"y": {**_LEAF, "device": [1]}}}, "leaf at x/y: 'device'"),
+        ("parse_tree", {"x": {"y": {**_LEAF, "dtype": "f16"}}}, "leaf at x/y: unknown dtype"),
+        ("parse_tree", {"x": {"y": {**_LEAF, "data": [True]}}}, "leaf at x/y: f64 data"),
+        ("parse_tree", {"x": {"y": {**_LEAF, "stacked_seq": "false"}}}, "leaf at x/y: 'stacked_seq'"),
+        ("parse_tree", {"k" * 10**6: {"y": {**_LEAF, "device": [1]}}}, "leaf at kkk"),
+        ("parse_tree", {"x": {"y": 3}}, "at x/y, got int"),
+        # a shape whose element count is not the data's, once quoted whole
+        ("parse_tree", {"x": {"y": {**_LEAF, "shape": [2] * 10**4}}}, "leaf at x/y: bad f64 data"),
     ],
 )
 def test_parse_errors_quote_a_bounded_repr_and_name_where(parse, doc, where):

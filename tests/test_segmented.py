@@ -156,7 +156,7 @@ def test_equality_of_segmented_columns_makes_no_leaves_and_follows_leaf_equality
     # a segmented column equals a rectangle or a list of the same leaves
     rect = tt.build_tree({"a": np.arange(2.0), "b": np.arange(2.0)})
     back = tt.unpad(tt.group_pad([rect, tree([0.0, 1.0, 2.0], [0.0])], 0.0))
-    assert storage(back[0]) == "list"  # a rectangle in the batch: the list path
+    assert storage(back[0]) == "segmented"  # a rectangle in the batch pads through its rows too
     seg = tt.unpad(tt.group_pad([tree([0.0, 1.0], [0.0, 1.0, 2.0]), tree([0.0], [0.0, 1.0])], 0.0))
     assert storage(seg[0]) == "segmented"
     # padding unpadded trees again reads rows spread over their padded buffer
@@ -222,7 +222,8 @@ def test_deep_copy_of_a_packed_tree_is_one_column_over_a_compact_copy_of_its_row
 # group_pad and unpad
 
 TAILS = {1: [()], 3: [(2, 3), (1, 2), (3, 1)]}  # tails of one ndim, per row ndim
-BREAKS = [None, "dtype", "device", "tail", "ndim", "list", "rectangle", "empty_part"]
+BREAKS = [None, "dtype", "device", "tail", "ndim", "list", "rectangle", "empty_part", "rectangles"]
+COLUMNS = (None, "rectangle", "rectangles")  # the batches whose every tree is a column
 
 
 def seg_batch(seed, k, n_leaves, dtype, ndim, brk):
@@ -230,7 +231,8 @@ def seg_batch(seed, k, n_leaves, dtype, ndim, brk):
     where `build_tree` packs them) and as TensorLeaf lists, with tree r
     broken as `brk` says: another dtype, device or ndim, one leaf's tail
     changed, stored as a list, all its leaves of one shape (a rectangle),
-    or one part of length 0 (which `build_tree` does not pack)."""
+    or one part of length 0 (which `build_tree` does not pack); with
+    "rectangles", every tree is a rectangle."""
     rng = np.random.default_rng(seed)
     tails = [TAILS[ndim][int(rng.integers(len(TAILS[ndim])))] for _ in range(n_leaves)]
     lens = rng.integers(1, 6, size=(k, n_leaves))
@@ -238,9 +240,10 @@ def seg_batch(seed, k, n_leaves, dtype, ndim, brk):
         if len({(int(m),) + t for m, t in zip(lens[r], tails)}) == 1:
             lens[r, 0] = lens[r, 0] % 5 + 1
     r, i = int(rng.integers(k)), int(rng.integers(n_leaves))
-    if brk == "rectangle":
+    if brk in ("rectangle", "rectangles"):
         tails = [tails[0]] * n_leaves
-        lens[r] = lens[r, 0]
+        for q in [r] if brk == "rectangle" else range(k):
+            lens[q] = lens[q, 0]
     elif brk == "empty_part":
         lens[r, i] = 0
     table = [[pad_values(rng, dtype, (int(lens[q, j]),) + tails[j]) for j in range(n_leaves)]
@@ -290,6 +293,8 @@ def test_group_pad_of_segmented_trees_matches_the_list_form(brk, seed, k, n_leav
     built, listed = seg_batch(seed, k, n_leaves, dtype, ndim, brk)
     if brk is None:
         assert all(storage(t) == "segmented" for t in built)
+    if brk in COLUMNS[1:]:
+        assert "rectangle" in {storage(t) for t in built} and "list" not in {storage(t) for t in built}
     got, g, made = pad_outcome(built, fill)
     want, g_list, _ = pad_outcome(listed, fill)
     assert got == want
@@ -299,16 +304,17 @@ def test_group_pad_of_segmented_trees_matches_the_list_form(brk, seed, k, n_leav
         return
     assert got == [(p, want_bits(s, dev), want_bits(n, "cpu")) for p, s, n, dev in ref]
     assert g.fill is fill and storage(g.lengths) == "rectangle"
-    if brk is None:  # one buffer, made without a leaf object
+    if brk in COLUMNS:  # one buffer, made without a leaf object
         assert storage(g.stacked) == "segmented" and not made
     arrays = [leaf.array for _, leaf in tt.leaves(g.stacked)]
-    if all(storage(t) == "segmented" for t in built):
+    if brk in COLUMNS:
         base = arrays[0].base
         assert all(a.base is base and a.flags.c_contiguous for a in arrays)
     back = tt.unpad(g)
-    if brk is None:
+    if brk in COLUMNS:
         assert all(storage(t) == "segmented" for t in back)
         assert back == built and all(t._flat()[1]._leaves is None for t in back)
+        assert all(t._flat()[1]._leaves is None for t in built)
     assert back == listed and listed == back
     assert outcome(lambda: back) == outcome(lambda: tt.unpad(g_list))
 

@@ -21,7 +21,8 @@ _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def code_lines(source: str) -> int:
+def code_line_numbers(source: str) -> set[int]:
+    """The numbers of the code lines of `source`."""
     docstrings = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, _SCOPES) and ast.get_docstring(node, clean=False) is not None:
@@ -31,7 +32,11 @@ def code_lines(source: str) -> int:
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in _NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstrings)
+    return lines - docstrings
+
+
+def code_lines(source: str) -> int:
+    return len(code_line_numbers(source))
 
 
 def main(argv=None) -> int:
