@@ -187,25 +187,19 @@ def subside(outer) -> TreeTensor:
     return TreeTensor._of(td, sunk)
 
 
-def _skeleton(leaf):
-    """The nested lists and dicts of "leaf" that `leaf` holds, or "leaf"."""
-    if isinstance(leaf, StackedLeaf):
-        return ["leaf"] * leaf.seq_len
-    if isinstance(leaf, StructuredLeaf):
-        return nested_map(leaf.payload, lambda _l: "leaf", TensorLeaf)
-    if isinstance(leaf, TensorLeaf):
-        return "leaf"
-    raise InconsistentInnerStructure(f"unriseable leaf payload {type(leaf).__name__}")
-
-
 def _payload(leaf):
     """The nested lists and dicts of leaves that rise indexes into: a
-    StackedLeaf is split into read-only views of its rows."""
+    StackedLeaf's read-only views of its rows, a StructuredLeaf's payload,
+    or a plain leaf itself."""
     if isinstance(leaf, StackedLeaf):
         rows, dtype, device = leaf._array, leaf._dtype, leaf._device
         # rows[i, ...] is a 0-d array where rows[i] would be a numpy scalar
         return [_new_leaf(TensorLeaf, rows[i, ...], device, dtype) for i in range(len(rows))]
-    return leaf.payload
+    if isinstance(leaf, StructuredLeaf):
+        return leaf.payload
+    if isinstance(leaf, TensorLeaf):
+        return leaf
+    raise InconsistentInnerStructure(f"unriseable leaf payload {type(leaf).__name__}")
 
 
 def _component(payload, sigma):
@@ -228,15 +222,15 @@ def rise(tree: TreeTensor):
         rows = payloads.buf.swapaxes(0, 1)  # component i is rows[i]
         return [TreeTensor._of(td, Column(r, TensorLeaf, payloads.dtype, payloads.device))
                 for r in rows]
-    if not payloads:
-        return tree
-    skels = [_skeleton(l) for l in payloads]
+    nested, skels = [], []  # the first leaf whose payload is at fault raises
+    for leaf in payloads:
+        nested.append(_payload(leaf))
+        skels.append(nested_map(nested[-1], lambda _l: "leaf", TensorLeaf))
     if any(s != skels[0] for s in skels[1:]):
         raise InconsistentInnerStructure("leaf inner structures disagree")
-    spec = skels[0]
-    if spec == "leaf":
+    if not skels or skels[0] == "leaf":
         return tree
-    return _rise_build(td, [_payload(l) for l in payloads], spec, ())
+    return _rise_build(td, nested, skels[0], ())
 
 
 def _rise_build(td, payloads: list, s, sigma):

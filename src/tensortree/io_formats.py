@@ -20,6 +20,8 @@ from __future__ import annotations
 import functools
 import json
 
+import numpy as np
+
 from . import constraints as _c
 from .errors import _SHOWN, BadKey, BadPath, DtypeUnknown, EmptyKey, ParseError, UnknownAtomKind
 from .errors import ShapeDataMismatch, _quoted, _shown, _where
@@ -50,7 +52,12 @@ def _loads(text: str):
 
 
 def _dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+# JSON has no NaN or infinity: each is written as a string, by Python's name for it
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FROM_STRING = {text: float(name) for name, text in _NONFINITE.items()}
 
 
 def _leaf_obj(leaf: TensorLeaf) -> dict:
@@ -58,7 +65,7 @@ def _leaf_obj(leaf: TensorLeaf) -> dict:
         "__leaf__": True,
         "shape": list(leaf.shape),
         "dtype": leaf.dtype,
-        "data": leaf.data,
+        "data": leaf.data if np.isfinite(leaf.array).all() else [_NONFINITE.get(str(x), x) for x in leaf.data],
         "device": leaf.device,
     }
     if isinstance(leaf, StackedLeaf):
@@ -190,9 +197,11 @@ def _parse_leaf(obj: dict, where: str) -> TensorLeaf:
     if any(type(s) is not int or s < 0 for s in shape):  # a bool is not a dimension
         raise ParseError(f"{where}: shape must be a list of non-negative integers, got {_quoted(shape, 80)}")
     types = _DATA_TYPES[dtype]
-    if not types.issuperset(map(type, data)):
-        names = " or ".join(sorted(t.__name__ for t in types))
-        raise ParseError(f"{where}: {dtype} data must hold only {names} values")
+    if not types.issuperset(map(type, data)):  # a string of _FROM_STRING gives a float
+        data = [_FROM_STRING.get(x, x) if type(x) is str else x for x in data]
+        if not types.issuperset(map(type, data)):
+            names = " or ".join(sorted(t.__name__ for t in types))
+            raise ParseError(f"{where}: {dtype} data must hold only {names} values")
     device = _field(obj, "device", _STR, where, "cpu")
     try:
         leaf = make_leaf(shape, dtype, data, device)
@@ -205,13 +214,15 @@ def _parse_leaf(obj: dict, where: str) -> TensorLeaf:
     return leaf
 
 
-def _parse_payload(obj, path: str = "payload"):
+def _parse_payload(obj, at: str, path: str = "payload"):
+    """The payload of the structured leaf at `at`; a leaf in it is named
+    by `at` and its `path` in the payload, a bad element by that path."""
     if isinstance(obj, list):
-        return [_parse_payload(p, f"{path}/{i}") for i, p in enumerate(obj)]
+        return [_parse_payload(p, at, f"{path}/{i}") for i, p in enumerate(obj)]
     if isinstance(obj, dict):
         if obj.get("__leaf__") is True:
-            return _parse_leaf(obj, f"leaf at {path}")
-        return {k: _parse_payload(v, f"{path}/{k}") for k, v in obj.items()}
+            return _parse_leaf(obj, f"leaf at {at}/{path}")
+        return {k: _parse_payload(v, at, f"{path}/{k}") for k, v in obj.items()}
     raise ParseError(f"bad structured payload element at {path[:_SHOWN]}: {_quoted(obj)}")
 
 
@@ -231,7 +242,7 @@ def _parse_obj(obj, path: Path = ()):
         return _parse_leaf(obj, f"leaf at {_where(path)}")  # a TensorLeaf is its own value node
     if obj.get("__structured__") is True:
         payload = _field(obj, "payload", (list, dict), f"structured leaf at {_where(path)}")
-        return ValueNode(StructuredLeaf(_parse_payload(payload)))
+        return ValueNode(StructuredLeaf(_parse_payload(payload, _where(path))))
     return {k: _parse_obj(v, path + (k,)) for k, v in obj.items()}
 
 
@@ -323,7 +334,7 @@ def serialize_padded_group(g: PaddedGroup) -> str:
         "__padded_group__": True,
         "stacked": _tree_obj(g.stacked),
         "lengths": _tree_obj(g.lengths),
-        "fill": g.fill,
+        "fill": _NONFINITE.get(str(g.fill), g.fill),
     }
     return _dumps(doc)
 
@@ -335,4 +346,7 @@ def parse_padded_group(text: str) -> PaddedGroup:
         raise ParseError("not a padded-group document")
     stacked, lengths = (_parse_root(_field(obj, n, _DICT, "padded group"), f"padded-group {n} tree")
                         for n in ("stacked", "lengths"))
-    return PaddedGroup(stacked, lengths, _field(obj, "fill", (int, float, bool), "padded group"))
+    fill = obj.get("fill")
+    if type(fill) is not str or fill not in _FROM_STRING:
+        fill = _field(obj, "fill", (int, float, bool), "padded group")
+    return PaddedGroup(stacked, lengths, _FROM_STRING.get(fill, fill))

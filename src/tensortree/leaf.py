@@ -18,6 +18,7 @@ from .errors import (
     DtypeUnsupported,
     EmptyInput,
     InvalidChunk,
+    LeafOpError,
     ShapeDataMismatch,
     ShapeMismatchLeaf,
     UnknownFunction,
@@ -254,6 +255,17 @@ def kinds(leaves, lo: int, hi: int) -> list:
     return [(leaves.dtype, leaves.device, tuple(s)) for s in leaves.shapes[lo:hi].tolist()]
 
 
+def _check_tensors(path, payloads) -> None:
+    """Raise LeafOpError at `path` if a payload is not a TensorLeaf (a
+    StructuredLeaf from a ragged or nested subside), naming the first such
+    payload. Leaf ops call it only once they have failed, or once `kinds`
+    gave None, so trees of tensor leaves pay nothing."""
+    for p in payloads:
+        if not isinstance(p, TensorLeaf):
+            cause = DtypeUnsupported(f"{type(p).__name__} payload is not a tensor")
+            raise LeafOpError(path, cause)
+
+
 def pack(arrays: list) -> Column | None:
     """A segmented column of copies of `arrays`, or None unless they are all
     exact ndarrays of one dtype (which must have a tag) and one ndim >= 1,
@@ -454,23 +466,17 @@ def stack_axis0(lists: Sequence[Sequence], cls=TensorLeaf) -> Column | list | No
     if joined is not None:
         return joined
     k = len(lists)
-    groups: dict[tuple, list] = {}  # (dtype, leaf shape, device) -> its arrays
+    groups: dict[tuple, list] = {}  # (dtype, device, leaf shape) -> its arrays
     order = []
     for column in zip(*lists):
-        first = column[0]
-        if not isinstance(first, TensorLeaf):
+        ks = kinds(column, 0, k)  # the device is the first leaf's, as in `stack`
+        if None in ks or len({(tag, shape) for tag, _, shape in ks}) > 1:
             return None
-        dtype, shape = first._dtype, first._array.shape
-        group = dtype, shape, first._device
-        arrays = groups.setdefault(group, [])
-        for p in column:
-            if not isinstance(p, TensorLeaf) or p._dtype != dtype or p._array.shape != shape:
-                return None
-            arrays.append(p._array)
-        order.append(group)
-    packed = {g: Column(_pack(arrays).reshape((len(arrays) // k, k) + g[1]), cls, g[0], g[2])
+        groups.setdefault(ks[0], []).extend(p._array for p in column)
+        order.append(ks[0])
+    packed = {g: Column(_pack(arrays).reshape((len(arrays) // k, k) + g[2]), cls, g[0], g[1])
               for g, arrays in groups.items()}
-    if len(packed) == 1 and 0 < math.prod(order[0][1]) <= BATCH_MAX_ELEMENTS:
+    if len(packed) == 1 and 0 < math.prod(order[0][2]) <= BATCH_MAX_ELEMENTS:
         return packed[order[0]]
     rows = {g: iter(c) for g, c in packed.items()}
     return [next(rows[g]) for g in order]

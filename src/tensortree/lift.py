@@ -26,7 +26,6 @@ from .constraints import first_violation
 from .errors import (
     ArityMismatch,
     ConstraintViolation,
-    DtypeUnsupported,
     EmptyInput,
     InvalidChunk,
     LeafOpError,
@@ -35,7 +34,7 @@ from .errors import (
     StrictKeyMismatch,
     TensorTreeError,
 )
-from .leaf import TensorLeaf
+from .leaf import TensorLeaf, _check_tensors
 from .node import Node, Path, TreeDef, TreeNode, as_dict, treedef
 from .tree import TreeTensor
 
@@ -140,16 +139,6 @@ def _leafwise(fn, columns: Sequence[list], path_of: Callable[[int], Path]) -> li
         _check_tensors(path_of(len(out)), column)
         raise
     return out
-
-
-def _check_tensors(path: Path, payloads) -> None:
-    """Raise LeafOpError at `path` if a payload is not a TensorLeaf (a
-    StructuredLeaf from a ragged or nested subside). Leaf ops call it only
-    once they have failed, so trees of tensor leaves pay nothing."""
-    for p in payloads:
-        if not isinstance(p, TensorLeaf):
-            cause = DtypeUnsupported(f"{type(p).__name__} payload is not a tensor")
-            raise LeafOpError(path, cause)
 
 
 def _lift(args: Sequence, policy: MismatchPolicy, fn, batch=None) -> TreeTensor:

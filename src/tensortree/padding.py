@@ -22,8 +22,7 @@ from .errors import (
     _quoted,
     _where,
 )
-from .leaf import Column, TensorLeaf, _leaf_views, _spread, _starts
-from .lift import _check_tensors
+from .leaf import _NP_DTYPE, Column, TensorLeaf, _check_tensors, _leaf_views, _spread, _starts, kinds
 from .tree import TreeTensor
 
 
@@ -61,30 +60,24 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
         if all(np.array_equal(s[:, 1:], shapes[0][:, 1:]) for s in shapes):
             return _pad_columns(td, c0, np.stack(shapes), values, fill)
     lens, buckets, runs = [], {}, {}  # part lengths, leaf-major; per (tag, device); per tag
-    try:
-        for i, parts in enumerate(zip(*columns)):
-            f0 = parts[0]
-            tail, tag, device = f0._array.shape[1:], f0._dtype, f0._device
-            ids, tails, arrays = buckets.setdefault((tag, device), ([], [], []))  # leaves and parts
-            sizes = []
-            for p in parts:
-                a = p._array
-                s = a.shape
-                if not s or s[1:] != tail or p._dtype != tag:
-                    raise TailShapeMismatch(td.paths[i], None if s else "leaves must have a length dimension")
-                if p._device != device:
-                    raise TailShapeMismatch(td.paths[i], f"devices differ at {_where(td.paths[i])}: "
-                                                         f"{_quoted(device)} and {_quoted(p._device)}")
-                arrays.append(a)
-                sizes.append(s[0])
-            if max(sizes) > min(sizes) and tag not in runs:  # numpy's cast, once a dtype
-                runs[tag] = _fill_run(fill, tag, f0._array.dtype, td.paths[i])
-            ids.append(i)
-            tails.append(tail)
-            lens += sizes
-    except AttributeError:
-        _check_tensors(td.paths[i], parts)
-        raise
+    for i, parts in enumerate(zip(*columns)):
+        ks = kinds(parts, 0, len(parts))
+        tag, device, shape = ks[0] or (None, None, ())  # a None kind raises below, at its part
+        for kind in ks:  # the first part at fault decides; before a None, every part is a tensor
+            t, d, s = kind or _check_tensors(td.paths[i], parts)
+            if not s or s[1:] != shape[1:] or t != tag:
+                raise TailShapeMismatch(td.paths[i], None if s else "leaves must have a length dimension")
+            if d != device:
+                raise TailShapeMismatch(td.paths[i], f"devices differ at {_where(td.paths[i])}: "
+                                                     f"{_quoted(device)} and {_quoted(d)}")
+        sizes = [s[0] for _, _, s in ks]
+        if max(sizes) > min(sizes) and tag not in runs:  # numpy's cast, once a dtype
+            runs[tag] = _fill_run(fill, tag, td.paths[i])
+        ids, tails, arrays = buckets.setdefault((tag, device), ([], [], []))  # leaves and parts
+        ids.append(i)
+        tails.append(shape[1:])
+        arrays += [p._array for p in parts]
+        lens += sizes
     n = np.array(lens, np.int64).reshape(-1, len(trees))
     stacked = [None] * td.count
     for (tag, device), (ids, tails, arrays) in buckets.items():
@@ -95,14 +88,14 @@ def group_pad(trees: Sequence[TreeTensor], fill) -> PaddedGroup:
     return PaddedGroup(TreeTensor._of(td, stacked), TreeTensor._of(td, lengths), fill)
 
 
-def _fill_run(fill, tag: str, dtype: np.dtype, path) -> np.ndarray:
-    """`fill` cast to `dtype` as one element, or LeafOpError at `path` if a
-    leaf of tag `tag` cannot hold it (numpy writes INT64_MIN for an i64 NaN
-    or infinity)."""
+def _fill_run(fill, tag: str, path) -> np.ndarray:
+    """`fill` cast to the dtype of tag `tag` as one element, or LeafOpError
+    at `path` if a leaf of that tag cannot hold it (numpy writes INT64_MIN
+    for an i64 NaN or infinity)."""
     try:
         if tag == "i64" and not -(2**63) <= fill < 2**63:
             raise OverflowError
-        return np.full(1, fill, dtype)
+        return np.full(1, fill, _NP_DTYPE[tag])
     except OverflowError:
         raise LeafOpError(path, DtypeUnsupported(
             f"fill {fill!r} does not fit {'a' if tag == 'bool' else 'an'} {tag} leaf")) from None
@@ -120,7 +113,7 @@ def _pad_columns(td, c0: Column, shapes: np.ndarray, values: tuple, fill) -> Pad
     width, pad = longest * row, longest > n.min(1)  # elements of one padded part; leaves to pad
     block, size, dtype = _starts(k * width), k * width.sum(), values[0].dtype
     # the fill is cast, and may fail, only if a leaf pads
-    out = np.full(size, _fill_run(fill, c0.dtype, dtype, td.paths[pad.argmax()]), dtype) if pad.any() \
+    out = np.full(size, _fill_run(fill, c0.dtype, td.paths[pad.argmax()]), dtype) if pad.any() \
         else np.empty(size, dtype)
     for j, v in enumerate(values):
         out[_spread(block + j * width, n[:, j] * row)] = v

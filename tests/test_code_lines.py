@@ -42,3 +42,13 @@ def test_the_script_prints_each_module_and_the_total():
     counts = [int(line.split()[0]) for line in lines]
     assert lines[-1].endswith("total") and counts[-1] == sum(counts[:-1])
     assert any(line.endswith("src/tensortree/io_formats.py") for line in lines)
+
+
+def test_the_second_column_is_each_files_line_count():
+    r = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py")],
+                       capture_output=True, text=True, check=True)
+    rows = [line.split() for line in r.stdout.splitlines()]
+    for code, lines, name in rows[:-1]:
+        text = (ROOT / name).read_bytes()
+        assert int(lines) == text.count(b"\n") and int(code) <= int(lines)
+    assert int(rows[-1][1]) == sum(int(row[1]) for row in rows[:-1])

@@ -1,14 +1,21 @@
 """Valid documents with one field mutated: every parser returns or raises a
 TensorTreeError, a tree that parses has a canonical form that parses back
-to itself, and rise of it returns or raises a TensorTreeError."""
+to itself, and rise of it returns or raises a TensorTreeError. Every CLI
+command run on such a document, or on one holding NaN or an infinity,
+exits 0, 1 or 2 and lets no exception escape."""
 
+import contextlib
+import io
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tensortree as tt
+from tensortree import cli
 from tensortree.errors import TensorTreeError
+from test_hostile_inputs import nonfinite_documents
 
 PARSERS = (tt.parse_tree, tt.parse_outer, tt.parse_padded_group, tt.parse_constraint_spec)
 
@@ -96,3 +103,44 @@ def test_a_mutated_document_parses_or_is_an_error(text):
                 tt.rise(out)
             except TensorTreeError:
                 pass
+
+
+# ---------------------------------------------------------------------------
+# the CLI's exit codes: 0, 1 or 2 on every document, never an exception
+
+NONFINITE = [serialize(value) for _, serialize, _, value in nonfinite_documents()]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """(document path, the commands that read it): a valid tree and spec
+    stand beside the document where a command takes two files."""
+    d = tmp_path_factory.mktemp("cli")
+    doc, tree, spec = (str(d / n) for n in ("doc.json", "tree.ttj", "spec.ttc"))
+    (d / "tree.ttj").write_text(tt.serialize_tree(_tree()))
+    (d / "spec.ttc").write_text(json.dumps(SPEC))
+    return doc, [
+        ["show", doc],
+        ["apply", "--fn", "neg", doc],
+        ["apply", "--fn", "add", "--policy", "outer", "--default", "0", doc, tree],
+        ["apply", "--fn", "stack", doc, doc],
+        ["apply", "--fn", "split", doc],
+        ["apply", "--fn", "shape", doc],
+        ["validate", "--constraints", spec, doc],  # the document as the tree
+        ["validate", "--constraints", doc, tree],  # the document as the spec
+        ["rise", doc],
+        ["subside", doc],
+        ["pad", "--fill", "0", doc, doc],
+    ]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(mutations(), st.sampled_from(_documents() + NONFINITE)))
+def test_every_cli_command_exits_0_1_or_2_on_a_mutated_document(cli_files, text):
+    doc, commands = cli_files
+    with open(doc, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), argv

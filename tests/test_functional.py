@@ -148,6 +148,38 @@ def test_rise_rejects_disagreeing_inner_structure():
         tt.rise(mixed)
 
 
+def _payloads(**payloads):
+    """A tree whose leaf at each key holds the given payload."""
+    return tt.TreeTensor(tt.TreeNode({k: tt.ValueNode(p) for k, p in payloads.items()}))
+
+
+def test_rise_indexes_each_structured_payload_by_key_whatever_its_key_order():
+    one = lambda x: tt.make_leaf([], "i64", [x])  # noqa: E731
+    t = _payloads(p=tt.StructuredLeaf({"x": one(1), "y": one(2)}),
+                  q=tt.StructuredLeaf({"y": one(3), "x": one(4)}))
+    risen = tt.rise(t)
+    assert list(risen) == ["x", "y"]
+    assert risen["x"] == tt.build_tree({"p": one(1), "q": one(4)})
+    assert risen["y"] == tt.build_tree({"p": one(2), "q": one(3)})
+
+
+def test_rise_raises_at_the_first_leaf_whose_payload_is_at_fault():
+    bad_content = tt.StructuredLeaf([1])  # a payload that holds an int, not a leaf
+    cases = [
+        (dict(a=bad_content, b="x"), "nested lists and dicts may hold only TensorLeafs, not int"),
+        (dict(a="x", b=bad_content), "unriseable leaf payload str"),
+        # every payload is classified before their structures are compared
+        (dict(a=tt.StackedLeaf(np.zeros(2)), b=tt.StackedLeaf(np.zeros(3)), c="x"),
+         "unriseable leaf payload str"),
+        (dict(a=tt.StackedLeaf(np.zeros(2)), b=tt.StackedLeaf(np.zeros(3))),
+         "leaf inner structures disagree"),
+    ]
+    for payloads, message in cases:
+        with pytest.raises(InconsistentInnerStructure) as info:
+            tt.rise(_payloads(**payloads))
+        assert str(info.value) == message
+
+
 def rand_outer(rng, depth=0):
     """Random outer structure (lists/dicts) of structurally equal trees."""
     trees = iter(lambda: rand_tree_family(rng, 12, max_depth=3, max_leaves=6), None)

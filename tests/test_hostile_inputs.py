@@ -333,6 +333,65 @@ def test_a_tree_holding_nan_survives_a_round_trip(dtype):
     assert tt.get(back, ["a"]) != tt.get(tt.lift_unary("neg")(back), ["a"])
 
 
+def strict_loads(text: str):
+    """json.loads that rejects the bare NaN, Infinity and -Infinity tokens,
+    which are not JSON."""
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+NONFINITE = [np.nan, np.inf, -np.inf, 1.0]
+
+
+def nonfinite_documents():
+    """(name, serialize, parse, value) of each kind of document, each
+    holding a NaN or an infinity."""
+    f64 = tt.build_tree({"a": np.array(NONFINITE), "b": {"c": np.array(np.nan)}})
+    f32 = tt.build_tree({"a": np.array(NONFINITE, np.float32).reshape(2, 2)})
+    ragged = [tt.build_tree({"s": np.array(NONFINITE[:n])}) for n in (1, 3)]
+    return [
+        ("f64", tt.serialize_tree, tt.parse_tree, f64),
+        ("f32", tt.serialize_tree, tt.parse_tree, f32),
+        ("stacked_seq", tt.serialize_tree, tt.parse_tree, tt.subside([f64, f64])),
+        ("structured", tt.serialize_tree, tt.parse_tree, tt.subside({"m": ragged})),
+        ("outer", tt.serialize_outer, tt.parse_outer, [f64, {"m": tt.lift_unary("neg")(f64)}]),
+        ("padded", tt.serialize_padded_group, tt.parse_padded_group, tt.group_pad(ragged, np.nan)),
+    ]
+
+
+@pytest.mark.parametrize("name, serialize, parse, value", nonfinite_documents(),
+                         ids=[d[0] for d in nonfinite_documents()])
+def test_documents_holding_nan_and_infinities_are_json_and_round_trip(name, serialize, parse, value):
+    text = serialize(value)
+    strict_loads(text)
+    back = parse(text)
+    assert serialize(back) == text
+    if name not in ("outer", "padded"):
+        assert back == value
+    if name == "padded":
+        assert np.isnan(back.fill) and back.stacked == value.stacked and back.lengths == value.lengths
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64", "i64", "bool"])
+def test_only_the_three_nonfinite_strings_parse_and_only_as_floats(dtype):
+    for text in ("NaN", "Infinity", "-Infinity", "nan", "inf", "-inf", "+Infinity", "1.0", ""):
+        doc = leaf_document([2], dtype, [text, 0])
+        group = json.dumps({"__padded_group__": True, "fill": text, "stacked": {}, "lengths": {}})
+        if dtype in ("f32", "f64") and text in ("NaN", "Infinity", "-Infinity"):
+            value = float(text)
+            got = tt.get(tt.parse_tree(doc), ["a"]).array[0]
+            assert got == value or np.isnan(value) and np.isnan(got)
+            fill = tt.parse_padded_group(group).fill
+            assert fill == value or np.isnan(value) and np.isnan(fill)
+        else:
+            with pytest.raises(ParseError):
+                tt.parse_tree(doc)
+            if text not in ("NaN", "Infinity", "-Infinity"):
+                with pytest.raises(ParseError):
+                    tt.parse_padded_group(group)
+
+
 _HUGE = {f"k{i}": {"x": {**_LEAF, "shape": [2000], "data": [1.0] * 2000}} for i in range(50)}
 
 
@@ -363,6 +422,11 @@ _HUGE = {f"k{i}": {"x": {**_LEAF, "shape": [2000], "data": [1.0] * 2000}} for i 
         ("parse_tree", {"x": {"y": {**_LEAF, "stacked_seq": "false"}}}, "leaf at x/y: 'stacked_seq'"),
         ("parse_tree", {"k" * 10**6: {"y": {**_LEAF, "device": [1]}}}, "leaf at kkk"),
         ("parse_tree", {"x": {"y": 3}}, "at x/y, got int"),
+        # a leaf in a structured payload is named by the structured leaf's path too
+        ("parse_tree", {"x": {"y": {"__structured__": True, "payload": [{**_LEAF, "stacked_seq": 1}]}}},
+         "leaf at x/y/payload/0: 'stacked_seq'"),
+        ("parse_tree", {"k" * 10**6: {"__structured__": True, "payload": [{**_LEAF, "device": [1]}]}},
+         "leaf at kkk"),
         # a shape whose element count is not the data's, once quoted whole
         ("parse_tree", {"x": {"y": {**_LEAF, "shape": [2] * 10**4}}}, "leaf at x/y: bad f64 data"),
     ],

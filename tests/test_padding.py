@@ -95,6 +95,25 @@ def test_pad_rejects_a_0d_leaf_in_any_tree():
             assert info.value.path == (where,)
 
 
+def test_within_a_leaf_the_first_part_at_fault_decides():
+    ok, zero_d = tt.TensorLeaf(np.arange(2.0)), tt.TensorLeaf(np.array(1.0))
+    structured = tt.StructuredLeaf([tt.scalar(1.0)])
+    gpu = tt.TensorLeaf(np.arange(3.0), "gpu")
+    cases = [  # the parts of leaf "s", tree by tree; leaf "a" before it is fine
+        ([ok, zero_d, structured], TailShapeMismatch, "leaves must have a length dimension"),
+        ([ok, structured, zero_d], LeafOpError, "at s: StructuredLeaf payload is not a tensor"),
+        ([structured, ok], LeafOpError, "at s: StructuredLeaf payload is not a tensor"),
+        ([ok, gpu, structured], TailShapeMismatch, "devices differ at s: 'cpu' and 'gpu'"),
+        ([ok, structured, gpu], LeafOpError, "at s: StructuredLeaf payload is not a tensor"),
+    ]
+    for parts, error, message in cases:
+        trees = [tt.TreeTensor(tt.TreeNode({"a": tt.TensorLeaf(np.arange(2.0)), "s": tt.ValueNode(p)}))
+                 for p in parts]
+        with pytest.raises(error) as info:
+            tt.group_pad(trees, fill=0.0)
+        assert (info.value.path, str(info.value)) == (("s",), message)
+
+
 def test_unpad_rejects_corrupt_lengths():
     a = tt.build_tree({"s": np.arange(2.0)})
     b = tt.build_tree({"s": np.arange(4.0)})

@@ -167,10 +167,20 @@ def arr(d):
     return np.array(d["data"], dtype=NP[d["dtype"]]).reshape(d["shape"])
 
 
+def json_number(x):
+    """x as a canonical document writes it: JSON has no NaN or infinity, so
+    they are the strings "NaN", "Infinity" and "-Infinity"."""
+    if isinstance(x, float) and math.isnan(x):
+        return "NaN"
+    if isinstance(x, float) and math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return x
+
+
 def leaf_doc(a, **extra):
     a = np.asarray(a)
     return {"__leaf__": True, "shape": list(a.shape), "dtype": TAG[a.dtype],
-            "data": a.reshape(-1).tolist(), "device": "cpu", **extra}
+            "data": [json_number(x) for x in a.reshape(-1).tolist()], "device": "cpu", **extra}
 
 
 def map_docs(d, f, path=()):

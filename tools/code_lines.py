@@ -1,11 +1,13 @@
-"""Print the code lines of each module under src/ and their total.
+"""Print the code lines and the lines of each module under src/, and
+their totals.
 
     python3 tools/code_lines.py [ROOT]
 
 A code line holds a token that is not a comment, outside the module,
 class and function docstrings; blank lines, comment-only lines and
-docstring lines do not count. ROOT is the checkout to count (default: the
-one holding this script).
+docstring lines do not count. The second column counts every line, as
+`wc -l` does. ROOT is the checkout to count (default: the one holding this
+script).
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ def code_lines(source: str) -> int:
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     root = Path(args[0]) if args else Path(__file__).resolve().parent.parent
-    total = 0
+    total = lines = 0
     for path in sorted((root / "src").rglob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+        source = path.read_text(encoding="utf-8")
+        n, m = code_lines(source), source.count("\n")
+        total, lines = total + n, lines + m
+        print(f"{n:6d} {m:6d}  {path.relative_to(root)}")
+    print(f"{total:6d} {lines:6d}  total")
     return 0
 
 
