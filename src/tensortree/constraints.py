@@ -23,123 +23,149 @@ argument is flattened once on entry.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import ConstraintViolation
 from .leaf import kinds
-from .node import Node, Path, flatten, leaf_range, subkey, treedef
+from .node import Node, Path, _as_path, flatten, leaf_range, subkey, treedef
 
 # ---------------------------------------------------------------------------
 # atoms
 
 
 class _Atom:
-    """Base of the atoms: every int field must be >= 0."""
+    """Base of the atoms. An atom class is the one declaration of its kind:
+    its fields as `__slots__`, its document `kind`, each field's document
+    name and JSON type as `doc` (a `list` is of path strings), `node` for a
+    node atom, and its check, `holds`. This class derives the rest from
+    the fields (README, Layout: `tensortree.constraints`)."""
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and value < 0:
-                raise ValueError(f"{type(self).__name__}.{f.name} must be >= 0, got {value}")
+    __slots__ = ("_values",)  # the field values in field order, which ==, hash and the codec read
+    node = False
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self.__slots__
+        given = dict(zip(names, args), **kwargs)  # drops a surplus or repeated argument: the check counts
+        if len(given) != len(args) + len(kwargs) or given.keys() != set(names):
+            raise TypeError(f"{cls.__name__}() takes {', '.join(names)}, by position or by keyword")
+        for name, t in zip(names, cls.doc.values()):
+            value = given[name]
+            if t is int and value < 0:
+                raise ValueError(f"{cls.__name__}.{name} must be >= 0, got {value}")
+            if t is list:
+                try:
+                    given[name] = value = tuple(map(_as_path, value))
+                except TypeError as exc:
+                    raise TypeError(f"{cls.__name__}.{name}: {exc}") from None
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", tuple(given[name] for name in names))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((type(self), self._values))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):
+        return type(self), self._values
 
 
-@dataclass(frozen=True)
 class DtypeIs(_Atom):
-    dtype: str
+    __slots__ = ("dtype",)
+    kind, doc = "dtype", {"value": str}
+
+    def holds(self, dtype, device, shape) -> bool:
+        return dtype == self.dtype
 
 
-@dataclass(frozen=True)
 class NdimIs(_Atom):
-    n: int
+    __slots__ = ("n",)
+    kind, doc = "ndim", {"value": int}
+
+    def holds(self, dtype, device, shape) -> bool:
+        return len(shape) == self.n
 
 
-@dataclass(frozen=True)
 class DimEquals(_Atom):
-    axis: int
-    size: int
+    __slots__ = ("axis", "size")
+    kind, doc = "dim_equals", {"axis": int, "value": int}
+
+    def holds(self, dtype, device, shape) -> bool:
+        return self.axis < len(shape) and shape[self.axis] == self.size
 
 
-@dataclass(frozen=True)
 class DimAtLeast(_Atom):
-    axis: int
-    size: int
+    __slots__ = ("axis", "size")
+    kind, doc = "dim_at_least", {"axis": int, "value": int}
+
+    def holds(self, dtype, device, shape) -> bool:
+        return self.axis < len(shape) and shape[self.axis] >= self.size
 
 
-@dataclass(frozen=True)
 class DeviceIs(_Atom):
-    tag: str
+    __slots__ = ("tag",)
+    kind, doc = "device", {"value": str}
+
+    def holds(self, dtype, device, shape) -> bool:
+        return device == self.tag
 
 
-@dataclass(frozen=True)
 class LeafCountIs(_Atom):
     """Subtree leaf count; non-inheriting only."""
 
-    n: int
+    __slots__ = ("n",)
+    kind, doc, node = "leaf_count", {"value": int}, True
+
+    def holds(self, leaves, paths, path: Path) -> bool:
+        lo, hi = leaf_range(paths, path)
+        return hi - lo == self.n
 
 
-@dataclass(frozen=True)
+def _shapes(targets, leaves, paths, path: Path) -> list | None:
+    """The shapes of the leaves at the relative paths `targets` under
+    `path`, or None unless each is a TensorLeaf."""
+    at = [(bisect_left(paths, path + p), path + p) for p in targets]
+    found = [i < len(paths) and paths[i] == t and kinds(leaves, i, i + 1)[0] for i, t in at]
+    return [k[2] for k in found] if all(found) else None
+
+
 class ShapesEqual(_Atom):
     """Leaves at the given relative paths share one shape; non-inheriting only."""
 
-    paths: tuple[Path, ...]
+    __slots__ = ("paths",)
+    kind, doc, node = "shapes_equal", {"paths": list}, True
+
+    def holds(self, leaves, paths, path: Path) -> bool:
+        shapes = _shapes(self.paths, leaves, paths, path)
+        return shapes is not None and all(s == shapes[0] for s in shapes)
 
 
-@dataclass(frozen=True)
 class SharedPrefix(_Atom):
     """Leaves at the given relative paths agree on the first k dims."""
 
-    paths: tuple[Path, ...]
-    k: int
+    __slots__ = ("paths", "k")
+    kind, doc, node = "shared_prefix", {"paths": list, "k": int}, True
+
+    def holds(self, leaves, paths, path: Path) -> bool:
+        shapes, k = _shapes(self.paths, leaves, paths, path), self.k
+        return shapes is not None and all(len(s) >= k and s[:k] == shapes[0][:k] for s in shapes)
 
 
-_NODE_ATOMS = (LeafCountIs, ShapesEqual, SharedPrefix)
-
-
-def _leaf_atom_holds(atom, kind) -> bool:
-    """Whether a leaf of `kind`, an item of `kinds`, satisfies a leaf atom;
-    a payload that is not a TensorLeaf satisfies none."""
-    if kind is None:
-        return False
-    dtype, device, shape = kind
-    if isinstance(atom, DtypeIs):
-        return dtype == atom.dtype
-    if isinstance(atom, NdimIs):
-        return len(shape) == atom.n
-    if isinstance(atom, DimEquals):
-        return atom.axis < len(shape) and shape[atom.axis] == atom.size
-    if isinstance(atom, DimAtLeast):
-        return atom.axis < len(shape) and shape[atom.axis] >= atom.size
-    if isinstance(atom, DeviceIs):
-        return device == atom.tag
-    raise TypeError(f"not a leaf atom: {atom!r}")
-
-
-def _node_atom_holds(atom, leaves, paths, path: Path) -> bool:
-    if isinstance(atom, LeafCountIs):
-        lo, hi = leaf_range(paths, path)
-        return hi - lo == atom.n
-    shapes = []
-    for p in atom.paths:
-        target = path + p
-        i = bisect_left(paths, target)
-        kind = i < len(paths) and paths[i] == target and kinds(leaves, i, i + 1)[0]
-        if not kind:
-            return False
-        shapes.append(kind[2])
-    if isinstance(atom, ShapesEqual):
-        return all(s == shapes[0] for s in shapes)
-    if isinstance(atom, SharedPrefix):
-        return all(len(s) >= atom.k and s[: atom.k] == shapes[0][: atom.k] for s in shapes)
-    raise TypeError(f"not a node atom: {atom!r}")
+#: every atom class: the codec reads each one's `kind` and `doc`
+ATOMS = (DtypeIs, NdimIs, DimEquals, DimAtLeast, DeviceIs, LeafCountIs, ShapesEqual, SharedPrefix)
 
 
 def _atom_key(entry):
     inh, atom = entry
-    fields = tuple(
-        v if not isinstance(v, tuple) else repr(v) for v in vars(atom).values()
-    )
-    return (type(atom).__name__, fields, inh)
+    return type(atom).__name__, tuple(repr(v) if isinstance(v, tuple) else v for v in atom._values), inh
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +180,7 @@ class Constraint:
     def __init__(self, entries: Iterable[tuple[bool, object]] = ()):
         dedup = sorted(set(entries), key=_atom_key)
         for inh, atom in dedup:
-            if inh and isinstance(atom, _NODE_ATOMS):
+            if inh and atom.node:
                 raise ValueError(f"{type(atom).__name__} cannot be inheriting")
         self.entries = tuple(dedup)
 
@@ -258,13 +284,10 @@ def _local_ok(c: Constraint, n, path: Path = (), lo: int = 0) -> bool:
     value = lo < len(paths) and paths[lo] == path
     kind = kinds(leaves, lo, lo + 1)[0] if value else None
     for inh, atom in c.entries:
-        if inh:
-            if value and not _leaf_atom_holds(atom, kind):
+        if atom.node:
+            if not atom.holds(leaves, paths, path):
                 return False
-        elif isinstance(atom, _NODE_ATOMS):
-            if not _node_atom_holds(atom, leaves, paths, path):
-                return False
-        elif not _leaf_atom_holds(atom, kind):
+        elif (value or not inh) and not (kind and atom.holds(*kind)):
             return False
     return True
 
@@ -349,7 +372,7 @@ def _failing(f: tuple, ct: ConstraintTree, focus: Path = ()) -> list[Path]:
                 if not scoped:
                     scoped.append(kinds(leaves, *scope))
                 ks = scoped[0][lo - scope[0]:hi - scope[0]]
-                if no := {k for k in set(ks) if not all(_leaf_atom_holds(x, k) for x in atoms)}:
+                if no := {k for k in set(ks) if not (k and all(x.holds(*k) for x in atoms))}:
                     bad.update(paths[i] for i, k in enumerate(ks, lo) if k in no)
         subs = dict(key) if key and ct.children else {}
         for k, sub in ct.children.items():

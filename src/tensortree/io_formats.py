@@ -86,7 +86,7 @@ def _tree_obj(tree: TreeTensor) -> dict:
 
 # the JSON types a document field may have, by exact type: type(True) is
 # bool, so a bool is never an int or a float; no types asks for any value
-_ANY, _INT, _STR, _BOOL, _LIST, _DICT = (), (int,), (str,), (bool,), (list,), (dict,)
+_ANY, _STR, _BOOL, _LIST, _DICT = (), (str,), (bool,), (list,), (dict,)
 _MISSING = object()
 
 
@@ -104,40 +104,25 @@ def _field(obj: dict, name: str, types: tuple, where: str, default=_MISSING):
     return value
 
 
-# kind -> (atom class, {each field's name in a document: its JSON types}, in field order)
-_ATOMS = {
-    "dtype": (_c.DtypeIs, {"value": _STR}),
-    "ndim": (_c.NdimIs, {"value": _INT}),
-    "dim_equals": (_c.DimEquals, {"axis": _INT, "value": _INT}),
-    "dim_at_least": (_c.DimAtLeast, {"axis": _INT, "value": _INT}),
-    "device": (_c.DeviceIs, {"value": _STR}),
-    "leaf_count": (_c.LeafCountIs, {"value": _INT}),
-    "shapes_equal": (_c.ShapesEqual, {"paths": _LIST}),
-    "shared_prefix": (_c.SharedPrefix, {"paths": _LIST, "k": _INT}),
-}
-_KINDS = {cls: kind for kind, (cls, _) in _ATOMS.items()}
-
-
 def _atom_obj(atom) -> dict:
     """The document object of an atom."""
-    kind = _KINDS[type(atom)]
-    obj = {"kind": kind}
-    for name, value in zip(_ATOMS[kind][1], vars(atom).values()):
-        obj[name] = [path_to_string(p) for p in value] if isinstance(value, tuple) else value
+    obj = {"kind": atom.kind}
+    for (name, t), value in zip(atom.doc.items(), atom._values):
+        obj[name] = [path_to_string(p) for p in value] if t is list else value
     return obj
 
 
 def _parse_atom(obj, where: str):
-    """The atom of a document object; ParseError unless each field has its
-    JSON type and the atom accepts its value."""
+    """The atom of a document object; ParseError unless each field has the
+    JSON type its class declares and the atom accepts its value."""
     if not isinstance(obj, dict):
         raise _bad_atom(obj, where, "not an object")
     kind = obj.get("kind")
-    if type(kind) is not str or kind not in _ATOMS:
+    cls = next((cls for cls in _c.ATOMS if cls.kind == kind), None)
+    if cls is None:
         raise UnknownAtomKind(f"unknown atom kind {_quoted(kind)}")
-    cls, types = _ATOMS[kind]
-    values = [_field(obj, name, t, f"bad atom {kind!r} at {where}") for name, t in types.items()]
-    for name, value in zip(types, values):
+    values = [_field(obj, name, (t,), f"bad atom {kind!r} at {where}") for name, t in cls.doc.items()]
+    for name, value in zip(cls.doc, values):
         if type(value) is list and not all(type(p) is str for p in value):
             raise _bad_atom(obj, where, f"{name!r} must be a list of strings")
     try:

@@ -170,7 +170,7 @@ class Column:
         if self.shapes is None:
             return Column, (self.buf, self.cls, self.dtype, self.device)
         shapes, values = self._rows()
-        return Column, (values, self.cls, self.dtype, self.device, shapes, _starts(shapes.prod(1)))
+        return Column, (values, self.cls, self.dtype, self.device, shapes, _starts(_sizes(shapes)))
 
     def __len__(self) -> int:
         return len(self.buf if self.shapes is None else self.shapes)
@@ -202,7 +202,7 @@ class Column:
         buf, shapes = self.buf, self.shapes
         if shapes is None:
             return np.broadcast_to(buf.shape[1:], (len(buf), buf.ndim - 1)), buf.reshape(-1)
-        sizes = shapes.prod(1)
+        sizes = _sizes(shapes)
         if np.array_equal(self.offsets, _starts(sizes)):  # the rows lie end to end from buf[0]
             return shapes, buf[:sizes.sum()]
         return shapes, buf[_spread(self.offsets, sizes)]
@@ -212,12 +212,21 @@ class Column:
         if out is None:
             rows = self.buf
             if self.shapes is not None:  # row i is a slice of the flat buffer
-                ends = (self.offsets + self.shapes.prod(1)).tolist()
+                ends = (self.offsets + _sizes(self.shapes)).tolist()
                 rows = [rows[o:e] for o, e in zip(self.offsets.tolist(), ends)]
                 if self.shapes.shape[1] > 1:
                     rows = [r.reshape(s) for r, s in zip(rows, self.shapes.tolist())]
             out = self._leaves = _leaf_views(self.cls, rows, repeat(self.dtype), repeat(self.device))
         return out
+
+
+def _sizes(shapes: np.ndarray) -> np.ndarray:
+    """The element count of each row of the (n, ndim) `shapes`, 1 for
+    ndim 0: its columns multiplied, several times faster than `prod(1)`."""
+    out = shapes[:, 0] if shapes.shape[1] else np.ones(len(shapes), np.int64)
+    for j in range(1, shapes.shape[1]):
+        out = out * shapes[:, j]
+    return out
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -276,7 +285,7 @@ def pack(arrays: list) -> Column | None:
             type(a) is not np.ndarray or a.dtype != first.dtype or a.ndim != first.ndim for a in arrays):
         return None
     shapes = np.array([a.shape for a in arrays], np.int64)
-    sizes = shapes.prod(1)
+    sizes = _sizes(shapes)
     return Column(_pack(arrays), TensorLeaf, _tag(first.dtype), "cpu", shapes, _starts(sizes)) \
         if first.ndim and sizes.min() > 0 and sizes.max() <= BATCH_MAX_ELEMENTS else None
 

@@ -25,7 +25,7 @@ import itertools
 import weakref
 from bisect import bisect_left
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import BadKey, EmptyKey, PathNotFound
 
@@ -51,6 +51,15 @@ def path_from_string(s: str) -> Path:
 
 def path_to_string(p: Path) -> str:
     return PATH_SEP.join(p)
+
+
+def _as_path(path: Iterable[str]) -> Path:
+    if isinstance(path, str):
+        raise TypeError(
+            f"path {path!r} is a str, not a sequence of keys; "
+            "split an 'a/b' string with path_from_string"
+        )
+    return tuple(path)
 
 
 class Node:

@@ -22,7 +22,7 @@ from .errors import (
     _quoted,
     _where,
 )
-from .leaf import _NP_DTYPE, Column, TensorLeaf, _check_tensors, _leaf_views, _spread, _starts, kinds
+from .leaf import _NP_DTYPE, Column, TensorLeaf, _check_tensors, _leaf_views, _sizes, _spread, _starts, kinds
 from .tree import TreeTensor
 
 
@@ -109,7 +109,7 @@ def _pad_columns(td, c0: Column, shapes: np.ndarray, values: tuple, fill) -> Pad
     k = len(values)
     n = np.ascontiguousarray(shapes[:, :, 0].T)  # the lengths, (leaves, k)
     tails, longest = shapes[0, :, 1:], n.max(1)
-    row = tails.prod(1)
+    row = _sizes(tails)
     width, pad = longest * row, longest > n.min(1)  # elements of one padded part; leaves to pad
     block, size, dtype = _starts(k * width), k * width.sum(), values[0].dtype
     # the fill is cast, and may fail, only if a leaf pads
@@ -203,7 +203,7 @@ def unpad(g: PaddedGroup) -> list[TreeTensor]:
             f"lengths at {_where(td.paths[good])} must be an i64 vector of {k} entries"
         )
     if column:  # tree j's row i: (n[i, j], *tail) at stacked row i's start plus j padded parts
-        tails, width = rows[:, 2:], rows[:, 1:].prod(1)  # a part's shape past axis 0; its room
+        tails, width = rows[:, 2:], _sizes(rows[:, 1:])  # a part's shape past axis 0; its room
         starts = _starts(k * width)
         return [TreeTensor._of(td, Column(values, TensorLeaf, stacked.dtype, stacked.device,
                                           np.column_stack([m, tails]), starts + j * width))

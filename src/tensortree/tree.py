@@ -36,7 +36,7 @@ from . import constraints as _c
 from .errors import BadPath, ConstraintViolation, PathNotFound
 from .leaf import BATCH_MAX_ELEMENTS, Column, TensorLeaf, _new_leaf, _pack, _tag, from_array, kinds, make_leaf, pack
 from .node import Node, Path, TreeDef, TreeNode, ValueNode, check_key, flatten, leaf_range
-from .node import _paths_into, subkey, treedef, unflatten
+from .node import _as_path, _paths_into, subkey, treedef, unflatten
 
 _REPR_LEAVES = 8
 
@@ -228,15 +228,6 @@ def _leaf_list(items: list) -> list:
     """`items` with each exact ndarray a leaf of its own row-major copy
     (copy() gives C order, as from_array does)."""
     return [_new_leaf(TensorLeaf, v.copy(), "cpu") if type(v) is np.ndarray else v for v in items]
-
-
-def _as_path(path: Iterable[str]) -> Path:
-    if isinstance(path, str):
-        raise TypeError(
-            f"path {path!r} is a str, not a sequence of keys; "
-            "split an 'a/b' string with path_from_string"
-        )
-    return tuple(path)
 
 
 def get(tree: TreeTensor, path: Iterable[str]) -> Node:
